@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import BasisSpec, FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError
-from .moments import MomentFeatures, angle_phase_matrix
+from .moments import MomentFeatures, angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
 
 logger = logging.getLogger(__name__)
@@ -116,7 +116,7 @@ class AdmmWorkspace:
 
     def h_of(self, p: np.ndarray) -> np.ndarray:
         """Second-moment coupling H = sum_l p[l] e_l e_l^H."""
-        return (self.E * p[None, :]) @ self.E.conj().T
+        return angle_coupling(self.E, p)
 
     def first_term(self, v: np.ndarray) -> float:
         """||Psi_w v - mu_w||^2 via the compressed pieces; v = a o g."""
@@ -211,48 +211,44 @@ def build_a2_matrix(work: AdmmWorkspace, fixed: np.ndarray, H: np.ndarray) -> np
     return out
 
 
-def update_a(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
-    """Exact minimizer of the augmented Lagrangian over a (z, p, s fixed)."""
+def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
+                     center: np.ndarray, fixed: np.ndarray,
+                     lam1: float) -> np.ndarray:
+    """Exact minimizer of lam1/2 ||Psi_w (x o g) - mu_w||^2
+    + lam2/2 ||Psi_w ((x fixed^H) o H) Psi_w^H - C_w||_F^2
+    + rho/2 ||x - center||^2 over one consensus copy x."""
     work = state.require_work()
-    g = work.g_of(state.p)
-    H = work.h_of(state.p)
     lhs = config.rho * np.eye(work.spec.n_a, dtype=complex)
-    rhs = config.rho * (state.z - state.s)
-    if config.lam1 > 0:
-        lhs = lhs + config.lam1 * (np.conj(g)[:, None] * work.G * g[None, :])
-        rhs = rhs + config.lam1 * np.conj(g) * work.t_mu
+    rhs = config.rho * center
+    if lam1 > 0:
+        g = work.g_of(state.p)
+        lhs = lhs + lam1 * (np.conj(g)[:, None] * work.G * g[None, :])
+        rhs = rhs + lam1 * np.conj(g) * work.t_mu
     if config.lam2 > 0:
-        gram2, rhs2 = _second_gram_pieces(work, state.z, H)
+        gram2, rhs2 = _second_gram_pieces(work, fixed, work.h_of(state.p))
         lhs = lhs + config.lam2 * gram2
         rhs = rhs + config.lam2 * rhs2
-    a_new = np.linalg.solve(lhs, rhs)
-    if not np.all(np.isfinite(a_new)):
+    x_new = np.linalg.solve(lhs, rhs)
+    if not np.all(np.isfinite(x_new)):
         raise SolverError(
-            f"a-update produced non-finite values at iteration {state.iter}",
+            f"{name}-update produced non-finite values at iteration {state.iter}",
             history=state.history,
         )
-    return a_new
+    return x_new
+
+
+def update_a(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
+    """Exact minimizer of the augmented Lagrangian over a (z, p, s fixed)."""
+    return _consensus_solve(state, config, "a", state.z - state.s, state.z,
+                            config.lam1)
 
 
 def update_z(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
     """Exact minimizer over z.  The second-moment residual satisfies
     ||X - C_w||_F = ||X^H - C_w||_F (C_w Hermitian), and X^H swaps the roles
-    of a and z, so the solve mirrors the a-step with penalty center a + s."""
-    work = state.require_work()
-    H = work.h_of(state.p)
-    lhs = config.rho * np.eye(work.spec.n_a, dtype=complex)
-    rhs = config.rho * (state.a + state.s)
-    if config.lam2 > 0:
-        gram2, rhs2 = _second_gram_pieces(work, state.a, H)
-        lhs = lhs + config.lam2 * gram2
-        rhs = rhs + config.lam2 * rhs2
-    z_new = np.linalg.solve(lhs, rhs)
-    if not np.all(np.isfinite(z_new)):
-        raise SolverError(
-            f"z-update produced non-finite values at iteration {state.iter}",
-            history=state.history,
-        )
-    return z_new
+    of a and z, so the solve mirrors the a-step with penalty center a + s;
+    the first-moment term does not involve z."""
+    return _consensus_solve(state, config, "z", state.a + state.s, state.a, 0.0)
 
 
 def update_p(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
@@ -412,14 +408,3 @@ def run_admm(
         converged=converged,
         symmetry_residual=a_out.symmetry_residual(),
     )
-
-
-def history_to_csv(history: dict, path: str):
-    """iter, objective, primal residual, Lagrangian per line."""
-    rows = zip(
-        history["iter"], history["objective"], history["primal"], history["lagrangian"]
-    )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("iter,objective,primal_residual,lagrangian\n")
-        for it, obj, pr, lag in rows:
-            fh.write(f"{it},{obj:.17g},{pr:.17g},{lag:.17g}\n")

@@ -17,18 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, history_to_csv, init_admm_state, run_admm
+from .admm import AdmmConfig, init_admm_state, run_admm
 from .basis import (BasisSpec, FBCoeffs, build_basis_spec, build_quadrature,
                     synthesize_image)
 from .em import EmConfig, run_em
-from .em import history_to_csv as em_history_to_csv
 from .errors import ConfigError, SolverError
 from .metrics import (TrialReport, joint_alignment, relative_error,
                       reports_to_csv, snr_db, success_rate,
                       total_variation_dist, variance_for_snr)
 from .moments import empirical_moments
 from .sim import (ViewDistribution, build_line_grid, bump_distribution,
-                  generate_batch, load_batch, random_phantom, save_batch,
+                  check_payload_size, generate_batch, load_batch,
+                  random_phantom, read_header_file, save_batch,
                   two_bump_distribution, uniform_distribution)
 from .spectral import noise_covariance, transform_batch
 
@@ -137,14 +137,15 @@ def save_coeff_file(path, coeffs, p, meta=None):
 
 
 def load_coeff_file(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        spec = build_basis_spec(header["c"], header["R"])
-        if spec.n_a != header["n_a"]:
-            raise ConfigError(f"basis rebuilt from {path} has {spec.n_a} "
-                              f"functions, header says {header['n_a']}")
-        vals = np.frombuffer(fh.read(16 * spec.n_a), dtype="<c16").copy()
-        p = np.frombuffer(fh.read(8 * header["n_theta"]), dtype="<f8").copy()
+    header, payload = read_header_file(
+        path, ("c", "R", "n_a", "n_theta", "real_symmetric"))
+    spec = build_basis_spec(header["c"], header["R"])
+    if spec.n_a != header["n_a"]:
+        raise ConfigError(f"basis rebuilt from {path} has {spec.n_a} "
+                          f"functions, header says {header['n_a']}")
+    check_payload_size(path, payload, 16 * spec.n_a + 8 * header["n_theta"])
+    vals = np.frombuffer(payload, dtype="<c16", count=spec.n_a).copy()
+    p = np.frombuffer(payload, dtype="<f8", offset=16 * spec.n_a).copy()
     coeffs = FBCoeffs(values=vals, spec=spec,
                       real_symmetric=header["real_symmetric"])
     dist = ViewDistribution(p=np.maximum(p, 0.0) / max(p.sum(), 1e-300),
@@ -173,16 +174,16 @@ def _build_problem(cfg):
     return spec, truth, p
 
 
-def _resolve_sigma2(cfg, truth, p, grid, quad):
-    acq = cfg["acquisition"]
-    target = acq.get("target_snr_db")
-    if target is None:
-        return float(acq["sigma2"]), None
+def _noise_level(acq, truth, p, grid, quad, seed, target_db):
+    """(sigma2, clean variance) from the noiseless batch that seed draws:
+    sigma2 meets target_db, or is the configured sigma2 when that is None."""
     clean = generate_batch(truth, p, acq["N"], acq["K"],
                            math.radians(acq["alpha_deg"]), 0.0, grid, quad,
-                           seed=cfg["seed"])
+                           seed=seed)
     var = float(clean.samples.var())
-    return variance_for_snr(var, float(target)), var
+    if target_db is None:
+        return float(acq["sigma2"]), var
+    return variance_for_snr(var, float(target_db)), var
 
 
 def cmd_simulate(cfg, out_dir):
@@ -190,19 +191,16 @@ def cmd_simulate(cfg, out_dir):
     acq = cfg["acquisition"]
     grid = build_line_grid(acq["L"])
     quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
-    sigma2, clean_var = _resolve_sigma2(cfg, truth, p, grid, quad)
+    target = acq.get("target_snr_db")
+    sigma2, clean_var = float(acq["sigma2"]), None
+    if target is not None or sigma2 > 0:
+        sigma2, clean_var = _noise_level(acq, truth, p, grid, quad,
+                                         cfg["seed"], target)
     batch = generate_batch(truth, p, acq["N"], acq["K"],
                            math.radians(acq["alpha_deg"]), sigma2, grid, quad,
                            seed=cfg["seed"])
-    if clean_var is None:
-        noiseless = batch.samples if sigma2 == 0 else None
-        if noiseless is None:
-            clean = generate_batch(truth, p, acq["N"], acq["K"],
-                                   math.radians(acq["alpha_deg"]), 0.0, grid,
-                                   quad, seed=cfg["seed"])
-            clean_var = float(clean.samples.var())
-        else:
-            clean_var = float(noiseless.var())
+    if clean_var is None:  # a noiseless batch is its own clean batch
+        clean_var = float(batch.samples.var())
     achieved = snr_db(clean_var, sigma2)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,6 +216,25 @@ def cmd_simulate(cfg, out_dir):
     print(f"wrote {batch_path} ({batch.N} records), SNR = "
           f"{achieved:.2f} dB, sigma2 = {sigma2:.6g}")
     return [batch_path, truth_path, manifest]
+
+
+def history_to_csv(columns, path):
+    """One header line of column names, then one row per iteration; columns
+    maps each name to its per-iteration values, written with %.17g."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _admm_columns(history):
+    return {"iter": history["iter"], "objective": history["objective"],
+            "primal_residual": history["primal"],
+            "lagrangian": history["lagrangian"]}
+
+
+def _em_columns(history):
+    return {"iter": range(len(history)), "log_likelihood": history}
 
 
 def _random_start(features, spec, n_theta, seed):
@@ -247,7 +264,7 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
                               seed=seed)
         res = run_admm(features, admm_cfg, spec, n_theta, state=state)
         a, p = res.a, res.p
-        histories.append(("admm", res.history))
+        histories.append(("admm", _admm_columns(res.history)))
     elif method == "em":
         em_cfg = EmConfig(max_iter=sol["em_iters"],
                           pinv_cutoff=sol["pinv_cutoff"], seed=seed)
@@ -255,7 +272,7 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
         init_p = ViewDistribution(p=state.p, n_theta=n_theta)
         res = run_em(spec_batch, init_a, init_p, noise, em_cfg)
         a, p = res.a, res.p
-        histories.append(("em", res.history))
+        histories.append(("em", _em_columns(res.history)))
     elif method == "admm+em":
         admm_cfg = AdmmConfig(lam1=sol["lambda1"], lam2=sol["lambda2"],
                               rho=sol["rho"],
@@ -265,19 +282,15 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
                           pinv_cutoff=sol["pinv_cutoff"], seed=seed)
         res2 = run_em(spec_batch, res1.a, res1.p, noise, em_cfg)
         a, p = res2.a, res2.p
-        histories.append(("admm", res1.history))
-        histories.append(("em", res2.history))
+        histories.append(("admm", _admm_columns(res1.history)))
+        histories.append(("em", _em_columns(res2.history)))
     else:
         raise ConfigError(f"unknown method {method!r}")
     runtime = time.perf_counter() - t0
 
     if out_dir is not None:
-        for kind, hist in histories:
-            path = out_dir / f"{tag}{kind}_history.csv"
-            if kind == "admm":
-                history_to_csv(hist, path)
-            else:
-                em_history_to_csv(hist, path)
+        for kind, columns in histories:
+            history_to_csv(columns, out_dir / f"{tag}{kind}_history.csv")
     return a, p, runtime, start_hash
 
 
@@ -381,10 +394,7 @@ def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
     alpha = math.radians(acq["alpha_deg"])
     seed = cfg["seed"] + trial
 
-    clean = generate_batch(truth, p, acq["N"], acq["K"], alpha, 0.0, grid,
-                           quad, seed=seed)
-    var = float(clean.samples.var())
-    sigma2 = variance_for_snr(var, snr_target)
+    sigma2, var = _noise_level(acq, truth, p, grid, quad, seed, snr_target)
     batch = generate_batch(truth, p, acq["N"], acq["K"], alpha, sigma2, grid,
                            quad, seed=seed)
     achieved = snr_db(var, sigma2)

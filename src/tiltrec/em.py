@@ -13,7 +13,7 @@ import numpy as np
 
 from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError
-from .moments import angle_phase_matrix
+from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
 from .spectral import NoiseModel, SpectralBatch
 
@@ -107,15 +107,15 @@ class EmWorkspace:
 
         self.E = angle_phase_matrix(spec, n_theta)          # e^{i k phi_l}
         self.G_B = self.B.conj().T @ self.B
-        # steered grams G_l = diag(conj ph_l) G_B diag(ph_l), kept explicitly
-        self.G_l = [
-            (self.E[:, l].conj()[:, None] * self.G_B) * self.E[:, l][None, :]
-            for l in range(n_theta)
-        ]
 
     @property
     def N(self):
         return self.U_w.shape[0]
+
+    def normal_matrix(self, mass):
+        """sum_l mass[l] diag(conj e_l) G_B diag(e_l), formed as the single
+        Schur product G_B o conj(E diag(mass) E^H)."""
+        return self.G_B * angle_coupling(self.E, mass).conj()
 
     def steered_predictions(self, a_values):
         """Whitened model means, one column per candidate angle."""
@@ -219,9 +219,7 @@ def m_step(spec_batch, responsibilities, noise, spec=None, work=None,
 
     p_new = col_mass / pi.shape[0]
 
-    normal = np.zeros((work.spec.n_a, work.spec.n_a), dtype=complex)
-    for l in range(work.n_theta):
-        normal += col_mass[l] * work.G_l[l]
+    normal = work.normal_matrix(col_mass)
     rhs = (work.E.conj() * (work.B.conj().T @ weighted_data)).sum(axis=1)
 
     lam, U = np.linalg.eigh(0.5 * (normal + normal.conj().T))
@@ -293,12 +291,3 @@ def run_em(spec_batch, init_a, init_p, noise, config=None, spec=None):
 
     return EmResult(a=a_cur, p=p_cur, history=np.asarray(history),
                     n_iter=len(history) - 1, converged=converged)
-
-
-def history_to_csv(history, path):
-    """Write the per-iteration log likelihood as a two-column CSV."""
-    rows = ["iter,log_likelihood"]
-    for i, v in enumerate(np.asarray(history)):
-        rows.append(f"{i},{v:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")

@@ -1,8 +1,10 @@
 """Moment features of tilt-series ensembles.
 
-The population mean and covariance of a spectral tilt record factor through
-the angle distribution's Fourier coefficients: with g[(k,q)] = phat[-k] and
-H[(k1,q1),(k2,q2)] = phat[k2-k1],
+The population mean and covariance of a spectral tilt record depend on the
+angle distribution p only through the angle-phase matrix E (E[i, l] =
+exp(i k_i phi_l), the coefficient-domain steering of angle phi_l): the
+first-moment attenuation g = E p and the second-moment coupling
+H = E diag(p) E^H give
 
     mu = Psi (a o g),        C = Psi ((a a^H) o H) Psi^H,
 
@@ -14,54 +16,13 @@ Frobenius norms of residuals into the disc-measure norms used by the solver.
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FBCoeffs, QuadratureGrid, build_quadrature
+from .basis import BasisSpec, FBCoeffs, QuadratureGrid
 from .errors import ConfigError
 from .spectral import NoiseModel, SpectralBatch, blockwise_mean_outer
-
-
-@dataclass(frozen=True)
-class PHat:
-    """Fourier coefficients phat[m] = sum_l p[l] exp(-2i*pi*m*l/n_theta),
-    stored for m = -m_max..m_max."""
-
-    values: np.ndarray
-    m_max: int
-    n_theta: int
-
-    def __getitem__(self, m: int) -> complex:
-        if abs(m) > self.m_max:
-            raise IndexError(f"|m| = {abs(m)} exceeds m_max = {self.m_max}")
-        return self.values[m + self.m_max]
-
-    def take(self, m: np.ndarray) -> np.ndarray:
-        """Vectorized lookup, m any integer array with |m| <= m_max."""
-        return self.values[np.asarray(m) + self.m_max]
-
-
-def p_fourier(p, m_max: int) -> PHat:
-    """Exact linear map from a ViewDistribution to its Fourier coefficients.
-
-    Warns when m_max reaches n_theta: frequencies then alias as
-    phat[m] = phat[m mod n_theta] (the values stay correct, but distinct m
-    no longer carry independent information).
-    """
-    if m_max < 0:
-        raise ConfigError(f"m_max must be >= 0, got {m_max}")
-    if m_max >= p.n_theta:
-        warnings.warn(
-            f"m_max = {m_max} >= n_theta = {p.n_theta}: phat aliases with "
-            f"period n_theta",
-            stacklevel=2,
-        )
-    m = np.arange(-m_max, m_max + 1)
-    phase = np.exp(-2j * np.pi * np.outer(m, np.arange(p.n_theta)) / p.n_theta)
-    return PHat(values=phase @ p.p, m_max=m_max, n_theta=p.n_theta)
 
 
 def angle_phase_matrix(spec: BasisSpec, n_theta: int) -> np.ndarray:
@@ -75,30 +36,13 @@ def angle_phase_matrix(spec: BasisSpec, n_theta: int) -> np.ndarray:
     return np.exp(1j * np.outer(spec.k_arr, phi))
 
 
-def g_vector(phat: PHat, spec: BasisSpec) -> np.ndarray:
-    """Per-column first-moment attenuation g[(k,q)] = phat[-k]."""
-    return phat.take(-spec.k_arr)
+def angle_coupling(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E diag(w) E^H = sum_l w[l] e_l e_l^H for a real weight per angle.
 
-
-def h_matrix(phat: PHat, spec: BasisSpec) -> np.ndarray:
-    """Second-moment coupling H[(k1,q1),(k2,q2)] = phat[k2 - k1]; Hermitian."""
-    return phat.take(spec.k_arr[None, :] - spec.k_arr[:, None])
-
-
-def analytic_first_moment(a: FBCoeffs, phat: PHat, psi: np.ndarray) -> np.ndarray:
-    """Population mean Psi (a o g) of a spectral tilt record."""
-    return psi @ (a.values * g_vector(phat, a.spec))
-
-
-def analytic_second_moment(a: FBCoeffs, phat: PHat, psi: np.ndarray) -> np.ndarray:
-    """Population second moment Psi ((a a^H) o H) Psi^H, symmetrized."""
-    if phat.m_max < 2 * a.spec.k_max:
-        raise ConfigError(
-            f"phat covers |m| <= {phat.m_max}, need 2*k_max = {2 * a.spec.k_max}"
-        )
-    inner = np.outer(a.values, a.values.conj()) * h_matrix(phat, a.spec)
-    C = psi @ inner @ psi.conj().T
-    return 0.5 * (C + C.conj().T)
+    With w = p this is the second-moment coupling H(p); any real w (a
+    relaxed p, EM column masses) gives the same Hermitian form.
+    """
+    return (E * w[None, :]) @ E.conj().T
 
 
 def weight_diagonal(quad: QuadratureGrid, K: int) -> np.ndarray:
@@ -149,10 +93,13 @@ def population_features(
     a: FBCoeffs, p, psi: np.ndarray, quad: QuadratureGrid, K: int, alpha: float
 ) -> MomentFeatures:
     """Analytic (infinite-N) features of ground truth (a, p); N = 0."""
-    phat = p_fourier(p, 2 * a.spec.k_max)
+    E = angle_phase_matrix(a.spec, p.n_theta)
+    inner = np.outer(a.values, a.values.conj()) * angle_coupling(E, p.p)
+    C = psi @ inner @ psi.conj().T
+    C = 0.5 * (C + C.conj().T)
     return MomentFeatures(
-        mu=analytic_first_moment(a, phat, psi),
-        C=analytic_second_moment(a, phat, psi),
+        mu=psi @ (a.values * (E @ p.p)),
+        C=C,
         N=0,
         d_w=weight_diagonal(quad, K),
         quad=quad,
@@ -177,66 +124,4 @@ def empirical_moments(spec_batch: SpectralBatch, noise: NoiseModel) -> MomentFea
         quad=spec_batch.quad,
         K=spec_batch.K,
         alpha=spec_batch.alpha,
-    )
-
-
-def moment_residuals(
-    a: FBCoeffs,
-    phat: PHat,
-    psi_w: np.ndarray,
-    features: MomentFeatures,
-    lam1: float = 1.0,
-    lam2: float = 0.5,
-):
-    """Weighted data-fit residuals and the scalar objective.
-
-    psi_w must be the pre-weighted tilt matrix (d_w applied to its rows).
-    Returns (first-moment residual vector, second-moment residual matrix,
-    lam1/2 * ||r1||^2 + lam2/2 * ||r2||_F^2).
-    """
-    mu_w, C_w = features.weighted()
-    r1 = analytic_first_moment(a, phat, psi_w) - mu_w
-    r2 = analytic_second_moment(a, phat, psi_w) - C_w
-    obj = 0.5 * lam1 * float(np.vdot(r1, r1).real) + 0.5 * lam2 * float(
-        np.vdot(r2, r2).real
-    )
-    return r1, r2, obj
-
-
-def save_features(features: MomentFeatures, path: str):
-    """JSON header line + little-endian complex128 payload (mu, then C)."""
-    header = {
-        "N": features.N,
-        "K": features.K,
-        "alpha": features.alpha,
-        "c": features.quad.c,
-        "n_xi": features.quad.n_xi,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(features.mu, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(features.C, dtype="<c16").tobytes())
-
-
-def load_features(path: str) -> MomentFeatures:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
-        payload = fh.read()
-    quad = build_quadrature(header["c"], header["n_xi"])
-    K = header["K"]
-    width = (2 * K + 1) * quad.n_xi
-    data = np.frombuffer(payload, dtype="<c16")
-    if data.size != width + width * width:
-        raise ConfigError(
-            f"payload holds {data.size} complex values, expected "
-            f"{width + width * width}"
-        )
-    return MomentFeatures(
-        mu=data[:width].copy(),
-        C=data[width:].reshape(width, width).copy(),
-        N=header["N"],
-        d_w=weight_diagonal(quad, K),
-        quad=quad,
-        K=K,
-        alpha=header["alpha"],
     )

@@ -292,18 +292,40 @@ def save_batch(batch: TiltSeriesBatch, path: str):
             fh.write(batch.hidden_angles.astype("<f8").tobytes())
 
 
-def load_batch(path: str) -> TiltSeriesBatch:
+def read_header_file(path, keys):
+    """(header, payload) of a file that starts with one JSON header line.
+
+    Raises ConfigError naming the first of keys the header lacks.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
         payload = fh.read()
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path}: header is not a JSON object")
+    for key in keys:
+        if key not in header:
+            raise ConfigError(f"{path}: header lacks the {key!r} field")
+    return header, payload
+
+
+def check_payload_size(path, payload: bytes, expected: int):
+    """Raise ConfigError unless the payload holds exactly expected bytes."""
+    if len(payload) != expected:
+        raise ConfigError(
+            f"{path}: payload holds {len(payload)} bytes, header implies "
+            f"{expected}"
+        )
+
+
+def load_batch(path: str) -> TiltSeriesBatch:
+    header, payload = read_header_file(
+        path, ("N", "K", "L", "alpha", "sigma2", "seed", "n_theta", "dx",
+               "hidden_angles"))
     N, K, L = header["N"], header["K"], header["L"]
     n_main = N * (2 * K + 1) * L
+    check_payload_size(
+        path, payload, 8 * (n_main + (N if header["hidden_angles"] else 0)))
     data = np.frombuffer(payload, dtype="<f8")
-    expected = n_main + (N if header["hidden_angles"] else 0)
-    if data.size != expected:
-        raise ConfigError(
-            f"payload holds {data.size} float64 values, expected {expected}"
-        )
     samples = data[:n_main].reshape(N, 2 * K + 1, L).copy()
     hidden = data[n_main:].astype(int) if header["hidden_angles"] else None
     return TiltSeriesBatch(

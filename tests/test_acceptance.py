@@ -28,8 +28,7 @@ from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
 from tiltrec.em import EmConfig, log_marginal_likelihood, run_em
 from tiltrec.metrics import (joint_alignment, relative_error, snr_db,
                              total_variation_dist, variance_for_snr)
-from tiltrec.moments import (analytic_first_moment, analytic_second_moment,
-                             angle_phase_matrix, empirical_moments, p_fourier,
+from tiltrec.moments import (angle_phase_matrix, empirical_moments,
                              population_features)
 from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          generate_batch, random_phantom)
@@ -110,9 +109,8 @@ def test_2_moment_factorization_vs_brute_force():
                          + 1j * rng.standard_normal(spec.n_a), spec,
                          real_symmetric=False)
             p = ViewDistribution(rng.dirichlet(np.ones(n_theta)), n_theta)
-            phat = p_fourier(p, 2 * spec.k_max)
-            mu_f = analytic_first_moment(a, phat, psi)
-            c_f = analytic_second_moment(a, phat, psi)
+            feats = population_features(a, p, psi, quad, 6, 1.5 * DEG)
+            mu_f, c_f = feats.mu, feats.C
             V = psi @ (a.values[:, None] * E)
             mu_b = V @ p.p
             c_b = (V * p.p[None, :]) @ V.conj().T
@@ -297,17 +295,16 @@ def test_6_rotation_shift_equivariance():
     psi = eval_tilt_matrix(spec, quad, 2, 3.8 * DEG)
     a = random_phantom(spec, 1.0, seed=11)
     p = bump_distribution(16, 1.1, 2.5)
-    phat = p_fourier(p, 2 * spec.k_max)
-    mu = analytic_first_moment(a, phat, psi)
-    C = analytic_second_moment(a, phat, psi)
+    feats = population_features(a, p, psi, quad, 2, 3.8 * DEG)
+    mu, C = feats.mu, feats.C
     worst_mom = 0.0
     for l0 in (1, 5, 11):
         gamma = 2.0 * math.pi * l0 / p.n_theta
         p_s = ViewDistribution(np.roll(p.p, l0), p.n_theta)
-        phat_s = p_fourier(p_s, 2 * spec.k_max)
         a_r = a.rotated(gamma)
-        dmu = np.linalg.norm(analytic_first_moment(a_r, phat_s, psi) - mu)
-        dC = np.linalg.norm(analytic_second_moment(a_r, phat_s, psi) - C)
+        feats_r = population_features(a_r, p_s, psi, quad, 2, 3.8 * DEG)
+        dmu = np.linalg.norm(feats_r.mu - mu)
+        dC = np.linalg.norm(feats_r.C - C)
         worst_mom = max(worst_mom, dmu / np.linalg.norm(mu),
                         dC / np.linalg.norm(C))
 

@@ -15,7 +15,8 @@ from tiltrec.cli import (DEFAULT_CONFIG, load_config, load_coeff_file, main,
                          save_coeff_file, write_pgm)
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import CSV_HEADER
-from tiltrec.sim import ViewDistribution
+from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
+                         load_batch, save_batch)
 
 TINY = {
     "seed": 3,
@@ -105,6 +106,39 @@ def test_coeff_file_header_mismatch(tmp_path):
         (json.dumps(header, sort_keys=True) + "\n").encode() + payload)
     with pytest.raises(ConfigError):
         load_coeff_file(tmp_path / "bad.dat")
+
+
+@pytest.mark.parametrize("defect", ["missing_key", "short", "long"])
+@pytest.mark.parametrize("kind", ["coeff", "batch"])
+def test_loaders_reject_bad_files(tmp_path, kind, defect):
+    """A header without a required key, a truncated payload and trailing
+    bytes each raise ConfigError naming the header key or the payload."""
+    path = tmp_path / "good.dat"
+    if kind == "coeff":
+        spec = build_basis_spec(0.3, 4.0)
+        a = FBCoeffs(np.ones(spec.n_a, dtype=complex), spec,
+                     real_symmetric=False)
+        save_coeff_file(path, a, ViewDistribution(np.full(4, 0.25), 4))
+        load, key = load_coeff_file, "n_theta"
+    else:
+        batch = TiltSeriesBatch(samples=np.zeros((3, 3, 4)), K=1, alpha=0.05,
+                                sigma2=0.1, grid=build_line_grid(4), seed=0,
+                                n_theta=6, hidden_angles=np.arange(3))
+        save_batch(batch, path)
+        load, key = load_batch, "hidden_angles"
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    if defect == "missing_key":
+        del header[key]
+    elif defect == "short":
+        payload = payload[:-3]
+    else:
+        payload = payload + bytes(64)
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ConfigError,
+                       match=key if defect == "missing_key" else "payload"):
+        load(bad)
 
 
 def test_write_pgm_normalization(tmp_path):

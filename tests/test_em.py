@@ -13,9 +13,9 @@ from scipy.special import logsumexp
 
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
+from tiltrec.cli import _em_columns, history_to_csv
 from tiltrec.em import (EmConfig, EmWorkspace, Responsibilities, e_step,
-                        history_to_csv, log_marginal_likelihood, m_step,
-                        run_em)
+                        log_marginal_likelihood, m_step, run_em)
 from tiltrec.errors import ConfigError, SolverError
 from tiltrec.metrics import relative_error
 from tiltrec.moments import angle_phase_matrix
@@ -146,6 +146,17 @@ def test_m_step_matches_stacked_least_squares(tiny_em):
     assert np.allclose(p_m.p, pi.mean(axis=0), atol=1e-14)
 
 
+def test_normal_matrix_matches_per_angle_sum(tiny_em):
+    """The Schur-product normal matrix equals the explicit sum of steered
+    Grams sum_l m_l diag(conj e_l) G_B diag(e_l)."""
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    mass = np.random.default_rng(5).random(8) * 20
+    want = sum(mass[l] * (work.E[:, l].conj()[:, None] * work.G_B
+                          * work.E[:, l][None, :]) for l in range(8))
+    got = work.normal_matrix(mass)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_log_likelihood_dense_oracle(tiny_em):
     """Whitened-residual likelihood recomputed per record with explicit
     loops, straight from the definitions."""
@@ -234,7 +245,7 @@ def test_history_csv(em_problem, tmp_path):
     res = run_em(em_problem["sb"], em_problem["a"], em_problem["p"],
                  em_problem["noise"], EmConfig(max_iter=4))
     path = tmp_path / "em.csv"
-    history_to_csv(res.history, str(path))
+    history_to_csv(_em_columns(res.history), str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,log_likelihood"
     assert len(lines) == res.history.size + 1

@@ -3,26 +3,13 @@ import pytest
 
 from tiltrec.basis import FBCoeffs, eval_tilt_matrix
 from tiltrec.errors import ConfigError
-from tiltrec.moments import (analytic_first_moment, analytic_second_moment,
-                             angle_phase_matrix, empirical_moments, g_vector,
-                             h_matrix, load_features, moment_residuals,
-                             p_fourier, population_features, save_features,
+from tiltrec.moments import (angle_coupling, angle_phase_matrix,
+                             empirical_moments, population_features,
                              weight_diagonal)
 from tiltrec.sim import ViewDistribution, bump_distribution
 from tiltrec.spectral import SpectralBatch, noise_covariance
 
-
-def brute_force_moments(a, p, psi, spec):
-    """Explicit mixture sums over the angle grid; the independent route."""
-    n_theta = p.n_theta
-    mu = np.zeros(psi.shape[0], dtype=complex)
-    C = np.zeros((psi.shape[0], psi.shape[0]), dtype=complex)
-    for l in range(n_theta):
-        phase = np.exp(1j * spec.k_arr * (2.0 * np.pi * l / n_theta))
-        v = psi @ (a.values * phase)
-        mu += p.p[l] * v
-        C += p.p[l] * np.outer(v, v.conj())
-    return mu, C
+from oracles import brute_force_moments, dense_residuals
 
 
 def random_pair(spec, n_theta, rng):
@@ -38,40 +25,46 @@ def test_factorization_small(small_problem):
     rng = np.random.default_rng(17)
     for _ in range(10):
         a, p = random_pair(spec, small_problem["p"].n_theta, rng)
-        phat = p_fourier(p, 2 * spec.k_max)
-        mu = analytic_first_moment(a, phat, psi)
-        C = analytic_second_moment(a, phat, psi)
-        mu_b, C_b = brute_force_moments(a, p, psi, spec)
+        feats = population_features(a, p, psi, small_problem["quad"],
+                                    small_problem["K"], small_problem["alpha"])
+        mu, C = feats.mu, feats.C
+        mu_b, C_b = brute_force_moments(a, p.p, psi, spec)
         assert np.linalg.norm(mu - mu_b) < 1e-12 * np.linalg.norm(mu_b)
         assert np.linalg.norm(C - C_b) < 1e-12 * np.linalg.norm(C_b)
 
 
-def test_phat_basics(bump12):
-    phat = p_fourier(bump12, 5)
-    assert phat[0] == pytest.approx(1.0)
-    for m in range(1, 6):
-        assert phat[-m] == pytest.approx(np.conj(phat[m]))
-    # matches the FFT convention sum_l p_l e^{-2pi i m l / n}
+def test_phat_basics(small_spec, bump12):
+    """The Fourier coefficients of p seen through g = E p: unit mass at
+    k = 0, conjugate symmetry between k and -k, and the FFT convention
+    sum_l p_l e^{-2pi i m l / n} at m = -k."""
+    k = small_spec.k_arr.astype(int)
+    g = angle_phase_matrix(small_spec, bump12.n_theta) @ bump12.p
     f = np.fft.fft(bump12.p)
-    for m in range(1, 6):
-        assert phat[m] == pytest.approx(f[m])
-    with pytest.raises(IndexError):
-        phat[6]
+    for i in range(len(k)):
+        if k[i] == 0:
+            assert g[i] == pytest.approx(1.0)
+        mirror = np.flatnonzero(k == -k[i])
+        assert len(mirror) > 0
+        assert g[mirror[0]] == pytest.approx(np.conj(g[i]))
+        if abs(k[i]) <= 5:
+            assert g[i] == pytest.approx(f[-k[i]])
 
 
-def test_phat_alias_warning(bump12):
-    with pytest.warns(UserWarning):
-        p_fourier(bump12, 12)
-
-
-def test_g_and_h_layout(small_spec, bump30):
-    phat = p_fourier(bump30, 2 * small_spec.k_max)
-    g = g_vector(phat, small_spec)
-    H = h_matrix(phat, small_spec)
-    k = small_spec.k_arr
-    i, j = 3, 17
-    assert g[i] == phat[-int(k[i])]
-    assert H[i, j] == phat[int(k[j]) - int(k[i])]
+def test_g_and_h_layout(small_spec, bump12, bump30):
+    """g = E p and H = E diag(p) E^H read the FFT coefficients
+    f[m] = sum_l p_l e^{-2pi i m l / n} at m = -k_i and m = k_j - k_i, taken
+    mod n: with 12 angles the R=8 orders (|k| <= 7) alias, with 30 not."""
+    k = small_spec.k_arr.astype(int)
+    for p in (bump12, bump30):
+        n = p.n_theta
+        E = angle_phase_matrix(small_spec, n)
+        g = E @ p.p
+        H = angle_coupling(E, p.p)
+        f = np.fft.fft(p.p)
+        assert np.allclose(g[k == 0], 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(g, np.conj(f[k % n]), rtol=0, atol=1e-14)
+        assert np.allclose(H, f[(k[None, :] - k[:, None]) % n], rtol=0,
+                           atol=1e-14)
 
 
 def test_angle_phase_matrix(small_spec):
@@ -93,16 +86,16 @@ def test_rotation_equivariance(small_problem):
     leaves both moments untouched."""
     spec, psi = small_problem["spec"], small_problem["psi"]
     a, p = small_problem["a"], small_problem["p"]
-    phat = p_fourier(p, 2 * spec.k_max)
-    mu = analytic_first_moment(a, phat, psi)
-    C = analytic_second_moment(a, phat, psi)
+    geometry = (psi, small_problem["quad"], small_problem["K"],
+                small_problem["alpha"])
+    feats = population_features(a, p, *geometry)
+    mu, C = feats.mu, feats.C
     for l0 in (1, 5, 11):
         gamma = 2.0 * np.pi * l0 / p.n_theta
         a_rot = a.rotated(gamma)
         p_shift = ViewDistribution(np.roll(p.p, l0), p.n_theta)
-        phat_s = p_fourier(p_shift, 2 * spec.k_max)
-        mu_rot = analytic_first_moment(a_rot, phat_s, psi)
-        C_rot = analytic_second_moment(a_rot, phat_s, psi)
+        rot = population_features(a_rot, p_shift, *geometry)
+        mu_rot, C_rot = rot.mu, rot.C
         assert np.linalg.norm(mu_rot - mu) < 1e-12 * np.linalg.norm(mu)
         assert np.linalg.norm(C_rot - C) < 1e-12 * np.linalg.norm(C)
 
@@ -160,23 +153,10 @@ def test_residuals_vanish_at_truth(small_problem):
     spec, psi = small_problem["spec"], small_problem["psi"]
     a, p = small_problem["a"], small_problem["p"]
     psi_w = feats.d_w[:, None] * psi
-    phat = p_fourier(p, 2 * spec.k_max)
-    r1, r2, obj = moment_residuals(a, phat, psi_w, feats)
+    r1, r2, obj = dense_residuals(a, p.p, psi_w, feats)
     scale = np.linalg.norm(feats.weighted()[0])
     assert np.linalg.norm(r1) < 1e-12 * scale
     assert obj < 1e-20 * max(1.0, scale ** 2)
-
-
-def test_features_roundtrip(tmp_path, small_problem):
-    feats = small_problem["features"]
-    path = tmp_path / "f.dat"
-    save_features(feats, path)
-    back = load_features(path)
-    assert np.array_equal(back.mu, feats.mu)
-    assert np.array_equal(back.C, feats.C)
-    assert back.K == feats.K and back.alpha == feats.alpha
-    assert back.N == feats.N
-    assert np.allclose(back.d_w, feats.d_w, atol=1e-15)
 
 
 def test_empty_batch_rejected(small_problem, quad32):
@@ -187,10 +167,3 @@ def test_empty_batch_rejected(small_problem, quad32):
     noise = noise_covariance(1.0, grid, quad32, 2)
     with pytest.raises(ConfigError):
         empirical_moments(sb, noise)
-
-
-def test_second_moment_needs_full_phat(small_spec, bump12, small_problem):
-    phat = p_fourier(bump12, small_spec.k_max)  # too short for H
-    a = small_problem["a"]
-    with pytest.raises(ConfigError):
-        analytic_second_moment(a, phat, small_problem["psi"])
