@@ -15,11 +15,14 @@ Radial evaluation always uses the non-negative order |k|; with that choice
 a coefficient vector satisfying a[-k,q] == (-1)**k * conj(a[k,q]) synthesizes
 a real-valued image.  Rotating the image counter-clockwise by gamma maps
 a[k,q] -> a[k,q] * exp(-i*k*gamma), which makes every basis-matrix column
-steerable: Psi_theta = Psi_0 @ diag(exp(i*k*theta)).
+steerable: Psi_theta = Psi_0 @ diag(exp(i*k*theta)).  Only the phase
+depends on theta, so the radial factor is evaluated once per (spec,
+quadrature) pair and shared; both are treated as immutable values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -54,7 +57,7 @@ def bessel_roots(k: int, count: int) -> np.ndarray:
     return special.jn_zeros(abs(int(k)), count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSpec:
     """Index tables for the truncated dictionary.
 
@@ -145,7 +148,7 @@ def build_basis_spec(c: float, R: float) -> BasisSpec:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Gauss-Legendre nodes/weights for integrals over [0, c]."""
 
@@ -214,12 +217,20 @@ class FBCoeffs:
         return np.linalg.norm(self.values - self.symmetrized().values) / norm
 
 
+@functools.lru_cache(maxsize=8)
 def _radial_matrix(spec: BasisSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Real radial factor N_{k,q} * J_|k|(R_{k,q} xi_j / c), shape (n_xi, n_a)."""
+    """Real radial factor N_{k,q} * J_|k|(R_{k,q} xi_j / c), shape (n_xi, n_a).
+
+    Memoized by the identity of spec and grid, which are immutable values:
+    their arrays are never written after construction.  The shared result
+    is read-only.
+    """
     if not math.isclose(spec.c, grid.c, rel_tol=1e-12):
         raise ValueError(f"bandlimit mismatch: spec c={spec.c}, grid c={grid.c}")
     args = np.outer(grid.nodes / spec.c, spec.roots)
-    return special.jv(np.abs(spec.k_arr)[None, :], args) * spec.norms[None, :]
+    radial = special.jv(np.abs(spec.k_arr)[None, :], args) * spec.norms[None, :]
+    radial.setflags(write=False)
+    return radial
 
 
 def eval_basis_matrix(spec: BasisSpec, grid: QuadratureGrid, theta: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm import AdmmConfig, init_admm_state, run_admm
-from .basis import (BasisSpec, FBCoeffs, build_basis_spec, build_quadrature,
+from .basis import (FBCoeffs, build_basis_spec, build_quadrature,
                     synthesize_image)
 from .em import EmConfig, run_em
 from .errors import ConfigError, SolverError
@@ -138,7 +138,8 @@ def save_coeff_file(path, coeffs, p, meta=None):
 
 def load_coeff_file(path):
     header, payload = read_header_file(
-        path, ("c", "R", "n_a", "n_theta", "real_symmetric"))
+        path, {"c": float, "R": float, "n_a": 1, "n_theta": 1,
+               "real_symmetric": bool})
     spec = build_basis_spec(header["c"], header["R"])
     if spec.n_a != header["n_a"]:
         raise ConfigError(f"basis rebuilt from {path} has {spec.n_a} "

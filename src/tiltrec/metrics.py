@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FBCoeffs, synthesize_image
+from .basis import synthesize_image
 from .errors import ConfigError
 from .sim import TiltSeriesBatch, ViewDistribution
 

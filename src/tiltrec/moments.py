@@ -110,11 +110,17 @@ def population_features(
 
 def empirical_moments(spec_batch: SpectralBatch, noise: NoiseModel) -> MomentFeatures:
     """Debiased empirical moments: mean row, and mean outer product minus the
-    noise covariance, Hermitian-symmetrized."""
+    noise covariance, Hermitian-symmetrized.  The noise block is subtracted
+    from each tilt's diagonal block in place; the dense covariance is never
+    formed."""
     if spec_batch.N < 1:
         raise ConfigError("empty batch: need N >= 1 records")
-    mu, raw = blockwise_mean_outer(spec_batch.yhat)
-    C = raw - noise.full(spec_batch.K)
+    n = spec_batch.quad.n_xi
+    if noise.n_xi != n:
+        raise ConfigError(f"noise block has {noise.n_xi} nodes, batch has {n}")
+    mu, C = blockwise_mean_outer(spec_batch.yhat)
+    for t in range(2 * spec_batch.K + 1):
+        C[t * n : (t + 1) * n, t * n : (t + 1) * n] -= noise.block
     C = 0.5 * (C + C.conj().T)
     return MomentFeatures(
         mu=mu,

@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -292,19 +293,33 @@ def save_batch(batch: TiltSeriesBatch, path: str):
             fh.write(batch.hidden_angles.astype("<f8").tobytes())
 
 
-def read_header_file(path, keys):
+def read_header_file(path, fields):
     """(header, payload) of a file that starts with one JSON header line.
 
-    Raises ConfigError naming the first of keys the header lacks.
+    fields maps each required key to its type: bool, float (a finite real)
+    or an int giving the least integer the key may hold.  Raises ConfigError
+    naming the first key the header lacks or holds with another type.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
         payload = fh.read()
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: header is not a JSON object")
-    for key in keys:
+    for key, kind in fields.items():
         if key not in header:
             raise ConfigError(f"{path}: header lacks the {key!r} field")
+        value = header[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind is bool:
+            ok, want = isinstance(value, bool), "a boolean"
+        elif kind is float:
+            ok, want = number and math.isfinite(value), "a finite real"
+        else:
+            ok = number and isinstance(value, int) and value >= kind
+            want = f"an integer >= {kind}"
+        if not ok:
+            raise ConfigError(
+                f"{path}: header field {key!r} must be {want}, got {value!r}")
     return header, payload
 
 
@@ -319,8 +334,9 @@ def check_payload_size(path, payload: bytes, expected: int):
 
 def load_batch(path: str) -> TiltSeriesBatch:
     header, payload = read_header_file(
-        path, ("N", "K", "L", "alpha", "sigma2", "seed", "n_theta", "dx",
-               "hidden_angles"))
+        path, {"N": 1, "K": 0, "L": 1, "n_theta": 1, "seed": 0,
+               "alpha": float, "sigma2": float, "dx": float,
+               "hidden_angles": bool})
     N, K, L = header["N"], header["K"], header["L"]
     n_main = N * (2 * K + 1) * L
     check_payload_size(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import special
 
-from tiltrec.basis import (FBCoeffs, bessel_j, bessel_roots, build_basis_spec,
-                           build_quadrature, default_n_xi, eval_basis_matrix,
-                           synthesize_image)
+from tiltrec.basis import (FBCoeffs, _radial_matrix, bessel_j, bessel_roots,
+                           build_basis_spec, build_quadrature, default_n_xi,
+                           eval_basis_matrix, synthesize_image)
 
 # first positive roots of J_0 and J_1, standard reference constants
 J0_ROOT_1 = 2.404825557695773
@@ -91,6 +92,27 @@ def test_steerability_is_exact(small_spec, quad32):
         steered = base * np.exp(1j * small_spec.k_arr * theta)[None, :]
         direct = eval_basis_matrix(small_spec, quad32, theta)
         assert np.max(np.abs(steered - direct)) < 1e-14
+
+
+def test_radial_matrix_memoized(small_spec, quad32):
+    """One read-only table per (spec, quadrature); inputs rebuilt from the
+    same (c, R, n_xi) give the same bits."""
+    radial = _radial_matrix(small_spec, quad32)
+    assert _radial_matrix(small_spec, quad32) is radial
+    assert not radial.flags.writeable
+    with pytest.raises(ValueError):
+        radial[0, 0] = 0.0
+    rebuilt = _radial_matrix(build_basis_spec(0.3, 8.0), build_quadrature(0.3, 32))
+    assert rebuilt is not radial
+    assert np.array_equal(rebuilt, radial)
+
+
+def test_basis_matrix_matches_direct_bessel(small_spec, quad32):
+    theta = 0.37
+    direct = (special.jv(np.abs(small_spec.k_arr),
+                         np.outer(quad32.nodes / 0.3, small_spec.roots))
+              * small_spec.norms * np.exp(1j * small_spec.k_arr * theta))
+    assert np.array_equal(eval_basis_matrix(small_spec, quad32, theta), direct)
 
 
 def test_synthesis_linearity(small_spec):

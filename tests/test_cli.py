@@ -108,11 +108,23 @@ def test_coeff_file_header_mismatch(tmp_path):
         load_coeff_file(tmp_path / "bad.dat")
 
 
-@pytest.mark.parametrize("defect", ["missing_key", "short", "long"])
+# (key, value) pairs a header may not hold; each must be named in the error
+_BAD_FIELDS = {
+    "coeff": [("c", float("inf")), ("R", "16"), ("n_a", True),
+              ("n_theta", 0), ("real_symmetric", 1)],
+    "batch": [("K", "1"), ("alpha", None), ("N", -3), ("K", -1), ("L", 0),
+              ("n_theta", 6.0), ("seed", -1), ("sigma2", float("nan")),
+              ("dx", [1.0]), ("hidden_angles", "yes")],
+}
+
+
+@pytest.mark.parametrize("defect", ["missing_key", "short", "long",
+                                    "bad_type"])
 @pytest.mark.parametrize("kind", ["coeff", "batch"])
 def test_loaders_reject_bad_files(tmp_path, kind, defect):
-    """A header without a required key, a truncated payload and trailing
-    bytes each raise ConfigError naming the header key or the payload."""
+    """A header without a required key or with a field of the wrong type or
+    range, a truncated payload and trailing bytes each raise ConfigError
+    naming the header key or the payload."""
     path = tmp_path / "good.dat"
     if kind == "coeff":
         spec = build_basis_spec(0.3, 4.0)
@@ -128,13 +140,20 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
         load, key = load_batch, "hidden_angles"
     head, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(head)
+    bad = tmp_path / "bad.dat"
+    if defect == "bad_type":
+        for field, value in _BAD_FIELDS[kind]:
+            bad.write_bytes(json.dumps({**header, field: value}).encode()
+                            + b"\n" + payload)
+            with pytest.raises(ConfigError, match=f"'{field}' must be"):
+                load(bad)
+        return
     if defect == "missing_key":
         del header[key]
     elif defect == "short":
         payload = payload[:-3]
     else:
         payload = payload + bytes(64)
-    bad = tmp_path / "bad.dat"
     bad.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(ConfigError,
                        match=key if defect == "missing_key" else "payload"):

@@ -139,6 +139,9 @@ def test_debias_pure_noise(small_spec, quad32):
     sb = transform_batch(batch, quad32)
     noise = noise_covariance(2.0, grid, quad32, 1)
     feats = empirical_moments(sb, noise)
+    # the per-block subtraction matches the dense covariance to the bit
+    dense = blockwise_mean_outer(sb.yhat)[1] - noise.full(1)
+    assert np.array_equal(feats.C, 0.5 * (dense + dense.conj().T))
     # aggregate SE bound for the debiased second moment around zero
     absY2 = np.abs(sb.yhat) ** 2
     second = (absY2.T @ absY2) / 20000
@@ -167,3 +170,12 @@ def test_empty_batch_rejected(small_problem, quad32):
     noise = noise_covariance(1.0, grid, quad32, 2)
     with pytest.raises(ConfigError):
         empirical_moments(sb, noise)
+
+
+def test_noise_block_size_mismatch_rejected(quad32, quad64):
+    from tiltrec.sim import build_line_grid
+    grid = build_line_grid(16)
+    sb = SpectralBatch(yhat=np.ones((3, 3 * 64), dtype=complex), quad=quad64,
+                       grid=grid, K=1, alpha=0.05)
+    with pytest.raises(ConfigError, match="noise block"):
+        empirical_moments(sb, noise_covariance(1.0, grid, quad32, 1))
