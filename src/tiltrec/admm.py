@@ -23,7 +23,10 @@ equations; the observation-sized operator never has to be materialized.  The
 identity behind the compression: for rank-one blocks,
 <psi_i u_i^H, psi_j u_j^H>_F = (psi_j^H psi_i) (u_i^H u_j), so Gram matrices
 of sums of rank-one terms are entrywise (Schur) products of small Grams.
-A dense route (build_a2_matrix) exists for cross-checking at small sizes.
+Every second-moment quantity factors further through A_x = diag(x) E
+(n_a x n_theta), since (x y^H) o H(p) = A_x diag(p) A_y^H, and so through
+the angle Gram N_x = A_x^H G A_x (n_theta x n_theta).  An iteration costs
+O(n_a^2 n_theta) work plus the two n_a x n_a solves of the a- and z-steps.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .basis import BasisSpec, FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError
-from .moments import MomentFeatures, angle_coupling, angle_phase_matrix
+from .moments import MomentFeatures, angle_phase_matrix
 from .sim import ViewDistribution
 
 logger = logging.getLogger(__name__)
@@ -114,9 +117,10 @@ class AdmmWorkspace:
         """First-moment attenuation g = E p (valid for relaxed p too)."""
         return self.E @ p
 
-    def h_of(self, p: np.ndarray) -> np.ndarray:
-        """Second-moment coupling H = sum_l p[l] e_l e_l^H."""
-        return angle_coupling(self.E, p)
+    def angle_gram(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A_x = diag(x) E and its angle Gram N_x = A_x^H G A_x."""
+        A = x[:, None] * self.E
+        return A, A.conj().T @ (self.G @ A)
 
     def first_term(self, v: np.ndarray) -> float:
         """||Psi_w v - mu_w||^2 via the compressed pieces; v = a o g."""
@@ -124,10 +128,20 @@ class AdmmWorkspace:
         cross = float(np.vdot(self.t_mu, v).real)
         return max(quad - 2.0 * cross + self.mu_norm2, 0.0)
 
-    def second_term(self, M: np.ndarray) -> float:
-        """||Psi_w M Psi_w^H - C_w||_F^2 for the n_a x n_a inner matrix M."""
-        quad = float(np.vdot(M, self.G @ M @ self.G).real)  # tr(M^H G M G)
-        cross = float(np.vdot(self.T_C, M).real)
+    def second_quadratic(self, gram_x, gram_y) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, c) with ||Psi_w ((x y^H) o H(p)) Psi_w^H - C_w||_F^2
+        = p.Q.p - 2 c.p + ||C_w||^2 for real p, from angle_gram(x), (y):
+        Q = Re(N_x o conj(N_y)) and c = Re diag(A_x^H T_C A_y)."""
+        (A_x, N_x), (A_y, N_y) = gram_x, gram_y
+        Q = (N_x * N_y.conj()).real
+        c = ((A_x.conj().T @ self.T_C) * A_y.T).sum(axis=1).real
+        return Q, c
+
+    def second_term(self, gram_x, gram_y, p: np.ndarray) -> float:
+        """||Psi_w ((x y^H) o H(p)) Psi_w^H - C_w||_F^2 from angle_gram(x), (y)."""
+        Q, c = self.second_quadratic(gram_x, gram_y)
+        quad = float(p @ Q @ p)
+        cross = float(c @ p)
         return max(quad - 2.0 * cross + self.C_norm2, 0.0)
 
 
@@ -174,41 +188,19 @@ def init_admm_state(
     )
 
 
-def _second_gram_pieces(work: AdmmWorkspace, fixed: np.ndarray, H: np.ndarray):
-    """Gram and data-correlation of a ||Psi_w ((x fixed^H) o H) Psi_w^H - C_w||
+def _second_gram_pieces(work: AdmmWorkspace, fixed: np.ndarray, p: np.ndarray):
+    """Gram and data-correlation of a ||Psi_w ((x fixed^H) o H(p)) Psi_w^H - C_w||
     block, compressed to n_a x n_a.
 
-    With W = fixed[:, None] * H, the Gram is G o conj(W^H G W) and the data
-    term is diag(T_C W).
+    With W = fixed[:, None] * H(p) = A_f diag(p) E^H, the Gram G o conj(W^H G W)
+    has W^H G W = (E diag(p)) N_f (E diag(p))^H, and the data term diag(T_C W)
+    is ((T_C A_f) o conj(E)) p.
     """
-    W = fixed[:, None] * H
-    GW = work.G @ W
-    Gu = W.conj().T @ GW
-    gram = work.G * Gu.conj()
-    rhs = np.einsum("ij,ji->i", work.T_C, W)
+    A_f, N_f = work.angle_gram(fixed)
+    Ep = work.E * p[None, :]
+    gram = work.G * (Ep @ N_f @ Ep.conj().T).conj()
+    rhs = ((work.T_C @ A_f) * work.E.conj()) @ p
     return gram, rhs
-
-
-def build_a2_matrix(work: AdmmWorkspace, fixed: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Dense route: the (M^2, n_a) matrix whose column i is
-    vec(psi_i (Psi_w (fixed o conj(H[i, :])))^H).
-
-    Applying it to x gives vec(Psi_w ((x fixed^H) o H) Psi_w^H).  Exists for
-    cross-checking the compressed route; guarded against runaway sizes.
-    """
-    M = work.psi_w.shape[0]
-    n_a = work.psi_w.shape[1]
-    if M * M * n_a > 5e7:
-        raise ConfigError(
-            f"dense second-moment operator would hold {M * M * n_a} entries; "
-            f"use the compressed route"
-        )
-    # H Hermitian makes fixed o conj(H[i, :]) the i-th column of fixed[:,None]*H
-    U = work.psi_w @ (fixed[:, None] * H)
-    out = np.empty((M * M, n_a), dtype=complex)
-    for i in range(n_a):
-        out[:, i] = np.outer(work.psi_w[:, i], U[:, i].conj()).ravel()
-    return out
 
 
 def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
@@ -225,7 +217,7 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
         lhs = lhs + lam1 * (np.conj(g)[:, None] * work.G * g[None, :])
         rhs = rhs + lam1 * np.conj(g) * work.t_mu
     if config.lam2 > 0:
-        gram2, rhs2 = _second_gram_pieces(work, fixed, work.h_of(state.p))
+        gram2, rhs2 = _second_gram_pieces(work, fixed, state.p)
         lhs = lhs + config.lam2 * gram2
         rhs = rhs + config.lam2 * rhs2
     x_new = np.linalg.solve(lhs, rhs)
@@ -267,21 +259,17 @@ def update_p(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> 
     """
     work = state.require_work()
     n_t = work.n_theta
-    A_a = state.a[:, None] * work.E
-    GA_a = work.G @ A_a
-    N1 = A_a.conj().T @ GA_a  # = B1^H B1
+    gram_a = work.angle_gram(state.a)
+    A_a, N_a = gram_a
     lhs = np.zeros((n_t, n_t))
     rhs = np.zeros(n_t)
     if config.lam1 > 0:
-        lhs = lhs + config.lam1 * N1.real
+        lhs = lhs + config.lam1 * N_a.real
         rhs = rhs + config.lam1 * (A_a.conj().T @ work.t_mu).real
     if config.lam2 > 0:
-        A_z = state.z[:, None] * work.E
-        Gu = A_z.conj().T @ (work.G @ A_z)
-        lhs = lhs + config.lam2 * (N1 * Gu.conj()).real
-        rhs = rhs + config.lam2 * np.einsum(
-            "li,ij,jl->l", A_a.conj().T, work.T_C, A_z
-        ).real
+        Q, c = work.second_quadratic(gram_a, work.angle_gram(state.z))
+        lhs = lhs + config.lam2 * Q
+        rhs = rhs + config.lam2 * c
     B = work.null_basis
     p_part = np.full(n_t, 1.0 / n_t)
     red_lhs = B.T @ lhs @ B
@@ -312,10 +300,9 @@ def augmented_lagrangian(
     + rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
     work = state.require_work()
     g = work.g_of(state.p)
-    H = work.h_of(state.p)
-    M = np.outer(state.a, state.z.conj()) * H
     val = 0.5 * config.lam1 * work.first_term(state.a * g)
-    val += 0.5 * config.lam2 * work.second_term(M)
+    val += 0.5 * config.lam2 * work.second_term(
+        work.angle_gram(state.a), work.angle_gram(state.z), state.p)
     gap = state.a - state.z + state.s
     val += 0.5 * config.rho * float(np.vdot(gap, gap).real)
     val -= 0.5 * config.rho * float(np.vdot(state.s, state.s).real)
@@ -325,10 +312,9 @@ def augmented_lagrangian(
 def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
                      lam1: float, lam2: float) -> float:
     """Unsplit data-fit objective at consensus (z = a)."""
-    g = work.g_of(p)
-    H = work.h_of(p)
-    M = np.outer(a, a.conj()) * H
-    return 0.5 * lam1 * work.first_term(a * g) + 0.5 * lam2 * work.second_term(M)
+    gram_a = work.angle_gram(a)
+    return (0.5 * lam1 * work.first_term(a * work.g_of(p))
+            + 0.5 * lam2 * work.second_term(gram_a, gram_a, p))
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,9 @@ def load_coeff_file(path):
     check_payload_size(path, payload, 16 * spec.n_a + 8 * header["n_theta"])
     vals = np.frombuffer(payload, dtype="<c16", count=spec.n_a).copy()
     p = np.frombuffer(payload, dtype="<f8", offset=16 * spec.n_a).copy()
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(p))):
+        raise ConfigError(f"{path}: payload holds non-finite coefficients "
+                          f"or probabilities")
     coeffs = FBCoeffs(values=vals, spec=spec,
                       real_symmetric=header["real_symmetric"])
     dist = ViewDistribution(p=np.maximum(p, 0.0) / max(p.sum(), 1e-300),

@@ -15,9 +15,7 @@ from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError
 from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
-from .spectral import SpectralBatch
-
-_REDUCE_BLOCK = 1024
+from .spectral import _REDUCE_BLOCK, SpectralBatch
 
 
 @dataclass(frozen=True)

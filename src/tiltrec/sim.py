@@ -44,6 +44,8 @@ class ViewDistribution:
         object.__setattr__(self, "p", p)
         if p.shape != (self.n_theta,):
             raise ConfigError(f"p has shape {p.shape}, expected ({self.n_theta},)")
+        if not np.all(np.isfinite(p)):
+            raise ConfigError("non-finite probability in p")
         if np.any(p < 0):
             raise ConfigError(f"negative probability: min(p) = {p.min():.3e}")
         if abs(p.sum() - 1.0) > _SUM_TOL:

@@ -18,8 +18,9 @@ from .basis import QuadratureGrid
 from .errors import ConfigError
 from .sim import LineGrid, TiltSeriesBatch
 
-# fixed record-block size for pairwise reduction; keeps accumulation order
-# (hence bits) independent of how records would be distributed over workers
+# fixed record-block size for pairwise reduction (here and in the EM M-step);
+# keeps accumulation order (hence bits) independent of how records would be
+# distributed over workers
 _REDUCE_BLOCK = 1024
 
 

@@ -12,17 +12,17 @@ from scipy.optimize import minimize_scalar
 
 from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
                           _second_gram_pieces, augmented_lagrangian,
-                          build_a2_matrix, init_admm_state, moment_objective,
-                          project_simplex, run_admm, update_a, update_p,
-                          update_z)
+                          init_admm_state, moment_objective, project_simplex,
+                          run_admm, update_a, update_p, update_z)
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _admm_columns, history_to_csv
 from tiltrec.errors import ConfigError, SolverError
-from tiltrec.moments import MomentFeatures, population_features
+from tiltrec.moments import MomentFeatures, angle_coupling, population_features
 from tiltrec.sim import bump_distribution, random_phantom
 
-from oracles import dense_residuals
+from oracles import (build_a2_matrix, dense_admm_iteration, dense_residuals,
+                     dense_second_term)
 
 DEG = np.pi / 180.0
 
@@ -127,9 +127,16 @@ def test_workspace_compressed_terms_match_raw(prob29):
         v = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
         direct = np.linalg.norm(work.psi_w @ v - mu_w) ** 2
         assert work.first_term(v) == pytest.approx(direct, rel=1e-10)
-        M = rng.standard_normal((n_a, n_a)) + 1j * rng.standard_normal((n_a, n_a))
+        # relaxed p: sums to one, some entries negative
+        x, y = (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+                for _ in range(2))
+        p = 1 / 29 + work.null_basis @ (0.05 * rng.standard_normal(28))
+        assert p.min() < 0
+        M = np.outer(x, y.conj()) * angle_coupling(work.E, p)
         direct2 = np.linalg.norm(work.psi_w @ M @ work.psi_w.conj().T - C_w) ** 2
-        assert work.second_term(M) == pytest.approx(direct2, rel=1e-10)
+        factored = work.second_term(work.angle_gram(x), work.angle_gram(y), p)
+        assert factored == pytest.approx(direct2, rel=1e-10)
+        assert dense_second_term(work, M) == pytest.approx(direct2, rel=1e-10)
     B = work.null_basis
     assert np.allclose(B.T @ B, np.eye(28), atol=1e-12)
     assert np.allclose(B.sum(axis=0), 0.0, atol=1e-12)
@@ -231,23 +238,29 @@ def test_update_p_rank_deficient_falls_back(tiny, caplog):
     assert abs(p_new.sum() - 1.0) < 1e-10
 
 
-def test_second_moment_dense_route_matches_compressed(tiny):
-    feats, spec = tiny["features"], tiny["spec"]
-    work = AdmmWorkspace(feats, spec, 5)
+def test_second_moment_dense_route_matches_compressed(tiny, prob29):
+    """The factored a/z-step pieces equal the dense operator's normal
+    equations with more angles than coefficients (tiny: n_theta = 5 > 3)
+    and with fewer (prob29: n_theta = 29 < 30)."""
     rng = np.random.default_rng(15)
-    n_a = spec.n_a
-    z = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-    H = work.h_of(project_simplex(rng.standard_normal(5) * 0.1 + 0.2))
-    A2 = build_a2_matrix(work, z, H)
-    gram_c, rhs_c = _second_gram_pieces(work, z, H)
-    gram_d = A2.conj().T @ A2
-    rhs_d = A2.conj().T @ work.C_w.ravel()
-    assert np.linalg.norm(gram_d - gram_c) <= 1e-12 * np.linalg.norm(gram_d)
-    assert np.linalg.norm(rhs_d - rhs_c) <= 1e-12 * np.linalg.norm(rhs_d)
-    # the dense operator itself: A2 @ x == vec(Psi_w ((x z^H) o H) Psi_w^H)
-    x = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-    direct = (work.psi_w @ (np.outer(x, z.conj()) * H) @ work.psi_w.conj().T).ravel()
-    assert np.linalg.norm(A2 @ x - direct) <= 1e-12 * np.linalg.norm(direct)
+    for inst in (tiny, prob29):
+        feats, spec, n_t = inst["features"], inst["spec"], inst["n_theta"]
+        work = AdmmWorkspace(feats, spec, n_t)
+        n_a = spec.n_a
+        z = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+        p = project_simplex(rng.standard_normal(n_t) * 0.1 + 1 / n_t)
+        H = angle_coupling(work.E, p)
+        A2 = build_a2_matrix(work, z, H)
+        gram_c, rhs_c = _second_gram_pieces(work, z, p)
+        gram_d = A2.conj().T @ A2
+        rhs_d = A2.conj().T @ work.C_w.ravel()
+        assert np.linalg.norm(gram_d - gram_c) <= 1e-12 * np.linalg.norm(gram_d)
+        assert np.linalg.norm(rhs_d - rhs_c) <= 1e-12 * np.linalg.norm(rhs_d)
+        # the dense operator itself: A2 @ x == vec(Psi_w ((x z^H) o H) Psi_w^H)
+        x = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+        direct = (work.psi_w @ (np.outer(x, z.conj()) * H)
+                  @ work.psi_w.conj().T).ravel()
+        assert np.linalg.norm(A2 @ x - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_dense_route_refuses_runaway_sizes(prob29):
@@ -283,6 +296,24 @@ def test_objective_routes_agree(prob29):
 
 
 # -------------------------------------------------------------- full runs
+
+def test_run_matches_dense_oracle_iteration(prob29):
+    """20 iterations of run_admm follow the oracle iteration built on H(p)
+    and n_a^3 products: iterate, Lagrangian and objective histories."""
+    feats, spec = prob29["features"], prob29["spec"]
+    cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0, max_iter=20, seed=3,
+                     tol_change=0.0)
+    res = run_admm(feats, cfg, spec, 29)
+    st = init_admm_state(feats, cfg, spec, 29)
+    lags, objs = zip(*(dense_admm_iteration(st, cfg) for _ in range(20)))
+    assert res.n_iter == 20
+    consensus = 0.5 * (st.a + st.z)
+    assert (np.linalg.norm(res.a.values - consensus)
+            <= 1e-10 * np.linalg.norm(consensus))
+    assert np.linalg.norm(res.p_relaxed - st.p) <= 1e-10 * np.linalg.norm(st.p)
+    assert np.allclose(res.history["lagrangian"], lags, rtol=1e-10, atol=0)
+    assert np.allclose(res.history["objective"], objs, rtol=1e-10, atol=0)
+
 
 def test_objective_decreases_from_random_start(prob29):
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0, max_iter=80, seed=1)

@@ -118,13 +118,16 @@ _BAD_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("defect", ["missing_key", "short", "long",
-                                    "bad_type"])
-@pytest.mark.parametrize("kind", ["coeff", "batch"])
+@pytest.mark.parametrize(
+    "kind,defect",
+    [(kind, defect) for kind in ("coeff", "batch")
+     for defect in ("missing_key", "short", "long", "bad_type")]
+    + [("coeff", "nan")])
 def test_loaders_reject_bad_files(tmp_path, kind, defect):
     """A header without a required key or with a field of the wrong type or
-    range, a truncated payload and trailing bytes each raise ConfigError
-    naming the header key or the payload."""
+    range, a truncated payload, trailing bytes and (coefficient files) a NaN
+    coefficient or probability each raise ConfigError naming the header key
+    or the payload."""
     path = tmp_path / "good.dat"
     if kind == "coeff":
         spec = build_basis_spec(0.3, 4.0)
@@ -146,6 +149,15 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
             bad.write_bytes(json.dumps({**header, field: value}).encode()
                             + b"\n" + payload)
             with pytest.raises(ConfigError, match=f"'{field}' must be"):
+                load(bad)
+        return
+    if defect == "nan":
+        n_a = build_basis_spec(0.3, 4.0).n_a
+        for offset in (0, 8 * (2 * n_a - 1), 16 * n_a + 8):
+            garbled = bytearray(payload)
+            garbled[offset:offset + 8] = np.float64(np.nan).tobytes()
+            bad.write_bytes(head + b"\n" + bytes(garbled))
+            with pytest.raises(ConfigError, match="payload"):
                 load(bad)
         return
     if defect == "missing_key":

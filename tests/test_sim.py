@@ -29,6 +29,8 @@ def test_distribution_validation():
         ViewDistribution(np.array([0.5, 0.6]), 2)  # sums to 1.1
     with pytest.raises(ConfigError):
         ViewDistribution(np.array([1.5, -0.5]), 2)
+    with pytest.raises(ConfigError, match="non-finite"):
+        ViewDistribution(np.array([np.nan, 0.5, 0.5]), 3)
     with pytest.raises(ConfigError):
         two_bump_distribution(12, 0.0, 1.0, 2.0, weight=1.5)
 
