@@ -56,10 +56,10 @@ def main():
 
         res_m = run_admm(feats, cfg, spec, n_theta, state=start)
         re_m = joint_alignment(truth, res_m.a, p, res_m.p)[0]
-        res_e = run_em(sb, a0, p0, noise, EmConfig(max_iter=100, seed=seed))
+        res_e = run_em(sb, a0, p0, noise, EmConfig(max_iter=100))
         re_e = joint_alignment(truth, res_e.a, p, res_e.p)[0]
         res_h = run_em(sb, res_m.a, res_m.p, noise,
-                       EmConfig(max_iter=50, seed=seed))
+                       EmConfig(max_iter=50))
         re_h = joint_alignment(truth, res_h.a, p, res_h.p)[0]
         rows.append((re_m, re_e, re_h))
         print(f"  {seed:5d}   {re_m:12.3f}   {re_e:7.3f}   {re_h:12.3f}")

@@ -35,21 +35,6 @@ from .errors import ConfigError
 MAX_TILT_SPAN = np.pi / 3.0
 
 
-def bessel_j(k: int, x):
-    """Bessel function of the first kind J_k, integer order k >= 0.
-
-    Accepts scalar or array x.  Values are accurate to ~1e-15 absolute for
-    the argument range used here (x <= a few hundred).
-    """
-    if k < 0:
-        raise ValueError(f"order must be non-negative, got {k}")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("bessel_j requires finite arguments")
-    out = special.jv(k, x)
-    return out if out.ndim else float(out)
-
-
 def bessel_roots(k: int, count: int) -> np.ndarray:
     """First `count` positive roots of J_k, in increasing order."""
     if count < 1:

@@ -271,7 +271,7 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
         histories.append(("admm", _admm_columns(res.history)))
     elif method == "em":
         em_cfg = EmConfig(max_iter=sol["em_iters"],
-                          pinv_cutoff=sol["pinv_cutoff"], seed=seed)
+                          pinv_cutoff=sol["pinv_cutoff"])
         init_a = FBCoeffs(values=state.a, spec=spec, real_symmetric=False)
         init_p = ViewDistribution(p=state.p, n_theta=n_theta)
         res = run_em(spec_batch, init_a, init_p, noise, em_cfg)
@@ -283,7 +283,7 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
                               max_iter=sol["hybrid_admm_iters"], seed=seed)
         res1 = run_admm(features, admm_cfg, spec, n_theta, state=state)
         em_cfg = EmConfig(max_iter=sol["hybrid_em_iters"],
-                          pinv_cutoff=sol["pinv_cutoff"], seed=seed)
+                          pinv_cutoff=sol["pinv_cutoff"])
         res2 = run_em(spec_batch, res1.a, res1.p, noise, em_cfg)
         a, p = res2.a, res2.p
         histories.append(("admm", _admm_columns(res1.history)))

@@ -5,6 +5,10 @@ Gaussians centered on the steered basis predictions.  EM alternates soft
 angle assignment (E-step) with an exact weighted least-squares update of
 the coefficients and the mixture weights (M-step).  It can start from a
 random point or refine an ADMM solution.
+
+The records enter the likelihood only through their whitened projections
+onto the basis, Y = U_w conj(B) (N x n_a), and their whitened norms, so the
+workspace keeps those two and never the whitened records U_w themselves.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,6 @@ class EmConfig:
     max_iter: int = 100
     tol_loglik: float = 1e-12
     pinv_cutoff: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -56,22 +59,16 @@ class Responsibilities:
         return self.pi.shape[1]
 
 
-def _p_values(p, n_theta=None):
-    vals = p.p if isinstance(p, ViewDistribution) else np.asarray(p, dtype=float)
-    if n_theta is not None and vals.shape != (n_theta,):
-        raise ConfigError("distribution length does not match the workspace")
-    if vals.sum() <= 0:
-        raise ConfigError("view distribution has no mass")
-    return vals
-
-
 class EmWorkspace:
-    """Whitened data and steered-basis precomputations shared by EM steps.
+    """Per-record sufficient statistics and steered-basis precomputations
+    shared by the EM steps.
 
     The per-tilt noise block is rank-deficient whenever n_xi exceeds the
     number of line samples, so the quadratic forms use the eigendecomposition
     pseudo-inverse: data and basis are projected onto the block's informative
-    eigenspace and scaled to unit noise there.
+    eigenspace and scaled to unit noise there.  The whitened records U_w are
+    formed one record block at a time and reduced at once to Y = U_w conj(B)
+    and the norms ||U_w[i]||^2.
     """
 
     def __init__(self, spec_batch, spec, n_theta, noise, pinv_cutoff=1e-10):
@@ -81,9 +78,8 @@ class EmWorkspace:
             raise ConfigError("EM needs a nonzero noise model; sigma2 = 0 "
                               "gives a degenerate likelihood")
         self.spec = spec
-        self.n_theta = n_theta
-        self.K = spec_batch.K
-        n_xi = spec_batch.quad.nodes.size
+        self.pinv_cutoff = pinv_cutoff
+        n_tilt, n_xi = 2 * spec_batch.K + 1, spec_batch.quad.n_xi
 
         lam, U = np.linalg.eigh(noise.block)
         keep = lam > pinv_cutoff * lam.max()
@@ -93,37 +89,43 @@ class EmWorkspace:
         self.whiten = (U[:, keep] / np.sqrt(lam[keep])).conj().T
         self.rank = int(keep.sum())
 
-        psi = eval_tilt_matrix(spec, spec_batch.quad, self.K, spec_batch.alpha)
-        blocks = psi.reshape(2 * self.K + 1, n_xi, spec.n_a)
-        self.B = np.einsum('rj,kjm->krm', self.whiten, blocks).reshape(
-            (2 * self.K + 1) * self.rank, spec.n_a)
+        psi = eval_tilt_matrix(spec, spec_batch.quad, spec_batch.K,
+                               spec_batch.alpha)
+        self.B = (self.whiten @ psi.reshape(n_tilt, n_xi, spec.n_a)).reshape(
+            n_tilt * self.rank, spec.n_a)
 
-        yhat = spec_batch.yhat.reshape(spec_batch.N, 2 * self.K + 1, n_xi)
-        self.U_w = np.einsum('rj,ikj->ikr', self.whiten, yhat).reshape(
-            spec_batch.N, (2 * self.K + 1) * self.rank)
-        self.data_norm2 = np.einsum('ij,ij->i', self.U_w.conj(), self.U_w).real
+        yhat = spec_batch.yhat.reshape(spec_batch.N, n_tilt, n_xi)
+        B_conj = self.B.conj()
+        self.Y = np.empty((spec_batch.N, spec.n_a), dtype=complex)
+        self.data_norm2 = np.empty(spec_batch.N)
+        for i in range(0, spec_batch.N, _REDUCE_BLOCK):
+            u = (yhat[i:i + _REDUCE_BLOCK] @ self.whiten.T).reshape(
+                -1, n_tilt * self.rank)
+            self.Y[i:i + _REDUCE_BLOCK] = u @ B_conj
+            self.data_norm2[i:i + _REDUCE_BLOCK] = np.einsum(
+                'ij,ij->i', u.conj(), u).real
 
         self.E = angle_phase_matrix(spec, n_theta)          # e^{i k phi_l}
         self.G_B = self.B.conj().T @ self.B
 
     @property
     def N(self):
-        return self.U_w.shape[0]
+        return self.Y.shape[0]
 
     def normal_matrix(self, mass):
         """sum_l mass[l] diag(conj e_l) G_B diag(e_l), formed as the single
         Schur product G_B o conj(E diag(mass) E^H)."""
         return self.G_B * angle_coupling(self.E, mass).conj()
 
-    def steered_predictions(self, a_values):
-        """Whitened model means, one column per candidate angle."""
-        return self.B @ (a_values[:, None] * self.E)
-
     def half_distances(self, a_values):
-        """0.5 * ||whitened residual||^2 for every (record, angle) pair."""
-        V = self.steered_predictions(a_values)
-        cross = (self.U_w @ V.conj()).real
-        v_norm2 = np.einsum('ij,ij->j', V.conj(), V).real
+        """0.5 * ||whitened residual||^2 for every (record, angle) pair.
+
+        With A = diag(a) E the whitened model means are B A, so the cross
+        term is Re(Y conj(A)) and the model norms are diag(A^H G_B A).
+        """
+        A = a_values[:, None] * self.E
+        cross = (self.Y @ A.conj()).real
+        v_norm2 = np.einsum('ij,ij->j', A.conj(), self.G_B @ A).real
         return 0.5 * (self.data_norm2[:, None] - 2.0 * cross + v_norm2[None, :])
 
 
@@ -139,96 +141,35 @@ def _block_reduce(arrays_iter):
     return parts[0]
 
 
-def _coeff_values(a, spec):
-    if isinstance(a, FBCoeffs):
-        return a.values
-    vals = np.asarray(a, dtype=complex)
-    if vals.shape != (spec.n_a,):
-        raise ConfigError("coefficient vector length does not match the basis")
-    return vals
-
-
-def log_marginal_likelihood(spec_batch, a, p, noise, work=None):
-    """Total log marginal likelihood of the batch given (a, p).
-
-    The mixture-independent normalization is dropped, so values are
-    comparable only across parameters for a fixed batch and noise model.
-    """
-    if work is None:
-        spec = a.spec if isinstance(a, FBCoeffs) else None
-        if spec is None:
-            raise ConfigError("pass FBCoeffs or a prebuilt workspace")
-        n_theta = p.n_theta if isinstance(p, ViewDistribution) else len(p)
-        work = EmWorkspace(spec_batch, spec, n_theta, noise)
-    vals = _coeff_values(a, work.spec)
-    pv = _p_values(p, work.n_theta)
-    logits = _logits(work, vals, pv)
-    return float(_logsumexp_rows(logits).sum())
-
-
-def _logits(work, a_values, p_values):
-    with np.errstate(divide='ignore'):
-        log_p = np.log(p_values)
-    return log_p[None, :] - work.half_distances(a_values)
-
-
-def _logsumexp_rows(logits):
-    m = logits.max(axis=1)
-    return m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-
-
-def e_step(spec_batch, a, p, noise, work=None):
-    """Posterior responsibilities over candidate angles, row-normalized
-    in the log domain."""
-    if work is None:
-        work = EmWorkspace(spec_batch, a.spec, len(_p_values(p)), noise)
-    vals = _coeff_values(a, work.spec)
-    pv = _p_values(p, work.n_theta)
-    logits = _logits(work, vals, pv)
-    logits -= logits.max(axis=1)[:, None]
-    pi = np.exp(logits)
-    pi /= pi.sum(axis=1)[:, None]
-    return Responsibilities(pi=pi)
-
-
-def m_step(spec_batch, responsibilities, noise, spec=None, work=None,
-           pinv_cutoff=1e-10):
+def m_step(work, responsibilities):
     """Exact maximizer of the expected complete-data log likelihood.
 
     p becomes the column means of the responsibilities; a solves the
     pooled weighted normal equations through an eigendecomposition
-    pseudo-inverse with the given relative cutoff.
+    pseudo-inverse with the workspace's relative cutoff.
     """
     pi = responsibilities.pi
-    if pi.sum() <= 0:
-        raise ConfigError("responsibilities carry no mass")
-    if work is None:
-        if spec is None:
-            raise ConfigError("m_step needs a BasisSpec or a workspace")
-        work = EmWorkspace(spec_batch, spec, responsibilities.n_theta, noise)
-
     # fixed-block pairwise reduction keeps the accumulation deterministic
     blocks = range(0, work.N, _REDUCE_BLOCK)
     col_mass = _block_reduce(
         pi[i:i + _REDUCE_BLOCK].sum(axis=0) for i in blocks)
     weighted_data = _block_reduce(
-        work.U_w[i:i + _REDUCE_BLOCK].T @ pi[i:i + _REDUCE_BLOCK]
+        work.Y[i:i + _REDUCE_BLOCK].T @ pi[i:i + _REDUCE_BLOCK]
         for i in blocks)
 
     p_new = col_mass / pi.shape[0]
 
     normal = work.normal_matrix(col_mass)
-    rhs = (work.E.conj() * (work.B.conj().T @ weighted_data)).sum(axis=1)
+    rhs = (work.E.conj() * weighted_data).sum(axis=1)
 
     lam, U = np.linalg.eigh(0.5 * (normal + normal.conj().T))
-    keep = lam > pinv_cutoff * lam.max()
+    keep = lam > work.pinv_cutoff * lam.max()
     if not np.any(keep):
         raise ConfigError("normal matrix vanished; responsibilities degenerate")
     a_new = U[:, keep] @ ((U[:, keep].conj().T @ rhs) / lam[keep])
 
     return (FBCoeffs(values=a_new, spec=work.spec, real_symmetric=False),
-            ViewDistribution(p=np.maximum(p_new, 0.0) / max(p_new.sum(), 1e-300),
-                             n_theta=pi.shape[1]))
+            ViewDistribution(p=p_new / p_new.sum(), n_theta=pi.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -240,7 +181,7 @@ class EmResult:
     converged: bool
 
 
-def run_em(spec_batch, init_a, init_p, noise, config=None, spec=None):
+def run_em(spec_batch, init_a, init_p, noise, config=None):
     """Alternate E and M steps from the supplied starting point.
 
     The history records the log marginal likelihood of the current
@@ -248,44 +189,31 @@ def run_em(spec_batch, init_a, init_p, noise, config=None, spec=None):
     non-decreasing up to roundoff or the model code is wrong.
     """
     config = config or EmConfig()
-    if spec is None:
-        if not isinstance(init_a, FBCoeffs):
-            raise ConfigError("pass FBCoeffs or an explicit BasisSpec")
-        spec = init_a.spec
-    n_theta = init_p.n_theta if isinstance(init_p, ViewDistribution) \
-        else len(init_p)
-    work = EmWorkspace(spec_batch, spec, n_theta, noise,
+    work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta, noise,
                        pinv_cutoff=config.pinv_cutoff)
-
-    a_vals = _coeff_values(init_a, spec)
-    pv = _p_values(init_p, n_theta).copy()
+    a_cur, p_cur = init_a, init_p
     history = []
     converged = False
-
-    a_cur = FBCoeffs(values=a_vals, spec=spec, real_symmetric=False)
-    p_cur = ViewDistribution(p=np.maximum(pv, 0.0) / max(pv.sum(), 1e-300),
-                             n_theta=n_theta)
-    for it in range(config.max_iter):
-        logits = _logits(work, a_cur.values, p_cur.p)
-        ll = float(_logsumexp_rows(logits).sum())
+    for it in range(config.max_iter + 1):
+        with np.errstate(divide='ignore'):
+            log_p = np.log(p_cur.p)
+        logits = log_p[None, :] - work.half_distances(a_cur.values)
+        peak = logits.max(axis=1)
+        pi = np.exp(logits - peak[:, None])
+        row_mass = pi.sum(axis=1)
+        ll = float((peak + np.log(row_mass)).sum())
         if not np.isfinite(ll):
             raise SolverError(f"log likelihood became non-finite at "
                               f"iteration {it}", history=np.array(history))
         history.append(ll)
+        if it == config.max_iter:
+            break
         if it >= 1:
             gain = history[-1] - history[-2]
             if gain < config.tol_loglik * max(1.0, abs(history[-2])):
                 converged = True
                 break
-        shifted = logits - logits.max(axis=1)[:, None]
-        pi = np.exp(shifted)
-        pi /= pi.sum(axis=1)[:, None]
-        resp = Responsibilities(pi=pi)
-        a_cur, p_cur = m_step(spec_batch, resp, noise, work=work,
-                              pinv_cutoff=config.pinv_cutoff)
-    else:
-        logits = _logits(work, a_cur.values, p_cur.p)
-        history.append(float(_logsumexp_rows(logits).sum()))
+        a_cur, p_cur = m_step(work, Responsibilities(pi=pi / row_mass[:, None]))
 
     return EmResult(a=a_cur, p=p_cur, history=np.asarray(history),
                     n_iter=len(history) - 1, converged=converged)

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import synthesize_image
 from .errors import ConfigError
-from .sim import TiltSeriesBatch, ViewDistribution
+from .sim import ViewDistribution
 
 
 @dataclass(frozen=True)
@@ -37,11 +36,8 @@ class TrialReport:
 
 
 def snr_db(clean, sigma2):
-    """10 log10(Var / sigma2), Var pooled over every clean sample value."""
-    if isinstance(clean, TiltSeriesBatch):
-        var = float(clean.samples.var())
-    else:
-        var = float(clean)
+    """10 log10(Var / sigma2) for the clean-signal variance Var."""
+    var = float(clean)
     if sigma2 < 0:
         raise ConfigError("noise variance cannot be negative")
     if sigma2 == 0:
@@ -68,17 +64,6 @@ def relative_error(truth, estimate, n_search):
         steer * estimate.values[:, None] - truth.values[:, None], axis=0)
     best = int(np.argmin(dist))
     return float(dist[best] / norm), float(gammas[best])
-
-
-def pixel_relative_error(truth, estimate, gamma, n_grid):
-    """Image-domain counterpart at a fixed rotation, for cross-checking the
-    coefficient-space value on band-limited inputs."""
-    img_t = synthesize_image(truth, int(n_grid))
-    img_e = synthesize_image(estimate.rotated(gamma), int(n_grid))
-    norm = np.linalg.norm(img_t)
-    if norm == 0:
-        raise ConfigError("truth image has zero norm")
-    return float(np.linalg.norm(img_e - img_t) / norm)
 
 
 def total_variation_dist(p, p_est):

@@ -344,6 +344,9 @@ def load_batch(path: str) -> TiltSeriesBatch:
     check_payload_size(
         path, payload, 8 * (n_main + (N if header["hidden_angles"] else 0)))
     data = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: payload holds non-finite samples or "
+                          f"hidden angles")
     samples = data[:n_main].reshape(N, 2 * K + 1, L).copy()
     hidden = data[n_main:].astype(int) if header["hidden_angles"] else None
     return TiltSeriesBatch(

@@ -31,14 +31,6 @@ def dft_matrix(grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
     )
 
 
-def dft_at_nodes(line: np.ndarray, grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
-    """yhat[xi_j] = dx * sum_l y[x_l] exp(-2i*pi*xi_j*x_l)."""
-    line = np.asarray(line)
-    if line.shape != (grid.L,):
-        raise ValueError(f"line has shape {line.shape}, expected ({grid.L},)")
-    return dft_matrix(grid, quad) @ line
-
-
 @dataclass(frozen=True)
 class SpectralBatch:
     """Transformed records: row i concatenates the per-tilt node vectors.
@@ -67,7 +59,7 @@ class SpectralBatch:
 
 
 def transform_batch(batch: TiltSeriesBatch, quad: QuadratureGrid) -> SpectralBatch:
-    """Apply dft_at_nodes per (record, tilt) and concatenate per record."""
+    """Node DFT of every (record, tilt) line, concatenated per record."""
     F = dft_matrix(batch.grid, quad)
     N, n_tilt, L = batch.samples.shape
     # (N, n_tilt, L) @ (L, n_xi) -> (N, n_tilt, n_xi), then flatten tilts
@@ -88,14 +80,6 @@ class NoiseModel:
     @property
     def n_xi(self) -> int:
         return self.block.shape[0]
-
-    def full(self, K: int) -> np.ndarray:
-        """Dense block-diagonal covariance over 2K+1 tilts."""
-        n = self.n_xi
-        out = np.zeros(((2 * K + 1) * n, (2 * K + 1) * n), dtype=complex)
-        for t in range(2 * K + 1):
-            out[t * n : (t + 1) * n, t * n : (t + 1) * n] = self.block
-        return out
 
 
 def noise_covariance(

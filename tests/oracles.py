@@ -7,12 +7,22 @@ work on the n_a x n_a coupling H(p) with n_a^3 products: the dense
 second-moment operator, the second term tr(M^H G M G) - 2 Re<T_C, M> +
 ||C_w||^2, and a whole ADMM iteration, against which the package's
 angle-Gram factorization is checked.
+
+The remaining helpers are the test-only entry points the package does not
+need: the EM E-step and log marginal likelihood on a freshly built
+workspace, the whitened record array, the dense block-diagonal noise
+covariance, the single-line node DFT and the image-domain error.
 """
 
 import numpy as np
+from scipy import linalg
+from scipy.special import logsumexp
 
+from tiltrec.basis import synthesize_image
+from tiltrec.em import EmWorkspace, Responsibilities
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
+from tiltrec.spectral import dft_matrix
 
 
 def brute_force_moments(a, w, psi, spec):
@@ -126,3 +136,48 @@ def dense_admm_iteration(state, config):
            - 0.5 * rho * float(np.vdot(state.s, state.s).real))
     consensus = 0.5 * (state.a + state.z)
     return lag, objective(consensus, consensus)
+
+
+def _em_logits(spec_batch, a, p, noise):
+    work = EmWorkspace(spec_batch, a.spec, p.n_theta, noise)
+    return np.log(p.p)[None, :] - work.half_distances(a.values)
+
+
+def log_marginal_likelihood(spec_batch, a, p, noise):
+    """Total log marginal likelihood of the batch given (a, p), without the
+    mixture-independent normalization."""
+    return float(logsumexp(_em_logits(spec_batch, a, p, noise), axis=1).sum())
+
+
+def e_step(spec_batch, a, p, noise):
+    """Posterior responsibilities over the candidate angles."""
+    logits = _em_logits(spec_batch, a, p, noise)
+    return Responsibilities(
+        pi=np.exp(logits - logsumexp(logits, axis=1)[:, None]))
+
+
+def whitened_records(work, spec_batch):
+    """U_w: every record's tilt blocks whitened by work.whiten, shape
+    (N, (2K+1) * rank); the workspace keeps only U_w conj(B) and the norms."""
+    n_tilt = 2 * spec_batch.K + 1
+    yhat = spec_batch.yhat.reshape(spec_batch.N, n_tilt, -1)
+    return np.einsum('rj,ikj->ikr', work.whiten, yhat).reshape(
+        spec_batch.N, n_tilt * work.rank)
+
+
+def full_noise_covariance(noise, K):
+    """Dense block-diagonal covariance: noise.block repeated on 2K+1 tilts."""
+    return linalg.block_diag(*[noise.block] * (2 * K + 1))
+
+
+def dft_at_nodes(line, grid, quad):
+    """yhat[xi_j] = dx * sum_l y[x_l] exp(-2i*pi*xi_j*x_l) for one line."""
+    return dft_matrix(grid, quad) @ line
+
+
+def pixel_relative_error(truth, estimate, gamma, n_grid):
+    """Image-domain counterpart of the coefficient relative error at a fixed
+    rotation, for cross-checking it on band-limited inputs."""
+    img_t = synthesize_image(truth, int(n_grid))
+    img_e = synthesize_image(estimate.rotated(gamma), int(n_grid))
+    return float(np.linalg.norm(img_e - img_t) / np.linalg.norm(img_t))

@@ -122,12 +122,12 @@ _BAD_FIELDS = {
     "kind,defect",
     [(kind, defect) for kind in ("coeff", "batch")
      for defect in ("missing_key", "short", "long", "bad_type")]
-    + [("coeff", "nan")])
+    + [("coeff", "nan"), ("batch", "nan")])
 def test_loaders_reject_bad_files(tmp_path, kind, defect):
     """A header without a required key or with a field of the wrong type or
-    range, a truncated payload, trailing bytes and (coefficient files) a NaN
-    coefficient or probability each raise ConfigError naming the header key
-    or the payload."""
+    range, a truncated payload, trailing bytes and a NaN coefficient,
+    probability, sample or hidden angle each raise ConfigError naming the
+    header key or the payload."""
     path = tmp_path / "good.dat"
     if kind == "coeff":
         spec = build_basis_spec(0.3, 4.0)
@@ -135,12 +135,14 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
                      real_symmetric=False)
         save_coeff_file(path, a, ViewDistribution(np.full(4, 0.25), 4))
         load, key = load_coeff_file, "n_theta"
+        nan_offsets = (0, 8 * (2 * spec.n_a - 1), 16 * spec.n_a + 8)
     else:
         batch = TiltSeriesBatch(samples=np.zeros((3, 3, 4)), K=1, alpha=0.05,
                                 sigma2=0.1, grid=build_line_grid(4), seed=0,
                                 n_theta=6, hidden_angles=np.arange(3))
         save_batch(batch, path)
         load, key = load_batch, "hidden_angles"
+        nan_offsets = (0, 8 * 35, 8 * 37)    # samples 0 and 35, hidden 1
     head, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(head)
     bad = tmp_path / "bad.dat"
@@ -152,8 +154,7 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
                 load(bad)
         return
     if defect == "nan":
-        n_a = build_basis_spec(0.3, 4.0).n_a
-        for offset in (0, 8 * (2 * n_a - 1), 16 * n_a + 8):
+        for offset in nan_offsets:
             garbled = bytearray(payload)
             garbled[offset:offset + 8] = np.float64(np.nan).tobytes()
             bad.write_bytes(head + b"\n" + bytes(garbled))

@@ -14,8 +14,8 @@ from scipy.special import logsumexp
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _em_columns, history_to_csv
-from tiltrec.em import (EmConfig, EmWorkspace, Responsibilities, e_step,
-                        log_marginal_likelihood, m_step, run_em)
+from tiltrec.em import (EmConfig, EmWorkspace, Responsibilities, m_step,
+                        run_em)
 from tiltrec.errors import ConfigError, SolverError
 from tiltrec.metrics import relative_error
 from tiltrec.moments import angle_phase_matrix
@@ -23,6 +23,8 @@ from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          generate_batch, random_phantom)
 from tiltrec.spectral import (SpectralBatch, dft_matrix, noise_covariance,
                               transform_batch)
+
+from oracles import e_step, log_marginal_likelihood, whitened_records
 
 DEG = np.pi / 180.0
 
@@ -125,6 +127,31 @@ def test_e_step_rows_and_one_hot(small_spec, small_phantom, bump12):
     assert resp.pi.max(axis=1).min() > 0.999
 
 
+def test_workspace_keeps_only_n_a_sized_record_statistics(tiny_em):
+    """No array attribute is as long as the batch and wider than the basis;
+    the whitened record array is not kept."""
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    N, n_a = tiny_em["sb"].N, tiny_em["spec"].n_a
+    assert not hasattr(work, "U_w")
+    assert work.Y.shape == (N, n_a) and work.data_norm2.shape == (N,)
+    for name, value in vars(work).items():
+        if isinstance(value, np.ndarray) and value.ndim and value.shape[0] == N:
+            assert value.size <= N * n_a, name
+
+
+def test_record_statistics_match_whitened_records(tiny_em, monkeypatch):
+    """Y and the norms, filled in record blocks smaller than the batch, equal
+    U_w conj(B) and the row norms of the whole whitened record array, up to
+    the rounding of two whitening routes (about 5e-13 on U_w here)."""
+    monkeypatch.setattr("tiltrec.em._REDUCE_BLOCK", 7)
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    U_w = whitened_records(work, tiny_em["sb"])
+    Y = U_w @ work.B.conj()
+    norms = np.linalg.norm(U_w, axis=1) ** 2
+    assert np.linalg.norm(work.Y - Y) <= 1e-12 * np.linalg.norm(Y)
+    assert np.max(np.abs(work.data_norm2 - norms) / norms) <= 1e-12
+
+
 def test_m_step_matches_stacked_least_squares(tiny_em):
     """Independent route: weight every (record, angle) copy by sqrt(pi) and
     solve one dense least squares over all of them."""
@@ -132,14 +159,14 @@ def test_m_step_matches_stacked_least_squares(tiny_em):
     rng = np.random.default_rng(2)
     raw = rng.random((20, 8))
     pi = raw / raw.sum(axis=1)[:, None]
-    a_m, p_m = m_step(tiny_em["sb"], Responsibilities(pi=pi),
-                      tiny_em["noise"], work=work)
+    a_m, p_m = m_step(work, Responsibilities(pi=pi))
+    U_w = whitened_records(work, tiny_em["sb"])
     rows, tgt = [], []
     for i in range(20):
         for l in range(8):
             s = np.sqrt(pi[i, l])
             rows.append(s * (work.B * work.E[:, l][None, :]))
-            tgt.append(s * work.U_w[i])
+            tgt.append(s * U_w[i])
     a_dense, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(tgt),
                                   rcond=None)
     assert np.linalg.norm(a_m.values - a_dense) <= 1e-10 * np.linalg.norm(a_dense)
@@ -211,24 +238,12 @@ def test_run_em_monotone_and_recovers(em_problem):
     # the refinement should land on the known-label oracle fit
     pi = np.zeros((em_problem["sb"].N, 12))
     pi[np.arange(em_problem["sb"].N), em_problem["labels"]] = 1.0
-    a_or, _ = m_step(em_problem["sb"], Responsibilities(pi=pi),
-                     em_problem["noise"], spec=spec)
+    work = EmWorkspace(em_problem["sb"], spec, 12, em_problem["noise"])
+    a_or, _ = m_step(work, Responsibilities(pi=pi))
     re_end, _ = relative_error(truth, res.a, 120)
     re_oracle, _ = relative_error(truth, a_or, 120)
     assert re_end <= re_oracle + 1e-3
     assert re_end < 0.05
-
-
-def test_run_em_accepts_plain_arrays(em_problem):
-    spec = em_problem["spec"]
-    a0 = np.zeros(spec.n_a, dtype=complex)
-    a0[0] = 1.0
-    res = run_em(em_problem["sb"], a0, np.full(12, 1 / 12),
-                 em_problem["noise"], EmConfig(max_iter=3), spec=spec)
-    assert res.history.size == res.n_iter + 1
-    with pytest.raises(ConfigError):
-        run_em(em_problem["sb"], a0, np.full(12, 1 / 12),
-               em_problem["noise"], EmConfig(max_iter=3))
 
 
 def test_non_finite_data_raises(tiny_em):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+top-level definition of the package has a caller outside the tests.
 
 `__init__.py` is skipped because its imports are the public API, and
 `from __future__` imports are compiler directives, not names.
@@ -11,6 +12,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tiltrec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# code outside tests/ that may call the package
+CALLER_DIRS = [SRC.parent, SRC.parent.parent / "demos",
+               SRC.parent.parent / "perfbench"]
 
 
 def _imported(tree):
@@ -45,3 +49,35 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _references(node):
+    """Names a statement loads, reads as an attribute, imports, or spells
+    as a string (perfbench wraps package functions by their names)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    """A top-level def or class of the package that only tests reference
+    belongs in tests/oracles.py.  References from inside the definition
+    itself do not count."""
+    statements = []                     # (path, defined name or None, refs)
+    for root in CALLER_DIRS:
+        for path in sorted(root.rglob("*.py")):
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                name = getattr(stmt, "name", None)
+                statements.append((path, name, set(_references(stmt))))
+    uncalled = [f"{path.name}:{name}" for path, name, _ in statements
+                if name is not None and path.parent == SRC
+                and not any(name in refs for other, owner, refs in statements
+                            if (other, owner) != (path, name))]
+    assert not uncalled, f"defined in src/tiltrec, called only from tests: " \
+                         f"{uncalled}"

@@ -6,10 +6,12 @@ import pytest
 from tiltrec.basis import FBCoeffs, build_basis_spec
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import (CSV_HEADER, TrialReport, joint_alignment,
-                             pixel_relative_error, relative_error,
-                             reports_to_csv, snr_db, success_rate,
-                             total_variation_dist, variance_for_snr)
+                             relative_error, reports_to_csv, snr_db,
+                             success_rate, total_variation_dist,
+                             variance_for_snr)
 from tiltrec.sim import ViewDistribution, bump_distribution, uniform_distribution
+
+from oracles import pixel_relative_error
 
 
 def _report(re=0.1, method="admm", seed=0, tv=0.05):
@@ -35,12 +37,6 @@ def test_variance_for_snr_inverts():
     for var, target in ((3.7, 6.6), (120.0, -4.4), (557.19, 17.46)):
         s2 = variance_for_snr(var, target)
         assert snr_db(var, s2) == pytest.approx(target, abs=1e-12)
-
-
-def test_snr_from_batch(small_batch):
-    batch, _ = small_batch
-    v = float(batch.samples.var())
-    assert snr_db(batch, 2.0) == pytest.approx(10 * np.log10(v / 2.0))
 
 
 # ------------------------------------------------------- relative error

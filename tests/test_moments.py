@@ -9,7 +9,8 @@ from tiltrec.moments import (angle_coupling, angle_phase_matrix,
 from tiltrec.sim import ViewDistribution, bump_distribution
 from tiltrec.spectral import SpectralBatch, noise_covariance
 
-from oracles import brute_force_moments, dense_residuals
+from oracles import (brute_force_moments, dense_residuals,
+                     full_noise_covariance)
 
 
 def random_pair(spec, n_theta, rng):
@@ -140,12 +141,13 @@ def test_debias_pure_noise(small_spec, quad32):
     noise = noise_covariance(2.0, grid, quad32, 1)
     feats = empirical_moments(sb, noise)
     # the per-block subtraction matches the dense covariance to the bit
-    dense = blockwise_mean_outer(sb.yhat)[1] - noise.full(1)
+    dense = blockwise_mean_outer(sb.yhat)[1] - full_noise_covariance(noise, 1)
     assert np.array_equal(feats.C, 0.5 * (dense + dense.conj().T))
     # aggregate SE bound for the debiased second moment around zero
     absY2 = np.abs(sb.yhat) ** 2
     second = (absY2.T @ absY2) / 20000
-    var_entries = np.maximum(second - np.abs(noise.full(1)) ** 2, 0.0) / 20000
+    var_entries = np.maximum(
+        second - np.abs(full_noise_covariance(noise, 1)) ** 2, 0.0) / 20000
     assert np.linalg.norm(feats.C) <= 3.0 * np.sqrt(var_entries.sum())
     # Hermitian after symmetrization: exact
     assert np.array_equal(feats.C, feats.C.conj().T)

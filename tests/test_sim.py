@@ -7,7 +7,8 @@ from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          generate_batch, load_batch, project_clean,
                          random_phantom, save_batch, two_bump_distribution,
                          uniform_distribution)
-from tiltrec.spectral import dft_at_nodes
+
+from oracles import dft_at_nodes
 
 DEG = np.pi / 180.0
 

@@ -3,8 +3,10 @@ import pytest
 
 from tiltrec.errors import ConfigError
 from tiltrec.sim import TiltSeriesBatch, build_line_grid
-from tiltrec.spectral import (blockwise_mean_outer, dft_at_nodes, dft_matrix,
+from tiltrec.spectral import (blockwise_mean_outer, dft_matrix,
                               noise_covariance, transform_batch)
+
+from oracles import dft_at_nodes, full_noise_covariance
 
 
 def test_dft_matches_direct_sum(quad32):
@@ -58,7 +60,7 @@ def test_noise_block_structure(quad32):
     # definition: sigma2 * F F^H
     F = dft_matrix(grid, quad32)
     assert np.allclose(blk, 2.5 * F @ F.conj().T, atol=1e-12)
-    full = noise.full(2)
+    full = full_noise_covariance(noise, 2)
     assert full.shape == (5 * quad32.n_xi, 5 * quad32.n_xi)
     # block diagonal: off blocks exactly zero
     n = quad32.n_xi
@@ -95,7 +97,8 @@ def test_noise_spectrum_matches_model(small_spec, quad32):
                            seed=13)
     sb = transform_batch(batch, quad32)
     _, raw = blockwise_mean_outer(sb.yhat)
-    model = noise_covariance(sigma2, grid, quad32, K=1).full(1)
+    model = full_noise_covariance(noise_covariance(sigma2, grid, quad32, K=1),
+                                  1)
     # aggregate MC standard error of the Frobenius discrepancy
     absY2 = np.abs(sb.yhat) ** 2
     second = (absY2.T @ absY2) / 20000
