@@ -19,7 +19,7 @@ from tiltrec.moments import (empirical_moments, population_features,
                              weight_diagonal)
 from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                         generate_batch, random_phantom)
-from tiltrec.spectral import noise_covariance, transform_batch
+from tiltrec.spectral import transform_batch
 
 DEG = math.pi / 180.0
 
@@ -62,9 +62,9 @@ def main():
               f"{achieved:+6.2f} dB")
 
     # empirical moments converge to the generating process's own population
-    # moments at the Monte Carlo rate; noise debiasing keeps them unbiased
+    # moments at the Monte Carlo rate; subtracting sigma2 from the diagonal
+    # of the line-sample second moment keeps them unbiased
     s2 = variance_for_snr(v, 0.0)
-    noise = noise_covariance(s2, grid, quad, K)
     d = weight_diagonal(quad, K)
     mu_pop, c_pop = batch_population_moments(truth, p, K, alpha, grid, quad,
                                              d)
@@ -72,7 +72,7 @@ def main():
           "(relative error, ~1/sqrt(N)):")
     for n in (500, 5000, 50000):
         batch = generate_batch(truth, p, n, K, alpha, s2, grid, quad, seed=1)
-        feats = empirical_moments(transform_batch(batch, quad), noise)
+        feats = empirical_moments(batch, quad)
         mu, c = feats.weighted()
         e1 = np.linalg.norm(mu - mu_pop) / np.linalg.norm(mu_pop)
         e2 = np.linalg.norm(c - c_pop) / np.linalg.norm(c_pop)

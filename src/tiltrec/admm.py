@@ -148,22 +148,18 @@ class AdmmWorkspace:
 @dataclass
 class AdmmState:
     """Mutable iterate of the splitting: primal blocks a, z, the relaxed
-    distribution p, scaled dual s, iteration counter, and history lists."""
+    distribution p, scaled dual s, iteration counter, the workspace the
+    steps read, and history lists."""
 
     a: np.ndarray
     z: np.ndarray
     p: np.ndarray
     s: np.ndarray
     iter: int
+    work: AdmmWorkspace
     history: dict = field(default_factory=lambda: {
         "iter": [], "objective": [], "primal": [], "lagrangian": [],
     })
-    work: AdmmWorkspace | None = None
-
-    def require_work(self) -> AdmmWorkspace:
-        if self.work is None:
-            raise ConfigError("state has no attached workspace")
-        return self.work
 
 
 def init_admm_state(
@@ -209,7 +205,7 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
     """Exact minimizer of lam1/2 ||Psi_w (x o g) - mu_w||^2
     + lam2/2 ||Psi_w ((x fixed^H) o H) Psi_w^H - C_w||_F^2
     + rho/2 ||x - center||^2 over one consensus copy x."""
-    work = state.require_work()
+    work = state.work
     lhs = config.rho * np.eye(work.spec.n_a, dtype=complex)
     rhs = config.rho * center
     if lam1 > 0:
@@ -229,13 +225,13 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
     return x_new
 
 
-def update_a(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
+def update_a(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact minimizer of the augmented Lagrangian over a (z, p, s fixed)."""
     return _consensus_solve(state, config, "a", state.z - state.s, state.z,
                             config.lam1)
 
 
-def update_z(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
+def update_z(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact minimizer over z.  The second-moment residual satisfies
     ||X - C_w||_F = ||X^H - C_w||_F (C_w Hermitian), and X^H swaps the roles
     of a and z, so the solve mirrors the a-step with penalty center a + s;
@@ -243,7 +239,7 @@ def update_z(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> 
     return _consensus_solve(state, config, "z", state.a + state.s, state.a, 0.0)
 
 
-def update_p(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> np.ndarray:
+def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact equality-constrained least squares over the real vector p.
 
     Both moment models are linear in p:
@@ -257,7 +253,7 @@ def update_p(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> 
     unobservable component at zero instead of amplifying noise into it; the
     first such solve logs a warning.
     """
-    work = state.require_work()
+    work = state.work
     n_t = work.n_theta
     gram_a = work.angle_gram(state.a)
     A_a, N_a = gram_a
@@ -292,13 +288,11 @@ def update_p(state: AdmmState, features: MomentFeatures, config: AdmmConfig) -> 
     return p_new
 
 
-def augmented_lagrangian(
-    state: AdmmState, features: MomentFeatures, config: AdmmConfig
-) -> float:
+def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
     """Scaled-dual augmented Lagrangian
     lam1/2 ||A1 a - mu_w||^2 + lam2/2 ||A2(z) a - C_w||_F^2
     + rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
-    work = state.require_work()
+    work = state.work
     g = work.g_of(state.p)
     val = 0.5 * config.lam1 * work.first_term(state.a * g)
     val += 0.5 * config.lam2 * work.second_term(
@@ -348,19 +342,19 @@ def run_admm(
     """
     if state is None:
         state = init_admm_state(features, config, spec, n_theta)
-    work = state.require_work()
+    work = state.work
     tol_primal = config.primal_tol(spec.n_a)
     last_lag = None
     converged = False
 
     for _ in range(config.max_iter):
-        state.a = update_a(state, features, config)
-        state.z = update_z(state, features, config)
-        state.p = update_p(state, features, config)
+        state.a = update_a(state, config)
+        state.z = update_z(state, config)
+        state.p = update_p(state, config)
         state.s = state.s + state.a - state.z
         state.iter += 1
 
-        lag = augmented_lagrangian(state, features, config)
+        lag = augmented_lagrangian(state, config)
         primal = float(np.linalg.norm(state.a - state.z))
         consensus = 0.5 * (state.a + state.z)
         obj = moment_objective(work, consensus, state.p, config.lam1, config.lam2)

@@ -30,7 +30,7 @@ from .sim import (ViewDistribution, build_line_grid, bump_distribution,
                   check_payload_size, generate_batch, load_batch,
                   random_phantom, read_header_file, save_batch,
                   two_bump_distribution, uniform_distribution)
-from .spectral import noise_covariance, transform_batch
+from .spectral import transform_batch
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -241,13 +241,6 @@ def _em_columns(history):
     return {"iter": range(len(history)), "log_likelihood": history}
 
 
-def _random_start(features, spec, n_theta, seed):
-    """One shared random starting point per trial; both solver families
-    consume it so method comparisons are apples to apples."""
-    state = init_admm_state(features, AdmmConfig(seed=seed), spec, n_theta)
-    return state
-
-
 def _init_hash(state):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(state.a).tobytes())
@@ -255,10 +248,13 @@ def _init_hash(state):
     return h.hexdigest()
 
 
-def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
-                seed, out_dir=None, tag=""):
+def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
+                out_dir=None, tag=""):
+    """Run one method from the seed's random start; every method of a cell
+    starts from the same point, so method comparisons are like for like.
+    The EM methods read the node records, formed here from batch and quad."""
     sol = cfg["solver"]
-    state = _random_start(features, spec, n_theta, seed)
+    state = init_admm_state(features, AdmmConfig(seed=seed), spec, n_theta)
     start_hash = _init_hash(state)
     histories = []
     t0 = time.perf_counter()
@@ -274,7 +270,7 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
                           pinv_cutoff=sol["pinv_cutoff"])
         init_a = FBCoeffs(values=state.a, spec=spec, real_symmetric=False)
         init_p = ViewDistribution(p=state.p, n_theta=n_theta)
-        res = run_em(spec_batch, init_a, init_p, noise, em_cfg)
+        res = run_em(transform_batch(batch, quad), init_a, init_p, em_cfg)
         a, p = res.a, res.p
         histories.append(("em", _em_columns(res.history)))
     elif method == "admm+em":
@@ -284,7 +280,7 @@ def _run_method(method, features, spec_batch, noise, spec, n_theta, cfg,
         res1 = run_admm(features, admm_cfg, spec, n_theta, state=state)
         em_cfg = EmConfig(max_iter=sol["hybrid_em_iters"],
                           pinv_cutoff=sol["pinv_cutoff"])
-        res2 = run_em(spec_batch, res1.a, res1.p, noise, em_cfg)
+        res2 = run_em(transform_batch(batch, quad), res1.a, res1.p, em_cfg)
         a, p = res2.a, res2.p
         histories.append(("admm", _admm_columns(res1.history)))
         histories.append(("em", _em_columns(res2.history)))
@@ -308,17 +304,15 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
     n_theta = batch.n_theta
     method = cfg["solver"]["method"]
 
-    spec_batch = transform_batch(batch, quad)
-    noise = noise_covariance(batch.sigma2, batch.grid, quad, batch.K)
-    features = empirical_moments(spec_batch, noise)
+    features = empirical_moments(batch, quad)
     if method in ("em", "admm+em") and batch.sigma2 <= 0:
         raise ConfigError("EM needs a noisy batch; sigma2 = 0 has no "
                           "likelihood model")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     a, p, runtime, start_hash = _run_method(
-        method, features, spec_batch, noise, spec, n_theta, cfg,
-        cfg["seed"], out_dir=out_dir)
+        method, features, batch, quad, spec, n_theta, cfg, cfg["seed"],
+        out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
     debiased = max(float(batch.samples.var()) - batch.sigma2,
@@ -403,15 +397,13 @@ def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
                            quad, seed=seed)
     achieved = snr_db(var, sigma2)
 
-    spec_batch = transform_batch(batch, quad)
-    noise = noise_covariance(sigma2, grid, quad, acq["K"])
-    features = empirical_moments(spec_batch, noise)
+    features = empirical_moments(batch, quad)
 
     n_theta = p.n_theta
     reports, hashes = [], {}
     for method in cfg["experiment"]["methods"]:
         a, pd, runtime, start_hash = _run_method(
-            method, features, spec_batch, noise, spec, n_theta, cfg, seed)
+            method, features, batch, quad, spec, n_theta, cfg, seed)
         hashes[method] = start_hash
         re, gamma = relative_error(truth, a, 10 * n_theta)
         tv, shift = total_variation_dist(p, pd)

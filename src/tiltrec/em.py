@@ -19,7 +19,7 @@ from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError
 from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
-from .spectral import _REDUCE_BLOCK, SpectralBatch
+from .spectral import _REDUCE_BLOCK, SpectralBatch, noise_covariance
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,18 @@ class EmWorkspace:
     and the norms ||U_w[i]||^2.
     """
 
-    def __init__(self, spec_batch, spec, n_theta, noise, pinv_cutoff=1e-10):
+    def __init__(self, spec_batch, spec, n_theta, pinv_cutoff=1e-10):
         if not isinstance(spec_batch, SpectralBatch):
             raise ConfigError("expected a SpectralBatch")
-        if noise.sigma2 <= 0:
+        if spec_batch.sigma2 <= 0:
             raise ConfigError("EM needs a nonzero noise model; sigma2 = 0 "
                               "gives a degenerate likelihood")
         self.spec = spec
         self.pinv_cutoff = pinv_cutoff
         n_tilt, n_xi = 2 * spec_batch.K + 1, spec_batch.quad.n_xi
 
-        lam, U = np.linalg.eigh(noise.block)
+        lam, U = np.linalg.eigh(noise_covariance(
+            spec_batch.sigma2, spec_batch.grid, spec_batch.quad))
         keep = lam > pinv_cutoff * lam.max()
         if not np.any(keep):
             raise ConfigError("noise block has no informative eigenspace")
@@ -181,7 +182,7 @@ class EmResult:
     converged: bool
 
 
-def run_em(spec_batch, init_a, init_p, noise, config=None):
+def run_em(spec_batch, init_a, init_p, config=None):
     """Alternate E and M steps from the supplied starting point.
 
     The history records the log marginal likelihood of the current
@@ -189,7 +190,7 @@ def run_em(spec_batch, init_a, init_p, noise, config=None):
     non-decreasing up to roundoff or the model code is wrong.
     """
     config = config or EmConfig()
-    work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta, noise,
+    work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta,
                        pinv_cutoff=config.pinv_cutoff)
     a_cur, p_cur = init_a, init_p
     history = []

@@ -9,9 +9,11 @@ H = E diag(p) E^H give
     mu = Psi (a o g),        C = Psi ((a a^H) o H) Psi^H,
 
 where o is the entrywise product and Psi the stacked tilt matrix.  The same
-quantities are estimated from data by the debiased empirical moments; the
-diagonal weight sqrt(w_j xi_j), tiled across tilts, turns plain vector/
-Frobenius norms of residuals into the disc-measure norms used by the solver.
+quantities are estimated from the real line samples: white detector noise
+is debiased by subtracting sigma2 from the diagonal of their second moment,
+and the linear node DFT maps the sums once.  The diagonal weight
+sqrt(w_j xi_j), tiled across tilts, turns plain vector/Frobenius norms of
+residuals into the disc-measure norms used by the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .basis import BasisSpec, FBCoeffs, QuadratureGrid
 from .errors import ConfigError
-from .spectral import NoiseModel, SpectralBatch, blockwise_mean_outer
+from .sim import TiltSeriesBatch
+from .spectral import blockwise_mean_outer, dft_matrix
 
 
 def angle_phase_matrix(spec: BasisSpec, n_theta: int) -> np.ndarray:
@@ -108,26 +111,33 @@ def population_features(
     )
 
 
-def empirical_moments(spec_batch: SpectralBatch, noise: NoiseModel) -> MomentFeatures:
-    """Debiased empirical moments: mean row, and mean outer product minus the
-    noise covariance, Hermitian-symmetrized.  The noise block is subtracted
-    from each tilt's diagonal block in place; the dense covariance is never
-    formed."""
-    if spec_batch.N < 1:
+def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid) -> MomentFeatures:
+    """Debiased empirical moments of the node records, formed on the lines.
+
+    With F_b the node DFT F applied to each tilt's line,
+    mu = F_b mean(y) and C = F_b (mean(y y^T) - sigma2 I) F_b^H.  F_b is never
+    formed: each (s, t) block of the line-domain moment S maps as
+    F S_st F^H, one tilt row of blocks at a time.  C is Hermitian-symmetrized.
+    """
+    N, n_tilt, L = batch.samples.shape
+    if N < 1:
         raise ConfigError("empty batch: need N >= 1 records")
-    n = spec_batch.quad.n_xi
-    if noise.n_xi != n:
-        raise ConfigError(f"noise block has {noise.n_xi} nodes, batch has {n}")
-    mu, C = blockwise_mean_outer(spec_batch.yhat)
-    for t in range(2 * spec_batch.K + 1):
-        C[t * n : (t + 1) * n, t * n : (t + 1) * n] -= noise.block
+    mean, S = blockwise_mean_outer(batch.samples.reshape(N, n_tilt * L))
+    S[np.diag_indices_from(S)] -= batch.sigma2
+    F = dft_matrix(batch.grid, quad)
+    n = quad.n_xi
+    C = np.empty((n_tilt * n, n_tilt * n), dtype=complex)
+    for s in range(n_tilt):
+        rows = F @ S[s * L:(s + 1) * L]                 # (n, n_tilt * L)
+        C[s * n:(s + 1) * n] = (rows.reshape(n, n_tilt, L)
+                                @ F.conj().T).reshape(n, -1)
     C = 0.5 * (C + C.conj().T)
     return MomentFeatures(
-        mu=mu,
+        mu=(mean.reshape(n_tilt, L) @ F.T).ravel(),
         C=C,
-        N=spec_batch.N,
-        d_w=weight_diagonal(spec_batch.quad, spec_batch.K),
-        quad=spec_batch.quad,
-        K=spec_batch.K,
-        alpha=spec_batch.alpha,
+        N=N,
+        d_w=weight_diagonal(quad, batch.K),
+        quad=quad,
+        K=batch.K,
+        alpha=batch.alpha,
     )

@@ -349,6 +349,10 @@ def load_batch(path: str) -> TiltSeriesBatch:
                           f"hidden angles")
     samples = data[:n_main].reshape(N, 2 * K + 1, L).copy()
     hidden = data[n_main:].astype(int) if header["hidden_angles"] else None
+    if hidden is not None and not np.isin(data[n_main:],
+                                          np.arange(header["n_theta"])).all():
+        raise ConfigError(f"{path}: payload holds hidden angles that are not "
+                          f"integers in [0, n_theta)")
     return TiltSeriesBatch(
         samples=samples,
         K=K,

@@ -1,11 +1,11 @@
-"""Spectral transform of tilt series and the exact noise covariance.
+"""Spectral transform of tilt series and the noise covariance it induces.
 
 Projection lines are mapped to Fourier values at the radial quadrature nodes
 by a direct type-II DFT with the Riemann factor dx, so node values
 approximate the continuous transform integral and are directly comparable to
-tilt-matrix slices.  The induced noise covariance of a transformed pure-noise
-line is known in closed form and is block diagonal over tilts; it feeds both
-moment debiasing and EM whitening.
+tilt-matrix slices.  The detector noise is white, sigma2 on each real
+sample: moment debiasing subtracts it from the diagonal of the line-sample
+second moment, and only EM's whitening needs its node-domain block.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ class SpectralBatch:
     """Transformed records: row i concatenates the per-tilt node vectors.
 
     yhat has shape (N, (2K+1)*n_xi); tilt blocks are ordered by kappa
-    ascending, matching the tilt-matrix row blocks.
+    ascending, matching the tilt-matrix row blocks.  sigma2 is the noise
+    variance of each real detector sample behind the records.
     """
 
     yhat: np.ndarray
@@ -44,6 +45,7 @@ class SpectralBatch:
     grid: LineGrid
     K: int
     alpha: float
+    sigma2: float
 
     def __post_init__(self):
         width = (2 * self.K + 1) * self.quad.n_xi
@@ -62,30 +64,19 @@ def transform_batch(batch: TiltSeriesBatch, quad: QuadratureGrid) -> SpectralBat
     """Node DFT of every (record, tilt) line, concatenated per record."""
     F = dft_matrix(batch.grid, quad)
     N, n_tilt, L = batch.samples.shape
-    # (N, n_tilt, L) @ (L, n_xi) -> (N, n_tilt, n_xi), then flatten tilts
-    yhat = (batch.samples @ F.T).reshape(N, n_tilt * quad.n_xi)
-    return SpectralBatch(
-        yhat=yhat, quad=quad, grid=batch.grid, K=batch.K, alpha=batch.alpha
-    )
+    # (N, n_tilt, L) @ (L, n_xi) -> (N, n_tilt, n_xi) as two real products,
+    # so the samples are never cast to complex; then flatten tilts
+    yhat = np.empty((N, n_tilt, quad.n_xi), dtype=complex)
+    yhat.real[...] = batch.samples @ F.real.T
+    yhat.imag[...] = batch.samples @ F.imag.T
+    return SpectralBatch(yhat=yhat.reshape(N, n_tilt * quad.n_xi), quad=quad,
+                         grid=batch.grid, K=batch.K, alpha=batch.alpha,
+                         sigma2=batch.sigma2)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-tilt noise covariance block; the full covariance is this block
-    repeated 2K+1 times on the diagonal (noise independent across tilts)."""
-
-    sigma2: float
-    block: np.ndarray
-
-    @property
-    def n_xi(self) -> int:
-        return self.block.shape[0]
-
-
-def noise_covariance(
-    sigma2: float, grid: LineGrid, quad: QuadratureGrid, K: int
-) -> NoiseModel:
-    """block[j1, j2] = sigma2 * dx^2 * sum_l exp(-2i*pi*(xi_j1 - xi_j2)*x_l).
+def noise_covariance(sigma2: float, grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
+    """Per-tilt node noise block
+    block[j1, j2] = sigma2 * dx^2 * sum_l exp(-2i*pi*(xi_j1 - xi_j2)*x_l).
 
     Equals sigma2 * F F^H for the node-DFT matrix F, hence Hermitian positive
     semidefinite by construction; symmetrized to kill rounding skew.
@@ -94,21 +85,19 @@ def noise_covariance(
         raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
     F = dft_matrix(grid, quad)
     block = sigma2 * (F @ F.conj().T)
-    block = 0.5 * (block + block.conj().T)
-    return NoiseModel(sigma2=float(sigma2), block=block)
+    return 0.5 * (block + block.conj().T)
 
 
-def blockwise_mean_outer(yhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean row and mean outer product, accumulated in fixed record blocks.
+def blockwise_mean_outer(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean row and mean outer product of real records (N >= 1).
 
-    Per-block partial sums are combined in index order, so the result does
-    not depend on any worker partitioning of the records.
+    Both sums run over fixed record blocks in index order, so the result does
+    not depend on any worker partitioning of the records.  The outer-product
+    sum lives in the first block's product and is scaled in place.
     """
-    N, width = yhat.shape
-    sum_mu = np.zeros(width, dtype=complex)
-    sum_outer = np.zeros((width, width), dtype=complex)
-    for start in range(0, N, _REDUCE_BLOCK):
-        chunk = yhat[start : start + _REDUCE_BLOCK]
-        sum_mu += chunk.sum(axis=0)
-        sum_outer += chunk.T @ chunk.conj()
-    return sum_mu / N, sum_outer / N
+    blocks = [y[i : i + _REDUCE_BLOCK] for i in range(0, len(y), _REDUCE_BLOCK)]
+    sum_outer = blocks[0].T @ blocks[0]
+    for chunk in blocks[1:]:
+        sum_outer += chunk.T @ chunk
+    sum_outer /= len(y)
+    return sum(chunk.sum(axis=0) for chunk in blocks) / len(y), sum_outer

@@ -8,6 +8,10 @@ second-moment operator, the second term tr(M^H G M G) - 2 Re<T_C, M> +
 ||C_w||^2, and a whole ADMM iteration, against which the package's
 angle-Gram factorization is checked.
 
+The moments of node records are accumulated in the node domain, debiased
+by the dense per-tilt noise block sigma2 F F^H, against which the package's
+line-domain moments are checked.
+
 The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
 workspace, the whitened record array, the dense block-diagonal noise
@@ -138,20 +142,30 @@ def dense_admm_iteration(state, config):
     return lag, objective(consensus, consensus)
 
 
-def _em_logits(spec_batch, a, p, noise):
-    work = EmWorkspace(spec_batch, a.spec, p.n_theta, noise)
+def node_moments(yhat, sigma2, F):
+    """(mu, C) of node records yhat (N, (2K+1) * n_xi): the mean row, and
+    the mean outer product minus sigma2 F F^H on every tilt's diagonal
+    block, Hermitian-symmetrized."""
+    n_tilt = yhat.shape[1] // F.shape[0]
+    C = (yhat.T @ yhat.conj()) / yhat.shape[0]
+    C -= full_noise_covariance(sigma2 * (F @ F.conj().T), (n_tilt - 1) // 2)
+    return yhat.mean(axis=0), 0.5 * (C + C.conj().T)
+
+
+def _em_logits(spec_batch, a, p):
+    work = EmWorkspace(spec_batch, a.spec, p.n_theta)
     return np.log(p.p)[None, :] - work.half_distances(a.values)
 
 
-def log_marginal_likelihood(spec_batch, a, p, noise):
+def log_marginal_likelihood(spec_batch, a, p):
     """Total log marginal likelihood of the batch given (a, p), without the
     mixture-independent normalization."""
-    return float(logsumexp(_em_logits(spec_batch, a, p, noise), axis=1).sum())
+    return float(logsumexp(_em_logits(spec_batch, a, p), axis=1).sum())
 
 
-def e_step(spec_batch, a, p, noise):
+def e_step(spec_batch, a, p):
     """Posterior responsibilities over the candidate angles."""
-    logits = _em_logits(spec_batch, a, p, noise)
+    logits = _em_logits(spec_batch, a, p)
     return Responsibilities(
         pi=np.exp(logits - logsumexp(logits, axis=1)[:, None]))
 
@@ -165,9 +179,10 @@ def whitened_records(work, spec_batch):
         spec_batch.N, n_tilt * work.rank)
 
 
-def full_noise_covariance(noise, K):
-    """Dense block-diagonal covariance: noise.block repeated on 2K+1 tilts."""
-    return linalg.block_diag(*[noise.block] * (2 * K + 1))
+def full_noise_covariance(block, K):
+    """Dense block-diagonal covariance: the per-tilt block repeated on 2K+1
+    tilts."""
+    return linalg.block_diag(*[block] * (2 * K + 1))
 
 
 def dft_at_nodes(line, grid, quad):

@@ -161,11 +161,11 @@ def test_3_debiasing_statistics():
     grid = build_line_grid(16)
     zero = random_phantom(spec, 1.0, seed=11)
     zero.values[:] = 0.0
-    noise = noise_covariance(1.0, grid, quad, K)
+    noise = noise_covariance(1.0, grid, quad)
     batch = generate_batch(zero, p, 100_000, K, alpha, 1.0, grid, quad,
                            seed=5)
     sb = transform_batch(batch, quad)
-    feats = empirical_moments(sb, noise)
+    feats = empirical_moments(batch, quad)
     c_norm = np.linalg.norm(feats.weighted()[1])
     _, c_se = _blockwise_se(sb.yhat, feats.d_w,
                             full_noise_covariance(noise, K))
@@ -176,10 +176,10 @@ def test_3_debiasing_statistics():
     clean = generate_batch(truth, p, 20_000, K, alpha, 0.0, grid, quad,
                            seed=6)
     s2 = variance_for_snr(float(clean.samples.var()), 0.0)
-    noise = noise_covariance(s2, grid, quad, K)
+    noise = noise_covariance(s2, grid, quad)
     batch = generate_batch(truth, p, 20_000, K, alpha, s2, grid, quad, seed=6)
     sb = transform_batch(batch, quad)
-    feats = empirical_moments(sb, noise)
+    feats = empirical_moments(batch, quad)
     mu_w, c_w = feats.weighted()
 
     d = feats.d_w
@@ -226,12 +226,11 @@ def test_4_em_likelihood_ascent():
         s2 = variance_for_snr(float(clean.samples.var()), 0.0)
         batch = generate_batch(truth, p, 500, 6, alpha, s2, grid, quad,
                                seed=seed)
-        sb = transform_batch(batch, quad)
-        noise = noise_covariance(s2, grid, quad, 6)
-        feats = empirical_moments(sb, noise)
+        feats = empirical_moments(batch, quad)
         st = init_admm_state(feats, AdmmConfig(seed=seed), spec, 16)
-        res = run_em(sb, FBCoeffs(st.a, spec, real_symmetric=False),
-                     ViewDistribution(st.p, 16), noise,
+        res = run_em(transform_batch(batch, quad),
+                     FBCoeffs(st.a, spec, real_symmetric=False),
+                     ViewDistribution(st.p, 16),
                      EmConfig(max_iter=50, tol_loglik=0.0))
         ll = np.asarray(res.history)
         worst = min(worst, (np.diff(ll) / np.abs(ll[:-1])).min())
@@ -320,16 +319,15 @@ def test_6_rotation_shift_equivariance():
     batch = generate_batch(truth4, p8, 20, 1, 3.8 * DEG, 0.3, grid10, quad12,
                            seed=3)
     sb = transform_batch(batch, quad12)
-    noise = noise_covariance(0.3, grid10, quad12, 1)
     a_try = truth4.values * 1.1 + 0.05
     base = log_marginal_likelihood(
-        sb, FBCoeffs(a_try, spec4, real_symmetric=False), p8, noise)
+        sb, FBCoeffs(a_try, spec4, real_symmetric=False), p8)
     worst_ll = 0.0
     for l0 in (1, 3, 5):
         phase = np.exp(-1j * spec4.k_arr * (2.0 * math.pi * l0 / 8))
         rot = log_marginal_likelihood(
             sb, FBCoeffs(a_try * phase, spec4, real_symmetric=False),
-            ViewDistribution(np.roll(p8.p, l0), 8), noise)
+            ViewDistribution(np.roll(p8.p, l0), 8))
         worst_ll = max(worst_ll, abs(rot - base) / abs(base))
 
     # metrics: exact grid-rotation inversion and joint-rotation invariance
@@ -395,7 +393,7 @@ def test_7_block_updates_zero_gradient():
 
         def lag(a, z, pv):
             probe = AdmmState(a=a, z=z, p=pv, s=st.s, iter=0, work=work)
-            return augmented_lagrangian(probe, feats, cfg)
+            return augmented_lagrangian(probe, cfg)
 
         def ratio(block, sol, pre, d, others):
             eps = 0.3 * max(np.linalg.norm(sol), 1.0)
@@ -411,7 +409,7 @@ def test_7_block_updates_zero_gradient():
         for block, update in (("a", update_a), ("z", update_z),
                               ("p", update_p)):
             pre = getattr(st, block).copy()
-            sol = update(st, feats, cfg)
+            sol = update(st, cfg)
             setattr(st, block, sol)
             others = {n: getattr(st, n) for n in ("a", "z", "p")
                       if n != block}

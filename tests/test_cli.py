@@ -122,12 +122,13 @@ _BAD_FIELDS = {
     "kind,defect",
     [(kind, defect) for kind in ("coeff", "batch")
      for defect in ("missing_key", "short", "long", "bad_type")]
-    + [("coeff", "nan"), ("batch", "nan")])
+    + [("coeff", "nan"), ("batch", "nan"), ("batch", "bad_angle")])
 def test_loaders_reject_bad_files(tmp_path, kind, defect):
     """A header without a required key or with a field of the wrong type or
-    range, a truncated payload, trailing bytes and a NaN coefficient,
-    probability, sample or hidden angle each raise ConfigError naming the
-    header key or the payload."""
+    range, a truncated payload, trailing bytes, a NaN coefficient,
+    probability, sample or hidden angle and a hidden angle that is not an
+    angle index each raise ConfigError naming the header key or the
+    payload."""
     path = tmp_path / "good.dat"
     if kind == "coeff":
         spec = build_basis_spec(0.3, 4.0)
@@ -159,6 +160,15 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
             garbled[offset:offset + 8] = np.float64(np.nan).tobytes()
             bad.write_bytes(head + b"\n" + bytes(garbled))
             with pytest.raises(ConfigError, match="payload"):
+                load(bad)
+        return
+    if defect == "bad_angle":
+        for value in (99.7, -3.0, 6.0, 0.5):
+            garbled = bytearray(payload)
+            garbled[8 * 37:8 * 38] = np.float64(value).tobytes()
+            bad.write_bytes(head + b"\n" + bytes(garbled))
+            with pytest.raises(ConfigError, match="payload holds hidden "
+                               "angles that are not integers"):
                 load(bad)
         return
     if defect == "missing_key":

@@ -7,6 +7,8 @@ a finite-window discrepancy that the likelihood legitimately fits, which
 would make a recovery assertion measure the window, not the solver.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -45,8 +47,8 @@ def model_batch(truth, p, N, K, alpha, sigma2, grid, quad, seed):
         clean = (psi @ (truth.values[:, None] * E[:, [l]])).ravel()
         noise_rs = sig * rng.standard_normal((n_tilt, grid.L))
         yhat[i] = clean + (noise_rs @ F.T).ravel()
-    return SpectralBatch(yhat=yhat, quad=quad, grid=grid, K=K,
-                         alpha=alpha), labels
+    return SpectralBatch(yhat=yhat, quad=quad, grid=grid, K=K, alpha=alpha,
+                         sigma2=sigma2), labels
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +61,9 @@ def tiny_em():
     grid = build_line_grid(10)
     batch = generate_batch(truth, p, 20, 1, 3.8 * DEG, 0.3, grid, quad, seed=9)
     sb = transform_batch(batch, quad)
-    noise = noise_covariance(0.3, grid, quad, 1)
     return {"spec": spec, "quad": quad, "a": truth, "p": p, "grid": grid,
-            "batch": batch, "sb": sb, "noise": noise}
+            "batch": batch, "sb": sb,
+            "block": noise_covariance(0.3, grid, quad)}
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +74,8 @@ def em_problem(small_spec, small_phantom, bump12):
     K, alpha, sigma2 = 2, 3.8 * DEG, 0.05
     sb, labels = model_batch(small_phantom, bump12, 300, K, alpha, sigma2,
                              grid, quad, seed=7)
-    noise = noise_covariance(sigma2, grid, quad, K)
     return {"spec": small_spec, "a": small_phantom, "p": bump12, "sb": sb,
-            "labels": labels, "noise": noise}
+            "labels": labels}
 
 
 def test_config_validation():
@@ -98,16 +99,16 @@ def test_responsibilities_validation():
 
 
 def test_workspace_validation(tiny_em):
-    clean = noise_covariance(0.0, tiny_em["grid"], tiny_em["quad"], 1)
+    clean = replace(tiny_em["sb"], sigma2=0.0)
     with pytest.raises(ConfigError):
-        EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, clean)
+        EmWorkspace(clean, tiny_em["spec"], 8)
     with pytest.raises(ConfigError):
-        EmWorkspace(tiny_em["batch"], tiny_em["spec"], 8, tiny_em["noise"])
+        EmWorkspace(tiny_em["batch"], tiny_em["spec"], 8)
 
 
 def test_whitening_identity(tiny_em):
-    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
-    eye = work.whiten @ tiny_em["noise"].block @ work.whiten.conj().T
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
+    eye = work.whiten @ tiny_em["block"] @ work.whiten.conj().T
     assert np.linalg.norm(eye - np.eye(work.rank)) < 1e-6
     assert work.rank <= min(tiny_em["grid"].L, tiny_em["quad"].n_xi)
     assert work.B.shape == (3 * work.rank, tiny_em["spec"].n_a)
@@ -119,8 +120,7 @@ def test_e_step_rows_and_one_hot(small_spec, small_phantom, bump12):
     batch = generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG, 1e-6,
                            grid, quad, seed=3)
     sb = transform_batch(batch, quad)
-    noise = noise_covariance(1e-6, grid, quad, 2)
-    resp = e_step(sb, small_phantom, bump12, noise)
+    resp = e_step(sb, small_phantom, bump12)
     assert np.allclose(resp.pi.sum(axis=1), 1.0, atol=1e-12)
     # at vanishing noise the posterior concentrates on the hidden label
     assert np.array_equal(np.argmax(resp.pi, axis=1), batch.hidden_angles)
@@ -130,7 +130,7 @@ def test_e_step_rows_and_one_hot(small_spec, small_phantom, bump12):
 def test_workspace_keeps_only_n_a_sized_record_statistics(tiny_em):
     """No array attribute is as long as the batch and wider than the basis;
     the whitened record array is not kept."""
-    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
     N, n_a = tiny_em["sb"].N, tiny_em["spec"].n_a
     assert not hasattr(work, "U_w")
     assert work.Y.shape == (N, n_a) and work.data_norm2.shape == (N,)
@@ -144,7 +144,7 @@ def test_record_statistics_match_whitened_records(tiny_em, monkeypatch):
     U_w conj(B) and the row norms of the whole whitened record array, up to
     the rounding of two whitening routes (about 5e-13 on U_w here)."""
     monkeypatch.setattr("tiltrec.em._REDUCE_BLOCK", 7)
-    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
     U_w = whitened_records(work, tiny_em["sb"])
     Y = U_w @ work.B.conj()
     norms = np.linalg.norm(U_w, axis=1) ** 2
@@ -155,7 +155,7 @@ def test_record_statistics_match_whitened_records(tiny_em, monkeypatch):
 def test_m_step_matches_stacked_least_squares(tiny_em):
     """Independent route: weight every (record, angle) copy by sqrt(pi) and
     solve one dense least squares over all of them."""
-    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
     rng = np.random.default_rng(2)
     raw = rng.random((20, 8))
     pi = raw / raw.sum(axis=1)[:, None]
@@ -176,7 +176,7 @@ def test_m_step_matches_stacked_least_squares(tiny_em):
 def test_normal_matrix_matches_per_angle_sum(tiny_em):
     """The Schur-product normal matrix equals the explicit sum of steered
     Grams sum_l m_l diag(conj e_l) G_B diag(e_l)."""
-    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8, tiny_em["noise"])
+    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
     mass = np.random.default_rng(5).random(8) * 20
     want = sum(mass[l] * (work.E[:, l].conj()[:, None] * work.G_B
                           * work.E[:, l][None, :]) for l in range(8))
@@ -187,14 +187,13 @@ def test_normal_matrix_matches_per_angle_sum(tiny_em):
 def test_log_likelihood_dense_oracle(tiny_em):
     """Whitened-residual likelihood recomputed per record with explicit
     loops, straight from the definitions."""
-    spec, quad, noise = tiny_em["spec"], tiny_em["quad"], tiny_em["noise"]
-    sb, p = tiny_em["sb"], tiny_em["p"]
+    spec, quad, sb, p = (tiny_em[k] for k in ("spec", "quad", "sb", "p"))
     a_try = tiny_em["a"].values * 1.1 + 0.05
     ll_pkg = log_marginal_likelihood(
-        sb, FBCoeffs(a_try, spec, real_symmetric=False), p, noise)
+        sb, FBCoeffs(a_try, spec, real_symmetric=False), p)
 
     psi = eval_tilt_matrix(spec, quad, 1, 3.8 * DEG)
-    lam, U = np.linalg.eigh(noise.block)
+    lam, U = np.linalg.eigh(tiny_em["block"])
     keep = lam > 1e-10 * lam.max()
     W = (U[:, keep] / np.sqrt(lam[keep])).conj().T
     n_xi = quad.n_xi
@@ -211,15 +210,15 @@ def test_log_likelihood_dense_oracle(tiny_em):
 
 
 def test_likelihood_grid_rotation_invariance(tiny_em):
-    spec, noise, sb, p = (tiny_em[k] for k in ("spec", "noise", "sb", "p"))
+    spec, sb, p = (tiny_em[k] for k in ("spec", "sb", "p"))
     a_try = tiny_em["a"].values * 1.1 + 0.05
     base = log_marginal_likelihood(
-        sb, FBCoeffs(a_try, spec, real_symmetric=False), p, noise)
+        sb, FBCoeffs(a_try, spec, real_symmetric=False), p)
     for l0 in (1, 3, 5):
         phase = np.exp(-1j * spec.k_arr * (2.0 * np.pi * l0 / 8))
         rot = log_marginal_likelihood(
             sb, FBCoeffs(a_try * phase, spec, real_symmetric=False),
-            ViewDistribution(np.roll(p.p, l0), 8), noise)
+            ViewDistribution(np.roll(p.p, l0), 8))
         assert abs(rot - base) <= 1e-9 * abs(base)
 
 
@@ -228,8 +227,7 @@ def test_run_em_monotone_and_recovers(em_problem):
     rng = np.random.default_rng(2)
     a0 = FBCoeffs(truth.values * (1 + 0.2 * rng.standard_normal(spec.n_a)),
                   spec, real_symmetric=False)
-    res = run_em(em_problem["sb"], a0, p, em_problem["noise"],
-                 EmConfig(max_iter=60))
+    res = run_em(em_problem["sb"], a0, p, EmConfig(max_iter=60))
     h = res.history
     assert len(h) == res.n_iter + 1
     assert np.all(np.diff(h) >= -1e-8 * np.maximum(1.0, np.abs(h[:-1])))
@@ -238,7 +236,7 @@ def test_run_em_monotone_and_recovers(em_problem):
     # the refinement should land on the known-label oracle fit
     pi = np.zeros((em_problem["sb"].N, 12))
     pi[np.arange(em_problem["sb"].N), em_problem["labels"]] = 1.0
-    work = EmWorkspace(em_problem["sb"], spec, 12, em_problem["noise"])
+    work = EmWorkspace(em_problem["sb"], spec, 12)
     a_or, _ = m_step(work, Responsibilities(pi=pi))
     re_end, _ = relative_error(truth, res.a, 120)
     re_oracle, _ = relative_error(truth, a_or, 120)
@@ -249,16 +247,14 @@ def test_run_em_monotone_and_recovers(em_problem):
 def test_non_finite_data_raises(tiny_em):
     bad = tiny_em["sb"].yhat.copy()
     bad[0, 0] = np.inf
-    sb_bad = SpectralBatch(yhat=bad, quad=tiny_em["quad"],
-                           grid=tiny_em["grid"], K=1, alpha=3.8 * DEG)
+    sb_bad = replace(tiny_em["sb"], yhat=bad)
     with pytest.raises(SolverError), np.errstate(invalid="ignore"):
-        run_em(sb_bad, tiny_em["a"], tiny_em["p"], tiny_em["noise"],
-               EmConfig(max_iter=5))
+        run_em(sb_bad, tiny_em["a"], tiny_em["p"], EmConfig(max_iter=5))
 
 
 def test_history_csv(em_problem, tmp_path):
     res = run_em(em_problem["sb"], em_problem["a"], em_problem["p"],
-                 em_problem["noise"], EmConfig(max_iter=4))
+                 EmConfig(max_iter=4))
     path = tmp_path / "em.csv"
     history_to_csv(_em_columns(res.history), str(path))
     lines = path.read_text().splitlines()

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-top-level definition of the package has a caller outside the tests.
+"""Every name a package module imports is used in that module, every
+top-level definition of the package has a caller outside the tests, and
+every parameter of a package function is read by its body.
 
 `__init__.py` is skipped because its imports are the public API, and
 `from __future__` imports are compiler directives, not names.
@@ -81,3 +82,29 @@ def test_every_definition_has_a_caller_outside_tests():
                             if (other, owner) != (path, name))]
     assert not uncalled, f"defined in src/tiltrec, called only from tests: " \
                          f"{uncalled}"
+
+
+def _unread_parameters(tree):
+    """(function name, parameter) for every parameter, other than self/cls,
+    that its function body never loads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        loaded = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                  if isinstance(sub, ast.Name)
+                  and isinstance(sub.ctx, ast.Load)}
+        for arg in params:
+            if arg.arg not in ("self", "cls") and arg.arg not in loaded:
+                yield node.name, arg.arg
+
+
+def test_every_parameter_is_read():
+    """A parameter that no caller's value can affect is dead API."""
+    unread = [f"{path.name}:{name}({param})"
+              for path in sorted(SRC.glob("*.py"))
+              for name, param in _unread_parameters(
+                  ast.parse(path.read_text(), filename=str(path)))]
+    assert not unread, f"parameters never read: {unread}"

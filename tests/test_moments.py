@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from tiltrec.basis import FBCoeffs, eval_tilt_matrix
+from tiltrec.basis import FBCoeffs, build_quadrature
 from tiltrec.errors import ConfigError
 from tiltrec.moments import (angle_coupling, angle_phase_matrix,
                              empirical_moments, population_features,
                              weight_diagonal)
-from tiltrec.sim import ViewDistribution, bump_distribution
-from tiltrec.spectral import SpectralBatch, noise_covariance
+from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
+                         generate_batch, uniform_distribution)
+from tiltrec.spectral import dft_matrix, noise_covariance, transform_batch
 
 from oracles import (brute_force_moments, dense_residuals,
-                     full_noise_covariance)
+                     full_noise_covariance, node_moments)
+
+DEG = np.pi / 180.0
 
 
 def random_pair(spec, n_theta, rng):
@@ -102,9 +105,10 @@ def test_rotation_equivariance(small_problem):
 
 
 def test_empirical_equals_population_on_model_rows(small_problem, quad32):
-    """Rows built exactly from the slice model with a known label sequence
-    must reproduce the analytic features of the empirical label frequencies,
-    with zero noise model. Pure algebra: tolerance 1e-12."""
+    """Node rows built exactly from the slice model with a known label
+    sequence must reproduce, through the node-domain moments with zero
+    noise, the analytic features of the empirical label frequencies.  Pure
+    algebra: tolerance 1e-12."""
     spec, psi = small_problem["spec"], small_problem["psi"]
     a = small_problem["a"]
     K, alpha = small_problem["K"], small_problem["alpha"]
@@ -114,40 +118,51 @@ def test_empirical_equals_population_on_model_rows(small_problem, quad32):
     for l in labels:
         phase = np.exp(1j * spec.k_arr * (2.0 * np.pi * l / n_theta))
         rows.append(psi @ (a.values * phase))
-    from tiltrec.sim import build_line_grid
-    grid = build_line_grid(16)
-    sb = SpectralBatch(yhat=np.array(rows), quad=quad32, grid=grid, K=K,
-                       alpha=alpha)
-    noise = noise_covariance(0.0, grid, quad32, K)
-    emp = empirical_moments(sb, noise)
+    F = dft_matrix(build_line_grid(16), quad32)
+    emp_mu, emp_C = node_moments(np.array(rows), 0.0, F)
 
     freq = np.bincount(labels, minlength=n_theta) / labels.size
     p_emp = ViewDistribution(freq, n_theta)
     pop = population_features(a, p_emp, psi, quad32, K, alpha)
-    assert np.linalg.norm(emp.mu - pop.mu) < 1e-12 * np.linalg.norm(pop.mu)
-    assert np.linalg.norm(emp.C - pop.C) < 1e-12 * np.linalg.norm(pop.C)
+    assert np.linalg.norm(emp_mu - pop.mu) < 1e-12 * np.linalg.norm(pop.mu)
+    assert np.linalg.norm(emp_C - pop.C) < 1e-12 * np.linalg.norm(pop.C)
+
+
+def _assert_matches_node_moments(feats, batch, quad):
+    """Line-domain moments equal the node-domain accumulation of the
+    transformed records to 1e-13 relative."""
+    mu, C = node_moments(transform_batch(batch, quad).yhat, batch.sigma2,
+                         dft_matrix(batch.grid, quad))
+    assert np.linalg.norm(feats.mu - mu) <= 1e-13 * np.linalg.norm(mu)
+    assert np.linalg.norm(feats.C - C) <= 1e-13 * np.linalg.norm(C)
+
+
+@pytest.mark.parametrize("L,n_xi", [(16, 32), (40, 12)])
+def test_line_moments_match_node_moments(small_phantom, bump12, L, n_xi):
+    """The node DFT is linear, so summing the real lines and mapping once
+    gives the node-domain moments, with L below and above 2 n_xi."""
+    quad = build_quadrature(0.3, n_xi)
+    batch = generate_batch(small_phantom, bump12, 1500, 2, 3.8 * DEG, 0.5,
+                           build_line_grid(L), quad, seed=3)
+    feats = empirical_moments(batch, quad)
+    assert feats.N == 1500 and feats.K == 2
+    _assert_matches_node_moments(feats, batch, quad)
 
 
 def test_debias_pure_noise(small_spec, quad32):
-    from tiltrec.sim import (build_line_grid, generate_batch,
-                             uniform_distribution)
-    from tiltrec.spectral import blockwise_mean_outer, transform_batch
-
     grid = build_line_grid(16)
     zero = FBCoeffs(np.zeros(small_spec.n_a, dtype=complex), small_spec)
     batch = generate_batch(zero, uniform_distribution(6), 20000, 1, 0.05,
                            2.0, grid, quad32, seed=4)
-    sb = transform_batch(batch, quad32)
-    noise = noise_covariance(2.0, grid, quad32, 1)
-    feats = empirical_moments(sb, noise)
-    # the per-block subtraction matches the dense covariance to the bit
-    dense = blockwise_mean_outer(sb.yhat)[1] - full_noise_covariance(noise, 1)
-    assert np.array_equal(feats.C, 0.5 * (dense + dense.conj().T))
+    feats = empirical_moments(batch, quad32)
+    _assert_matches_node_moments(feats, batch, quad32)
     # aggregate SE bound for the debiased second moment around zero
+    sb = transform_batch(batch, quad32)
+    noise_full = full_noise_covariance(noise_covariance(2.0, grid, quad32), 1)
     absY2 = np.abs(sb.yhat) ** 2
     second = (absY2.T @ absY2) / 20000
     var_entries = np.maximum(
-        second - np.abs(full_noise_covariance(noise, 1)) ** 2, 0.0) / 20000
+        second - np.abs(noise_full) ** 2, 0.0) / 20000
     assert np.linalg.norm(feats.C) <= 3.0 * np.sqrt(var_entries.sum())
     # Hermitian after symmetrization: exact
     assert np.array_equal(feats.C, feats.C.conj().T)
@@ -164,20 +179,9 @@ def test_residuals_vanish_at_truth(small_problem):
     assert obj < 1e-20 * max(1.0, scale ** 2)
 
 
-def test_empty_batch_rejected(small_problem, quad32):
-    from tiltrec.sim import build_line_grid
-    grid = build_line_grid(16)
-    sb = SpectralBatch(yhat=np.zeros((0, 5 * 32), dtype=complex), quad=quad32,
-                       grid=grid, K=2, alpha=0.05)
-    noise = noise_covariance(1.0, grid, quad32, 2)
+def test_empty_batch_rejected(quad32):
+    empty = TiltSeriesBatch(samples=np.zeros((0, 5, 16)), K=2, alpha=0.05,
+                            sigma2=1.0, grid=build_line_grid(16), seed=0,
+                            n_theta=12)
     with pytest.raises(ConfigError):
-        empirical_moments(sb, noise)
-
-
-def test_noise_block_size_mismatch_rejected(quad32, quad64):
-    from tiltrec.sim import build_line_grid
-    grid = build_line_grid(16)
-    sb = SpectralBatch(yhat=np.ones((3, 3 * 64), dtype=complex), quad=quad64,
-                       grid=grid, K=1, alpha=0.05)
-    with pytest.raises(ConfigError, match="noise block"):
-        empirical_moments(sb, noise_covariance(1.0, grid, quad32, 1))
+        empirical_moments(empty, quad32)

@@ -35,6 +35,7 @@ def test_transform_batch_blocks(small_batch, quad32):
     batch, grid = small_batch
     sb = transform_batch(batch, quad32)
     assert sb.yhat.shape == (batch.N, (2 * batch.K + 1) * quad32.n_xi)
+    assert sb.sigma2 == batch.sigma2
     # per-tilt block kappa equals the node DFT of that line
     i, kappa = 3, 1
     block = sb.yhat[i, kappa * quad32.n_xi:(kappa + 1) * quad32.n_xi]
@@ -52,15 +53,14 @@ def test_transform_empty_batch(quad32):
 
 def test_noise_block_structure(quad32):
     grid = build_line_grid(16)
-    noise = noise_covariance(2.5, grid, quad32, K=2)
-    blk = noise.block
+    blk = noise_covariance(2.5, grid, quad32)
     assert np.max(np.abs(blk - blk.conj().T)) < 1e-14 * np.abs(blk).max()
     eig = np.linalg.eigvalsh(blk)
     assert eig.min() > -1e-12 * eig.max()
     # definition: sigma2 * F F^H
     F = dft_matrix(grid, quad32)
     assert np.allclose(blk, 2.5 * F @ F.conj().T, atol=1e-12)
-    full = full_noise_covariance(noise, 2)
+    full = full_noise_covariance(blk, 2)
     assert full.shape == (5 * quad32.n_xi, 5 * quad32.n_xi)
     # block diagonal: off blocks exactly zero
     n = quad32.n_xi
@@ -71,15 +71,15 @@ def test_noise_block_structure(quad32):
 def test_noise_covariance_validates(quad32):
     grid = build_line_grid(16)
     with pytest.raises(ConfigError):
-        noise_covariance(-1.0, grid, quad32, K=1)
+        noise_covariance(-1.0, grid, quad32)
 
 
 def test_blockwise_mean_outer_oracle():
     rng = np.random.default_rng(5)
-    Y = rng.standard_normal((37, 8)) + 1j * rng.standard_normal((37, 8))
+    Y = rng.standard_normal((37, 8))
     mu, C = blockwise_mean_outer(Y)
     assert np.allclose(mu, Y.mean(axis=0), atol=1e-14)
-    want = sum(np.outer(Y[i], Y[i].conj()) for i in range(37)) / 37
+    want = sum(np.outer(Y[i], Y[i]) for i in range(37)) / 37
     assert np.max(np.abs(C - want)) < 1e-13 * np.abs(want).max()
 
 
@@ -96,9 +96,8 @@ def test_noise_spectrum_matches_model(small_spec, quad32):
     batch = generate_batch(zero, p, 20000, 1, 0.05, sigma2, grid, quad32,
                            seed=13)
     sb = transform_batch(batch, quad32)
-    _, raw = blockwise_mean_outer(sb.yhat)
-    model = full_noise_covariance(noise_covariance(sigma2, grid, quad32, K=1),
-                                  1)
+    raw = (sb.yhat.T @ sb.yhat.conj()) / 20000
+    model = full_noise_covariance(noise_covariance(sigma2, grid, quad32), 1)
     # aggregate MC standard error of the Frobenius discrepancy
     absY2 = np.abs(sb.yhat) ** 2
     second = (absY2.T @ absY2) / 20000
