@@ -18,6 +18,10 @@ a[k,q] -> a[k,q] * exp(-i*k*gamma), which makes every basis-matrix column
 steerable: Psi_theta = Psi_0 @ diag(exp(i*k*theta)).  Only the phase
 depends on theta, so the radial factor is evaluated once per (spec,
 quadrature) pair and shared; both are treated as immutable values.
+
+Images are synthesized in closed form: each basis function's inverse
+Fourier transform is a Bessel quotient by Lommel's integral, so no
+quadrature is involved.
 """
 
 from __future__ import annotations
@@ -153,11 +157,6 @@ def build_quadrature(c: float, n_xi: int) -> QuadratureGrid:
     return QuadratureGrid(nodes=nodes, weights=weights, n_xi=n_xi, c=float(c))
 
 
-def default_n_xi(grid_size: int) -> int:
-    """Node-count default tied to resolution: 2x the pixel count, floor 40."""
-    return max(2 * int(grid_size), 40)
-
-
 @dataclass
 class FBCoeffs:
     """Complex coefficient vector over a BasisSpec's columns.
@@ -248,47 +247,41 @@ def eval_tilt_matrix(
 def synthesize_image(coeffs: FBCoeffs, grid_size: int) -> np.ndarray:
     """Sample the inverse 2-D Fourier transform on a centered Cartesian grid.
 
-    The transform is computed as a polar quadrature over the disc xi <= c:
-    Gauss-Legendre radially (2 * default node count) and a uniform angular
-    rule wide enough for the phase factor's angular bandwidth.  Pixel (iy, ix)
-    holds the value at x = ix - (g-1)/2, y = iy - (g-1)/2 with g = grid_size.
+    Every basis function transforms in closed form.  At a pixel of radius r
+    and angle phi, with beta = 2*pi*c*r, alpha = R_{m,q} and m = |k|, the
+    angular integral of psi_{k,q} gives 2*pi * i^m * exp(i*k*phi) times
+    J_m(beta * xi / c), and Lommel's integral (J_m(alpha) = 0) the radial one:
 
-    Raises ValueError for grid_size < 2 or when a coefficient vector without
-    the real symmetry leaves a significant imaginary residue.
+        c^2 * alpha * J_{m+1}(alpha) * J_m(beta) / (alpha^2 - beta^2).
+
+    Where |alpha^2 - beta^2| <= 1e-8 * alpha^2 the quotient is replaced by
+    its first-order limit alpha * J_{m+1}(alpha)^2 / (alpha + beta), since
+    the direct form divides rounding noise there.  Pixel (iy, ix) holds the
+    value at x = ix - (g-1)/2, y = iy - (g-1)/2 with g = grid_size.
+
+    Raises ValueError for grid_size < 2 or when a coefficient vector marked
+    real_symmetric leaves a significant imaginary residue.
     """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     spec = coeffs.spec
-    n_rad = 2 * default_n_xi(grid_size)
-    quad = build_quadrature(spec.c, n_rad)
-
-    half = (grid_size - 1) / 2.0
-    coords = np.arange(grid_size) - half
+    coords = np.arange(grid_size) - (grid_size - 1) / 2.0
     xx, yy = np.meshgrid(coords, coords)  # image[iy, ix] at (x=coords[ix], y=coords[iy])
-    r_max = math.hypot(coords[0], coords[0])
+    beta = 2.0 * np.pi * spec.c * np.hypot(xx, yy).ravel()
+    phi = np.arctan2(yy, xx).ravel()
 
-    # angular rule: cover exp(i*k*theta) (|k| <= k_max) times the Jacobi-Anger
-    # expansion of exp(2i*pi*xi*r*cos) whose bandwidth is ~2*pi*c*r_max
-    n_ang = max(4 * spec.k_max + 4, int(2 * np.pi * spec.c * r_max) + 2 * spec.k_max + 16)
-    thetas = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    d_theta = 2.0 * np.pi / n_ang
+    m = np.abs(spec.k_arr)
+    alpha = spec.roots[:, None]
+    j_next = special.jv(m + 1, spec.roots)[:, None]
+    j_beta = special.jv(np.arange(spec.k_max + 1)[:, None], beta)[m]  # (n_a, n_pix)
+    gap = alpha**2 - beta**2
+    near = np.abs(gap) <= 1e-8 * alpha**2
+    radial = np.where(near, alpha * j_next**2 / (alpha + beta),
+                      alpha * j_next * j_beta / np.where(near, 1.0, gap))
 
-    radial = _radial_matrix(spec, quad)  # (n_rad, n_a)
-    fhat = (radial * coeffs.values[None, :]) @ np.exp(
-        1j * np.outer(spec.k_arr, thetas)
-    )  # (n_rad, n_ang)
-
-    # integrate fhat * exp(2i*pi*xi*(x*cos + y*sin)) * xi over the disc
-    scaled = fhat * (quad.weights * quad.nodes)[:, None] * d_theta
-    proj = (
-        np.outer(xx.ravel(), np.cos(thetas)) + np.outer(yy.ravel(), np.sin(thetas))
-    )  # (n_pix, n_ang)
-    image = np.empty(grid_size * grid_size, dtype=complex)
-    # accumulate per angular node to keep the phase array at n_pix x n_rad
-    image[:] = 0.0
-    for t in range(n_ang):
-        phases = np.exp(2j * np.pi * np.outer(proj[:, t], quad.nodes))
-        image += phases @ scaled[:, t]
+    weights = (coeffs.values * spec.norms * 2.0 * np.pi * spec.c**2
+               * np.array([1, 1j, -1, -1j])[m % 4])
+    image = (radial * np.exp(1j * np.outer(spec.k_arr, phi))).T @ weights
     image = image.reshape(grid_size, grid_size)
 
     resid = np.max(np.abs(image.imag))

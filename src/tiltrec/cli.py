@@ -152,8 +152,10 @@ def load_coeff_file(path):
                           f"or probabilities")
     coeffs = FBCoeffs(values=vals, spec=spec,
                       real_symmetric=header["real_symmetric"])
-    dist = ViewDistribution(p=np.maximum(p, 0.0) / max(p.sum(), 1e-300),
-                            n_theta=header["n_theta"])
+    try:
+        dist = ViewDistribution(p=p, n_theta=header["n_theta"])
+    except ConfigError as err:
+        raise ConfigError(f"{path}: probability payload: {err}") from None
     return coeffs, dist, header.get("meta", {})
 
 
@@ -342,7 +344,7 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
     return outputs + [manifest]
 
 
-def cmd_evaluate(truth_path, estimate_path, out_dir):
+def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
     for p in (truth_path, estimate_path):
         if not Path(p).exists():
             raise ConfigError(f"input not found: {p}")
@@ -358,7 +360,7 @@ def cmd_evaluate(truth_path, estimate_path, out_dir):
         method=meta.get("method", "unknown"),
         snr_db=float(meta.get("snr_db", math.nan)),
         re=re, tv=tv, aligned_rotation=gamma, aligned_shift=shift,
-        success=re <= 0.3, seed=int(meta.get("seed", -1)),
+        success=re <= success_threshold, seed=int(meta.get("seed", -1)),
         runtime=float(meta.get("runtime_s", 0.0)))
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,7 +511,8 @@ def main(argv=None):
         elif args.command == "reconstruct":
             cmd_reconstruct(args.batch, cfg, out_dir, truth_path=args.truth)
         elif args.command == "evaluate":
-            cmd_evaluate(args.truth, args.estimate, out_dir)
+            cmd_evaluate(args.truth, args.estimate, out_dir,
+                         cfg["experiment"]["success_threshold"])
         elif args.command == "experiment":
             cmd_experiment(cfg, out_dir, threads=max(1, args.threads))
     except SolverError as err:

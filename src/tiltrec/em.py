@@ -19,7 +19,11 @@ from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError
 from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
-from .spectral import _REDUCE_BLOCK, SpectralBatch, noise_covariance
+from .spectral import SpectralBatch, noise_covariance
+
+# records whitened at once; bounds the (block, (2K+1)*rank) whitened array
+# so the whole N-row one is never formed
+_REDUCE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -130,18 +134,6 @@ class EmWorkspace:
         return 0.5 * (self.data_norm2[:, None] - 2.0 * cross + v_norm2[None, :])
 
 
-def _block_reduce(arrays_iter):
-    parts = list(arrays_iter)
-    while len(parts) > 1:
-        paired = []
-        for j in range(0, len(parts) - 1, 2):
-            paired.append(parts[j] + parts[j + 1])
-        if len(parts) % 2:
-            paired.append(parts[-1])
-        parts = paired
-    return parts[0]
-
-
 def m_step(work, responsibilities):
     """Exact maximizer of the expected complete-data log likelihood.
 
@@ -150,13 +142,8 @@ def m_step(work, responsibilities):
     pseudo-inverse with the workspace's relative cutoff.
     """
     pi = responsibilities.pi
-    # fixed-block pairwise reduction keeps the accumulation deterministic
-    blocks = range(0, work.N, _REDUCE_BLOCK)
-    col_mass = _block_reduce(
-        pi[i:i + _REDUCE_BLOCK].sum(axis=0) for i in blocks)
-    weighted_data = _block_reduce(
-        work.Y[i:i + _REDUCE_BLOCK].T @ pi[i:i + _REDUCE_BLOCK]
-        for i in blocks)
+    col_mass = pi.sum(axis=0)
+    weighted_data = work.Y.T @ pi
 
     p_new = col_mass / pi.shape[0]
 

@@ -51,9 +51,6 @@ class ViewDistribution:
         if abs(p.sum() - 1.0) > _SUM_TOL:
             raise ConfigError(f"probabilities sum to {p.sum():.15f}, not 1")
 
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
-
 
 def uniform_distribution(n_theta: int) -> ViewDistribution:
     return ViewDistribution(np.full(n_theta, 1.0 / n_theta), n_theta)

@@ -18,12 +18,6 @@ from .basis import QuadratureGrid
 from .errors import ConfigError
 from .sim import LineGrid, TiltSeriesBatch
 
-# fixed record-block size for pairwise reduction (here and in the EM M-step);
-# keeps accumulation order (hence bits) independent of how records would be
-# distributed over workers
-_REDUCE_BLOCK = 1024
-
-
 def dft_matrix(grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
     """F[j, l] = dx * exp(-2i*pi * xi_j * x_l), shape (n_xi, L)."""
     return grid.dx * np.exp(
@@ -89,15 +83,8 @@ def noise_covariance(sigma2: float, grid: LineGrid, quad: QuadratureGrid) -> np.
 
 
 def blockwise_mean_outer(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean row and mean outer product of real records (N >= 1).
-
-    Both sums run over fixed record blocks in index order, so the result does
-    not depend on any worker partitioning of the records.  The outer-product
-    sum lives in the first block's product and is scaled in place.
-    """
-    blocks = [y[i : i + _REDUCE_BLOCK] for i in range(0, len(y), _REDUCE_BLOCK)]
-    sum_outer = blocks[0].T @ blocks[0]
-    for chunk in blocks[1:]:
-        sum_outer += chunk.T @ chunk
-    sum_outer /= len(y)
-    return sum(chunk.sum(axis=0) for chunk in blocks) / len(y), sum_outer
+    """Mean row and mean outer product of real records (N >= 1), the outer
+    product as one y^T y scaled in place."""
+    mean_outer = y.T @ y
+    mean_outer /= len(y)
+    return y.mean(axis=0), mean_outer

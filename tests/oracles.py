@@ -15,14 +15,17 @@ line-domain moments are checked.
 The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
 workspace, the whitened record array, the dense block-diagonal noise
-covariance, the single-line node DFT and the image-domain error.
+covariance, the single-line node DFT, the image-domain error, and the
+polar-quadrature image synthesis the closed form is checked against.
 """
+
+import math
 
 import numpy as np
 from scipy import linalg
 from scipy.special import logsumexp
 
-from tiltrec.basis import synthesize_image
+from tiltrec.basis import _radial_matrix, build_quadrature, synthesize_image
 from tiltrec.em import EmWorkspace, Responsibilities
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
@@ -196,3 +199,61 @@ def pixel_relative_error(truth, estimate, gamma, n_grid):
     img_t = synthesize_image(truth, int(n_grid))
     img_e = synthesize_image(estimate.rotated(gamma), int(n_grid))
     return float(np.linalg.norm(img_e - img_t) / np.linalg.norm(img_t))
+
+
+def default_n_xi(grid_size: int) -> int:
+    """Node-count default tied to resolution: 2x the pixel count, floor 40."""
+    return max(2 * int(grid_size), 40)
+
+
+def quadrature_image(coeffs, grid_size):
+    """Sample the inverse 2-D Fourier transform on a centered Cartesian grid.
+
+    The transform is computed as a polar quadrature over the disc xi <= c:
+    Gauss-Legendre radially (2 * default node count) and a uniform angular
+    rule wide enough for the phase factor's angular bandwidth.  Pixel (iy, ix)
+    holds the value at x = ix - (g-1)/2, y = iy - (g-1)/2 with g = grid_size.
+
+    Raises ValueError for grid_size < 2 or when a coefficient vector without
+    the real symmetry leaves a significant imaginary residue.
+    """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    spec = coeffs.spec
+    n_rad = 2 * default_n_xi(grid_size)
+    quad = build_quadrature(spec.c, n_rad)
+
+    half = (grid_size - 1) / 2.0
+    coords = np.arange(grid_size) - half
+    xx, yy = np.meshgrid(coords, coords)  # image[iy, ix] at (x=coords[ix], y=coords[iy])
+    r_max = math.hypot(coords[0], coords[0])
+
+    # angular rule: cover exp(i*k*theta) (|k| <= k_max) times the Jacobi-Anger
+    # expansion of exp(2i*pi*xi*r*cos) whose bandwidth is ~2*pi*c*r_max
+    n_ang = max(4 * spec.k_max + 4, int(2 * np.pi * spec.c * r_max) + 2 * spec.k_max + 16)
+    thetas = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    d_theta = 2.0 * np.pi / n_ang
+
+    radial = _radial_matrix(spec, quad)  # (n_rad, n_a)
+    fhat = (radial * coeffs.values[None, :]) @ np.exp(
+        1j * np.outer(spec.k_arr, thetas)
+    )  # (n_rad, n_ang)
+
+    # integrate fhat * exp(2i*pi*xi*(x*cos + y*sin)) * xi over the disc
+    scaled = fhat * (quad.weights * quad.nodes)[:, None] * d_theta
+    proj = (
+        np.outer(xx.ravel(), np.cos(thetas)) + np.outer(yy.ravel(), np.sin(thetas))
+    )  # (n_pix, n_ang)
+    image = np.empty(grid_size * grid_size, dtype=complex)
+    # accumulate per angular node to keep the phase array at n_pix x n_rad
+    image[:] = 0.0
+    for t in range(n_ang):
+        phases = np.exp(2j * np.pi * np.outer(proj[:, t], quad.nodes))
+        image += phases @ scaled[:, t]
+    image = image.reshape(grid_size, grid_size)
+
+    resid = np.max(np.abs(image.imag))
+    scale = max(np.max(np.abs(image.real)), 1.0)
+    if coeffs.real_symmetric and resid > 1e-10 * scale:
+        raise ValueError(f"imaginary residue {resid:.3e} on symmetric coefficients")
+    return image.real

@@ -3,8 +3,11 @@ import pytest
 from scipy import special
 
 from tiltrec.basis import (FBCoeffs, _radial_matrix, bessel_roots,
-                           build_basis_spec, build_quadrature, default_n_xi,
+                           build_basis_spec, build_quadrature,
                            eval_basis_matrix, synthesize_image)
+from tiltrec.sim import random_phantom
+
+from oracles import default_n_xi, quadrature_image
 
 # first positive roots of J_0 and J_1, standard reference constants
 J0_ROOT_1 = 2.404825557695773
@@ -165,3 +168,38 @@ def test_default_n_xi():
 def test_synthesize_rejects_tiny_grid(small_phantom):
     with pytest.raises(ValueError):
         synthesize_image(small_phantom, 1)
+
+
+def _relative(image, reference):
+    return np.linalg.norm(image - reference) / np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("R,grid_size", [(8.0, 16), (16.0, 32)])
+@pytest.mark.parametrize("realize", [True, False],
+                         ids=["symmetric", "nonsymmetric"])
+def test_closed_form_matches_quadrature(R, grid_size, realize):
+    """Lommel's closed form and the polar quadrature it replaced agree to
+    the quadrature's own rounding."""
+    coeffs = random_phantom(build_basis_spec(0.3, R), 1.0, realize=realize,
+                            seed=11)
+    image = synthesize_image(coeffs, grid_size)
+    assert _relative(image, quadrature_image(coeffs, grid_size)) <= 1e-12
+
+
+def test_closed_form_at_a_bessel_root():
+    """With c = j_{0,1} / (2*pi*sqrt(0.5)) the pixels at (+-0.5, +-0.5) sit
+    on the first root of J_0 (|alpha^2 - beta^2| ~ 1e-15), where only the
+    near-root limit gives a finite, accurate value."""
+    spec = build_basis_spec(J0_ROOT_1 / (2.0 * np.pi * np.sqrt(0.5)), 4.0)
+    coeffs = random_phantom(spec, 1.0, seed=0)
+    image = synthesize_image(coeffs, 16)
+    assert np.all(np.isfinite(image))
+    assert _relative(image, quadrature_image(coeffs, 16)) <= 1e-10
+
+
+def test_closed_form_wide_band_stays_real():
+    """At c = 0.5 the old quadrature was under-resolved and left an
+    imaginary residue that tripped the real-symmetry check."""
+    coeffs = random_phantom(build_basis_spec(0.5, 4.0), 1.0, seed=3)
+    image = synthesize_image(coeffs, 16)
+    assert image.shape == (16, 16) and np.all(np.isfinite(image))

@@ -6,6 +6,7 @@ stays fast.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,13 +123,14 @@ _BAD_FIELDS = {
     "kind,defect",
     [(kind, defect) for kind in ("coeff", "batch")
      for defect in ("missing_key", "short", "long", "bad_type")]
-    + [("coeff", "nan"), ("batch", "nan"), ("batch", "bad_angle")])
+    + [("coeff", "nan"), ("batch", "nan"), ("batch", "bad_angle"),
+       ("coeff", "unnormalized"), ("coeff", "negative")])
 def test_loaders_reject_bad_files(tmp_path, kind, defect):
     """A header without a required key or with a field of the wrong type or
     range, a truncated payload, trailing bytes, a NaN coefficient,
-    probability, sample or hidden angle and a hidden angle that is not an
-    angle index each raise ConfigError naming the header key or the
-    payload."""
+    probability, sample or hidden angle, a hidden angle that is not an
+    angle index and probabilities that are negative or do not sum to 1 each
+    raise ConfigError naming the header key or the payload."""
     path = tmp_path / "good.dat"
     if kind == "coeff":
         spec = build_basis_spec(0.3, 4.0)
@@ -161,6 +163,16 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
             bad.write_bytes(head + b"\n" + bytes(garbled))
             with pytest.raises(ConfigError, match="payload"):
                 load(bad)
+        return
+    if defect in ("unnormalized", "negative"):
+        p = [2.0, 2.0, 4.0, 0.0] if defect == "unnormalized" \
+            else [-1e-3, 0.25, 0.25, 0.501]
+        coeff_bytes = payload[:16 * spec.n_a]
+        bad.write_bytes(head + b"\n" + coeff_bytes
+                        + np.asarray(p, dtype="<f8").tobytes())
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}: probability "
+                                                        "payload")):
+            load(bad)
         return
     if defect == "bad_angle":
         for value in (99.7, -3.0, 6.0, 0.5):
@@ -308,6 +320,22 @@ def test_evaluate_reconstruction(sim_run, tmp_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[1].startswith("admm,")
     assert (out / "manifest_evaluate.json").exists()
+
+
+def test_evaluate_uses_configured_success_threshold(sim_run, tmp_path):
+    """evaluate scores success against the configured threshold, as
+    experiment does: at threshold 0 an estimate with nonzero RE fails."""
+    _, sim_out = sim_run
+    truth, p, meta = load_coeff_file(sim_out / "truth.dat")
+    estimate = tmp_path / "estimate.dat"
+    save_coeff_file(estimate, FBCoeffs(1.01 * truth.values, truth.spec,
+                                       truth.real_symmetric), p, meta)
+    cfg = _write_cfg(tmp_path, experiment={"success_threshold": 0.0})
+    out = tmp_path / "ev"
+    assert main(["--config", str(cfg), "--out", str(out), "evaluate",
+                 str(sim_out / "truth.dat"), str(estimate)]) == 0
+    fields = (out / "report.csv").read_text().splitlines()[1].split(",")
+    assert float(fields[2]) > 0.0 and fields[4] == "0"
 
 
 def test_evaluate_missing_input(tmp_path, capsys):

@@ -66,20 +66,50 @@ def _references(node):
             yield sub.value
 
 
+def _units(stmt):
+    """(method name or None, references) for a top-level statement: a class
+    splits into its methods and the rest of its body, any other statement is
+    one unit."""
+    if not isinstance(stmt, ast.ClassDef):
+        yield None, set(_references(stmt))
+        return
+    methods = [m for m in stmt.body
+               if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for method in methods:
+        yield method.name, set(_references(method))
+    rest = [sub for sub in stmt.bases + stmt.keywords + stmt.decorator_list
+            + stmt.body if sub not in methods]
+    yield None, {ref for sub in rest for ref in _references(sub)}
+
+
 def test_every_definition_has_a_caller_outside_tests():
-    """A top-level def or class of the package that only tests reference
-    belongs in tests/oracles.py.  References from inside the definition
-    itself do not count."""
-    statements = []                     # (path, defined name or None, refs)
+    """A top-level def or class of the package, or a method of a top-level
+    class, that only tests reference belongs in tests/oracles.py.
+    References from inside the definition itself do not count; a method
+    called by another method of its class has a caller."""
+    units = []          # (path, top-level name or None, method or None, refs)
     for root in CALLER_DIRS:
         for path in sorted(root.rglob("*.py")):
             for stmt in ast.parse(path.read_text(), filename=str(path)).body:
                 name = getattr(stmt, "name", None)
-                statements.append((path, name, set(_references(stmt))))
-    uncalled = [f"{path.name}:{name}" for path, name, _ in statements
-                if name is not None and path.parent == SRC
-                and not any(name in refs for other, owner, refs in statements
-                            if (other, owner) != (path, name))]
+                units += [(path, name, method, refs)
+                          for method, refs in _units(stmt)]
+    uncalled = []
+    for path, name, method, _ in units:
+        if name is None or path.parent != SRC:
+            continue
+        if method is None:
+            callers = [refs for other, owner, _, refs in units
+                       if (other, owner) != (path, name)]
+        elif method.startswith("__") and method.endswith("__"):
+            continue
+        else:
+            callers = [refs for other, owner, meth, refs in units
+                       if (other, owner, meth) != (path, name, method)]
+        if not any((method or name) in refs for refs in callers):
+            uncalled.append(f"{path.name}:{name}"
+                            + (f".{method}" if method else ""))
+    uncalled = sorted(set(uncalled))
     assert not uncalled, f"defined in src/tiltrec, called only from tests: " \
                          f"{uncalled}"
 
