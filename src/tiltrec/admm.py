@@ -162,23 +162,34 @@ class AdmmState:
     })
 
 
-def init_admm_state(
-    features: MomentFeatures, config: AdmmConfig, spec: BasisSpec, n_theta: int
-) -> AdmmState:
-    """Random start: a, z i.i.d. complex Gaussian scaled to the first
-    moment's norm; p uniform plus seeded noise, simplex-projected; s = 0."""
-    work = AdmmWorkspace(features, spec, n_theta)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    scale = np.linalg.norm(work.mu_w) / np.sqrt(spec.n_a)
+def random_start(
+    mu_w: np.ndarray, n_a: int, n_theta: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded start (a, z, p): a and z i.i.d. complex Gaussian scaled to the
+    weighted first moment's norm, drawn in that order, then p uniform plus
+    seeded noise, simplex-projected.  Only mu_w is read, so a method that
+    never forms the second moment draws the same start."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    scale = np.linalg.norm(mu_w) / np.sqrt(n_a)
     scale = scale if scale > 0 else 1.0
     draw = lambda: scale * (
-        rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
+        rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
     ) / np.sqrt(2.0)
     a0 = draw()
     z0 = draw()
     p0 = project_simplex(
         np.full(n_theta, 1.0 / n_theta) + 0.5 / n_theta * rng.standard_normal(n_theta)
     )
+    return a0, z0, p0
+
+
+def init_admm_state(
+    features: MomentFeatures, config: AdmmConfig, spec: BasisSpec, n_theta: int
+) -> AdmmState:
+    """The workspace of features plus random_start(mu_w, ...) at config.seed;
+    s = 0."""
+    work = AdmmWorkspace(features, spec, n_theta)
+    a0, z0, p0 = random_start(work.mu_w, spec.n_a, n_theta, config.seed)
     return AdmmState(
         a=a0, z=z0, p=p0, s=np.zeros(spec.n_a, dtype=complex), iter=0, work=work
     )

@@ -3,6 +3,9 @@
 Every run writes a manifest (config echo plus content hashes of its inputs)
 so it can be replayed, and all CSV outputs are byte-deterministic for a
 given config and seed except the wall-clock runtime column.
+
+The second moment is formed only when ADMM runs: the shared random start
+reads the first moment alone, so an EM-only run never forms it.
 """
 
 import argparse
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, init_admm_state, run_admm
+from .admm import AdmmConfig, init_admm_state, random_start, run_admm
 from .basis import (FBCoeffs, build_basis_spec, build_quadrature,
                     synthesize_image)
 from .em import EmConfig, run_em
@@ -25,7 +28,7 @@ from .errors import ConfigError, SolverError
 from .metrics import (TrialReport, joint_alignment, relative_error,
                       reports_to_csv, snr_db, success_rate,
                       total_variation_dist, variance_for_snr)
-from .moments import empirical_moments
+from .moments import empirical_moments, first_moment, weight_diagonal
 from .sim import (ViewDistribution, build_line_grid, bump_distribution,
                   check_payload_size, generate_batch, load_batch,
                   random_phantom, read_header_file, save_batch,
@@ -243,10 +246,10 @@ def _em_columns(history):
     return {"iter": range(len(history)), "log_likelihood": history}
 
 
-def _init_hash(state):
+def _init_hash(a, p):
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(state.a).tobytes())
-    h.update(np.ascontiguousarray(state.p).tobytes())
+    h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.ascontiguousarray(p).tobytes())
     return h.hexdigest()
 
 
@@ -254,10 +257,17 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
                 out_dir=None, tag=""):
     """Run one method from the seed's random start; every method of a cell
     starts from the same point, so method comparisons are like for like.
-    The EM methods read the node records, formed here from batch and quad."""
+    The start reads only the weighted first moment, so features (the full
+    moments, read by ADMM) may be None for "em".  The EM methods read the
+    node records, formed here from batch and quad."""
     sol = cfg["solver"]
-    state = init_admm_state(features, AdmmConfig(seed=seed), spec, n_theta)
-    start_hash = _init_hash(state)
+    if method == "em":
+        mu_w = weight_diagonal(quad, batch.K) * first_moment(batch, quad)
+        a0, _, p0 = random_start(mu_w, spec.n_a, n_theta, seed)
+    else:
+        state = init_admm_state(features, AdmmConfig(seed=seed), spec, n_theta)
+        a0, p0 = state.a, state.p
+    start_hash = _init_hash(a0, p0)
     histories = []
     t0 = time.perf_counter()
     if method == "admm":
@@ -270,8 +280,8 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
     elif method == "em":
         em_cfg = EmConfig(max_iter=sol["em_iters"],
                           pinv_cutoff=sol["pinv_cutoff"])
-        init_a = FBCoeffs(values=state.a, spec=spec, real_symmetric=False)
-        init_p = ViewDistribution(p=state.p, n_theta=n_theta)
+        init_a = FBCoeffs(values=a0, spec=spec, real_symmetric=False)
+        init_p = ViewDistribution(p=p0, n_theta=n_theta)
         res = run_em(transform_batch(batch, quad), init_a, init_p, em_cfg)
         a, p = res.a, res.p
         histories.append(("em", _em_columns(res.history)))
@@ -301,15 +311,15 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
     if not batch_path.exists():
         raise ConfigError(f"batch file not found: {batch_path}")
     batch = load_batch(batch_path)
-    spec = build_basis_spec(cfg["phantom"]["c"], cfg["phantom"]["R"])
-    quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
-    n_theta = batch.n_theta
     method = cfg["solver"]["method"]
-
-    features = empirical_moments(batch, quad)
     if method in ("em", "admm+em") and batch.sigma2 <= 0:
         raise ConfigError("EM needs a noisy batch; sigma2 = 0 has no "
                           "likelihood model")
+    spec = build_basis_spec(cfg["phantom"]["c"], cfg["phantom"]["R"])
+    quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
+    n_theta = batch.n_theta
+
+    features = None if method == "em" else empirical_moments(batch, quad)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     a, p, runtime, start_hash = _run_method(
@@ -399,11 +409,13 @@ def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
                            quad, seed=seed)
     achieved = snr_db(var, sigma2)
 
-    features = empirical_moments(batch, quad)
+    methods = cfg["experiment"]["methods"]
+    features = (empirical_moments(batch, quad)
+                if any(m != "em" for m in methods) else None)
 
     n_theta = p.n_theta
     reports, hashes = [], {}
-    for method in cfg["experiment"]["methods"]:
+    for method in methods:
         a, pd, runtime, start_hash = _run_method(
             method, features, batch, quad, spec, n_theta, cfg, seed)
         hashes[method] = start_hash

@@ -11,7 +11,9 @@ H = E diag(p) E^H give
 where o is the entrywise product and Psi the stacked tilt matrix.  The same
 quantities are estimated from the real line samples: white detector noise
 is debiased by subtracting sigma2 from the diagonal of their second moment,
-and the linear node DFT maps the sums once.  The diagonal weight
+and the linear node DFT maps the sums once.  The first moment is also
+formed on its own (first_moment) for consumers that never read C, such as
+the shared random start of an EM-only run.  The diagonal weight
 sqrt(w_j xi_j), tiled across tilts, turns plain vector/Frobenius norms of
 residuals into the disc-measure norms used by the solver.
 """
@@ -111,18 +113,31 @@ def population_features(
     )
 
 
-def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid) -> MomentFeatures:
-    """Debiased empirical moments of the node records, formed on the lines.
+def first_moment(batch: TiltSeriesBatch, quad: QuadratureGrid) -> np.ndarray:
+    """mu = F_b mean(y): the node DFT F of each tilt's mean line.
 
-    With F_b the node DFT F applied to each tilt's line,
-    mu = F_b mean(y) and C = F_b (mean(y y^T) - sigma2 I) F_b^H.  F_b is never
-    formed: each (s, t) block of the line-domain moment S maps as
-    F S_st F^H, one tilt row of blocks at a time.  C is Hermitian-symmetrized.
+    The first moment alone costs one pass over the samples; empirical_moments
+    takes its mu from here, so both routes give the same bits.
     """
     N, n_tilt, L = batch.samples.shape
     if N < 1:
         raise ConfigError("empty batch: need N >= 1 records")
-    mean, S = blockwise_mean_outer(batch.samples.reshape(N, n_tilt * L))
+    mean = batch.samples.reshape(N, n_tilt * L).mean(axis=0)
+    return (mean.reshape(n_tilt, L) @ dft_matrix(batch.grid, quad).T).ravel()
+
+
+def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid) -> MomentFeatures:
+    """Debiased empirical moments of the node records, formed on the lines.
+
+    With F_b the node DFT F applied to each tilt's line,
+    mu = F_b mean(y) (first_moment) and C = F_b (mean(y y^T) - sigma2 I) F_b^H.
+    F_b is never formed: each (s, t) block of the line-domain moment S maps
+    as F S_st F^H, one tilt row of blocks at a time.  C is
+    Hermitian-symmetrized.
+    """
+    mu = first_moment(batch, quad)
+    N, n_tilt, L = batch.samples.shape
+    _, S = blockwise_mean_outer(batch.samples.reshape(N, n_tilt * L))
     S[np.diag_indices_from(S)] -= batch.sigma2
     F = dft_matrix(batch.grid, quad)
     n = quad.n_xi
@@ -133,7 +148,7 @@ def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid) -> MomentFea
                                 @ F.conj().T).reshape(n, -1)
     C = 0.5 * (C + C.conj().T)
     return MomentFeatures(
-        mu=(mean.reshape(n_tilt, L) @ F.T).ravel(),
+        mu=mu,
         C=C,
         N=N,
         d_w=weight_diagonal(quad, batch.K),

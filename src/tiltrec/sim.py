@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -295,13 +296,16 @@ def save_batch(batch: TiltSeriesBatch, path: str):
 def read_header_file(path, fields):
     """(header, payload) of a file that starts with one JSON header line.
 
-    fields maps each required key to its type: bool, float (a finite real)
-    or an int giving the least integer the key may hold.  Raises ConfigError
-    naming the first key the header lacks or holds with another type.
+    The payload is read once into a writable bytearray sized from the file,
+    so arrays viewing it need no copy.  fields maps each required key to its
+    type: bool, float (a finite real) or an int giving the least integer the
+    key may hold.  Raises ConfigError naming the first key the header lacks
+    or holds with another type.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
-        payload = fh.read()
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        del payload[fh.readinto(payload):]
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: header is not a JSON object")
     for key, kind in fields.items():
@@ -322,7 +326,7 @@ def read_header_file(path, fields):
     return header, payload
 
 
-def check_payload_size(path, payload: bytes, expected: int):
+def check_payload_size(path, payload: bytearray, expected: int):
     """Raise ConfigError unless the payload holds exactly expected bytes."""
     if len(payload) != expected:
         raise ConfigError(
@@ -344,7 +348,7 @@ def load_batch(path: str) -> TiltSeriesBatch:
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"{path}: payload holds non-finite samples or "
                           f"hidden angles")
-    samples = data[:n_main].reshape(N, 2 * K + 1, L).copy()
+    samples = data[:n_main].reshape(N, 2 * K + 1, L)   # writable view
     hidden = data[n_main:].astype(int) if header["hidden_angles"] else None
     if hidden is not None and not np.isin(data[n_main:],
                                           np.arange(header["n_theta"])).all():

@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
                           _second_gram_pieces, augmented_lagrangian,
                           init_admm_state, moment_objective, project_simplex,
-                          run_admm, update_a, update_p, update_z)
+                          random_start, run_admm, update_a, update_p, update_z)
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _admm_columns, history_to_csv
@@ -109,6 +109,18 @@ def test_init_deterministic_and_feasible(tiny):
     assert not np.allclose(s1.a, s3.a)
     assert abs(s1.p.sum() - 1.0) < 1e-12 and np.all(s1.p >= 0)
     assert np.all(s1.s == 0)
+
+
+def test_random_start_is_init_admm_state_start(tiny):
+    """The start drawn from mu_w alone is bitwise the state's a, z and p."""
+    for seed in (0, 5):
+        st = init_admm_state(tiny["features"], AdmmConfig(seed=seed),
+                             tiny["spec"], 5)
+        mu_w = tiny["features"].d_w * tiny["features"].mu
+        a0, z0, p0 = random_start(mu_w, tiny["spec"].n_a, 5, seed)
+        assert a0.tobytes() == st.a.tobytes()
+        assert z0.tobytes() == st.z.tobytes()
+        assert p0.tobytes() == st.p.tobytes()
 
 
 def test_workspace_compressed_terms_match_raw(prob29):

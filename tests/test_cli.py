@@ -271,6 +271,27 @@ def test_reconstruct_each_method(sim_run, tmp_path):
     assert len(set(hashes)) == 1
 
 
+def test_em_only_commands_skip_second_moment(sim_run, tmp_path, monkeypatch):
+    """An EM-only reconstruct or experiment never accumulates the second
+    moment, and its start is bitwise the ADMM run's on the same batch."""
+    cfg, sim_out = sim_run
+    argv = ["--config", str(cfg), "reconstruct", str(sim_out / "batch.dat")]
+    assert main(["--out", str(tmp_path / "admm"), "--method", "admm"]
+                + argv) == 0
+
+    def refuse(y):
+        raise AssertionError("second moment accumulated on an EM-only run")
+
+    monkeypatch.setattr("tiltrec.moments.blockwise_mean_outer", refuse)
+    assert main(["--out", str(tmp_path / "em"), "--method", "em"] + argv) == 0
+    starts = [load_coeff_file(tmp_path / m / "estimate.dat")[2]["init_sha256"]
+              for m in ("admm", "em")]
+    assert starts[0] == starts[1]
+    em_only = _write_cfg(tmp_path, experiment={"methods": ["em"]})
+    assert main(["--config", str(em_only), "--out", str(tmp_path / "exp"),
+                 "experiment"]) == 0
+
+
 def test_reconstruct_missing_batch(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     code = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -279,14 +300,22 @@ def test_reconstruct_missing_batch(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_em_rejects_clean_batch(tmp_path, capsys):
+def test_em_rejects_clean_batch(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path, acquisition={"sigma2": 0.0})
     out = tmp_path / "clean"
     assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
-    code = main(["--config", str(cfg), "--out", str(tmp_path / "r"),
-                 "--method", "em", "reconstruct", str(out / "batch.dat")])
-    assert code == 2
-    assert "noisy" in capsys.readouterr().err
+
+    def refuse(batch, quad):
+        raise AssertionError("moment work before the noise check")
+
+    # the check comes before any moment work
+    monkeypatch.setattr("tiltrec.cli.empirical_moments", refuse)
+    monkeypatch.setattr("tiltrec.cli.first_moment", refuse)
+    for method in ("em", "admm+em"):
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "r"),
+                     "--method", method, "reconstruct", str(out / "batch.dat")])
+        assert code == 2
+        assert "noisy" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- evaluate

@@ -4,7 +4,8 @@ import pytest
 from tiltrec.basis import FBCoeffs, build_quadrature
 from tiltrec.errors import ConfigError
 from tiltrec.moments import (angle_coupling, angle_phase_matrix,
-                             empirical_moments, population_features,
+                             empirical_moments, first_moment,
+                             population_features,
                              weight_diagonal)
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          generate_batch, uniform_distribution)
@@ -185,3 +186,11 @@ def test_empty_batch_rejected(quad32):
                             n_theta=12)
     with pytest.raises(ConfigError):
         empirical_moments(empty, quad32)
+    with pytest.raises(ConfigError):
+        first_moment(empty, quad32)
+
+
+def test_first_moment_is_empirical_mu(small_batch, quad32):
+    batch, _ = small_batch
+    mu = first_moment(batch, quad32)
+    assert mu.tobytes() == empirical_moments(batch, quad32).mu.tobytes()

@@ -152,6 +152,8 @@ def test_batch_roundtrip(tmp_path, small_batch):
     save_batch(batch, path)
     back = load_batch(path)
     assert np.array_equal(back.samples, batch.samples)
+    assert back.samples.flags.writeable
+    back.samples[0, 0, 0] += 1.0
     assert back.K == batch.K and back.n_theta == batch.n_theta
     assert back.sigma2 == batch.sigma2 and back.alpha == batch.alpha
     assert np.array_equal(back.hidden_angles, batch.hidden_angles)
