@@ -267,26 +267,21 @@ def synthesize_image(coeffs: FBCoeffs, grid_size: int) -> np.ndarray:
     spec = coeffs.spec
     coords = np.arange(grid_size) - (grid_size - 1) / 2.0
     xx, yy = np.meshgrid(coords, coords)  # image[iy, ix] at (x=coords[ix], y=coords[iy])
-    # the grid's radii repeat about 8-fold: the radial factor is evaluated
-    # once per distinct beta, the phase once per distinct k
-    beta, pixel_beta = np.unique(2.0 * np.pi * spec.c * np.hypot(xx, yy).ravel(),
-                                 return_inverse=True)
+    beta = 2.0 * np.pi * spec.c * np.hypot(xx, yy).ravel()
     phi = np.arctan2(yy, xx).ravel()
 
     m = np.abs(spec.k_arr)
     alpha = spec.roots[:, None]
     j_next = special.jv(m + 1, spec.roots)[:, None]
-    j_beta = special.jv(np.arange(spec.k_max + 1)[:, None], beta)[m]  # (n_a, n_beta)
+    j_beta = special.jv(np.arange(spec.k_max + 1)[:, None], beta)[m]  # (n_a, n_pix)
     gap = alpha**2 - beta**2
     near = np.abs(gap) <= 1e-8 * alpha**2
     radial = np.where(near, alpha * j_next**2 / (alpha + beta),
                       alpha * j_next * j_beta / np.where(near, 1.0, gap))
-    k_all = np.arange(-spec.k_max, spec.k_max + 1)
-    phase = np.exp(1j * np.outer(k_all, phi))[spec.k_arr + spec.k_max]
 
     weights = (coeffs.values * spec.norms * 2.0 * np.pi * spec.c**2
                * np.array([1, 1j, -1, -1j])[m % 4])
-    image = (radial[:, pixel_beta] * phase).T @ weights
+    image = (radial * np.exp(1j * np.outer(spec.k_arr, phi))).T @ weights
     image = image.reshape(grid_size, grid_size)
 
     resid = np.max(np.abs(image.imag))

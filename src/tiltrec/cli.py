@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmConfig, init_admm_state, random_start, run_admm
+from .admm import AdmmConfig, random_start, run_admm
 from .basis import (FBCoeffs, build_basis_spec, build_quadrature,
                     synthesize_image)
 from .em import EmConfig, run_em
@@ -253,20 +253,26 @@ def _init_hash(a, p):
     return h.hexdigest()
 
 
+def _moments_for(methods, batch, quad):
+    """The full moments if one of methods runs ADMM, the only reader of the
+    second moment; None if all are "em"."""
+    if all(m == "em" for m in methods):
+        return None
+    return empirical_moments(batch, quad)
+
+
 def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
                 out_dir=None, tag=""):
     """Run one method from the seed's random start; every method of a cell
     starts from the same point, so method comparisons are like for like.
     The start reads only the weighted first moment, so features (the full
-    moments, read by ADMM) may be None for "em".  The EM methods read the
-    node records, formed here from batch and quad."""
+    moments, read by ADMM) may be None for "em"; run_admm draws the same
+    start itself at config.seed = seed.  The EM methods read the node
+    records, formed here from batch and quad."""
     sol = cfg["solver"]
-    if method == "em":
-        mu_w = weight_diagonal(quad, batch.K) * first_moment(batch, quad)
-        a0, _, p0 = random_start(mu_w, spec.n_a, n_theta, seed)
-    else:
-        state = init_admm_state(features, AdmmConfig(seed=seed), spec, n_theta)
-        a0, p0 = state.a, state.p
+    mu = features.mu if features is not None else first_moment(batch, quad)
+    a0, _, p0 = random_start(weight_diagonal(quad, batch.K) * mu, spec.n_a,
+                             n_theta, seed)
     start_hash = _init_hash(a0, p0)
     histories = []
     t0 = time.perf_counter()
@@ -274,7 +280,7 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
         admm_cfg = AdmmConfig(lam1=sol["lambda1"], lam2=sol["lambda2"],
                               rho=sol["rho"], max_iter=sol["admm_iters"],
                               seed=seed)
-        res = run_admm(features, admm_cfg, spec, n_theta, state=state)
+        res = run_admm(features, admm_cfg, spec, n_theta)
         a, p = res.a, res.p
         histories.append(("admm", _admm_columns(res.history)))
     elif method == "em":
@@ -289,7 +295,7 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
         admm_cfg = AdmmConfig(lam1=sol["lambda1"], lam2=sol["lambda2"],
                               rho=sol["rho"],
                               max_iter=sol["hybrid_admm_iters"], seed=seed)
-        res1 = run_admm(features, admm_cfg, spec, n_theta, state=state)
+        res1 = run_admm(features, admm_cfg, spec, n_theta)
         em_cfg = EmConfig(max_iter=sol["hybrid_em_iters"],
                           pinv_cutoff=sol["pinv_cutoff"])
         res2 = run_em(transform_batch(batch, quad), res1.a, res1.p, em_cfg)
@@ -319,7 +325,7 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
     quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
     n_theta = batch.n_theta
 
-    features = None if method == "em" else empirical_moments(batch, quad)
+    features = _moments_for([method], batch, quad)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     a, p, runtime, start_hash = _run_method(
@@ -410,8 +416,7 @@ def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
     achieved = snr_db(var, sigma2)
 
     methods = cfg["experiment"]["methods"]
-    features = (empirical_moments(batch, quad)
-                if any(m != "em" for m in methods) else None)
+    features = _moments_for(methods, batch, quad)
 
     n_theta = p.n_theta
     reports, hashes = [], {}

@@ -137,7 +137,7 @@ def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid) -> MomentFea
     """
     mu = first_moment(batch, quad)
     N, n_tilt, L = batch.samples.shape
-    _, S = blockwise_mean_outer(batch.samples.reshape(N, n_tilt * L))
+    S = blockwise_mean_outer(batch.samples.reshape(N, n_tilt * L))
     S[np.diag_indices_from(S)] -= batch.sigma2
     F = dft_matrix(batch.grid, quad)
     n = quad.n_xi

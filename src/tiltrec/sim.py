@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -296,16 +297,20 @@ def save_batch(batch: TiltSeriesBatch, path: str):
 def read_header_file(path, fields):
     """(header, payload) of a file that starts with one JSON header line.
 
-    The payload is read once into a writable bytearray sized from the file,
-    so arrays viewing it need no copy.  fields maps each required key to its
-    type: bool, float (a finite real) or an int giving the least integer the
-    key may hold.  Raises ConfigError naming the first key the header lacks
-    or holds with another type.
+    The payload is read once into a writable bytearray sized from the file
+    (a pipe or other non-regular file is read to its end), so arrays viewing
+    it need no copy.  fields maps each required key to its type: bool, float
+    (a finite real) or an int giving the least integer the key may hold.
+    Raises ConfigError naming the first key the header lacks or holds with
+    another type.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
-        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        st = os.fstat(fh.fileno())
+        size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else 0
+        payload = bytearray(max(size, 0))
         del payload[fh.readinto(payload):]
+        payload += fh.read()  # what the size missed: a pipe, a grown file
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: header is not a JSON object")
     for key, kind in fields.items():

@@ -82,9 +82,9 @@ def noise_covariance(sigma2: float, grid: LineGrid, quad: QuadratureGrid) -> np.
     return 0.5 * (block + block.conj().T)
 
 
-def blockwise_mean_outer(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean row and mean outer product of real records (N >= 1), the outer
-    product as one y^T y scaled in place."""
+def blockwise_mean_outer(y: np.ndarray) -> np.ndarray:
+    """Mean outer product of real records (N >= 1), as one y^T y scaled in
+    place."""
     mean_outer = y.T @ y
     mean_outer /= len(y)
-    return y.mean(axis=0), mean_outer
+    return mean_outer

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -158,6 +161,20 @@ def test_batch_roundtrip(tmp_path, small_batch):
     assert back.sigma2 == batch.sigma2 and back.alpha == batch.alpha
     assert np.array_equal(back.hidden_angles, batch.hidden_angles)
     assert back.grid.L == batch.grid.L and back.grid.dx == batch.grid.dx
+
+
+def test_batch_loads_through_a_pipe(tmp_path, small_batch):
+    """A non-regular file reports no size: its payload is read to the end."""
+    batch, _ = small_batch
+    path, fifo = tmp_path / "b.dat", tmp_path / "b.fifo"
+    save_batch(batch, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    back = load_batch(fifo)
+    writer.join()
+    assert np.array_equal(back.samples, batch.samples)
+    assert np.array_equal(back.hidden_angles, batch.hidden_angles)
 
 
 def test_narrow_window_warns(small_spec, quad32):
