@@ -40,7 +40,7 @@ def main():
     s2 = variance_for_snr(float(clean.samples.var()), snr)
     batch = generate_batch(truth, p, N, K, alpha, s2, grid, quad, seed=7)
     feats = empirical_moments(batch, quad)     # moments of the real lines
-    sb = transform_batch(batch, quad)          # node records, read by EM
+    sb = transform_batch(batch, quad)          # samples + node map, read by EM
     print(f"N={N} records at {snr} dB, {n_theta} candidate view angles")
     print("aligned relative error per start (lower is better):\n")
     print("  start   moments only   EM only   moments + EM")

@@ -267,8 +267,8 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
     starts from the same point, so method comparisons are like for like.
     The start reads only the weighted first moment, so features (the full
     moments, read by ADMM) may be None for "em"; run_admm draws the same
-    start itself at config.seed = seed.  The EM methods read the node
-    records, formed here from batch and quad."""
+    start itself at config.seed = seed.  The EM methods read the line
+    samples with their node map, transform_batch(batch, quad)."""
     sol = cfg["solver"]
     mu = features.mu if features is not None else first_moment(batch, quad)
     a0, _, p0 = random_start(weight_diagonal(quad, batch.K) * mu, spec.n_a,
@@ -333,8 +333,11 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
-    debiased = max(float(batch.samples.var()) - batch.sigma2,
-                   np.finfo(float).tiny)
+    # sample variance as E[y^2] - E[y]^2 from one dot product: np.var would
+    # allocate a batch-sized temporary only for the snr_db field
+    flat = batch.samples.reshape(-1)
+    var = float(np.dot(flat, flat)) / flat.size - float(flat.mean()) ** 2
+    debiased = max(var - batch.sigma2, np.finfo(float).tiny)
     achieved = snr_db(debiased, batch.sigma2) if batch.sigma2 > 0 else math.inf
     save_coeff_file(est_path, a, p, meta={
         "kind": "estimate", "method": method, "seed": cfg["seed"],

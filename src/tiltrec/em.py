@@ -9,6 +9,8 @@ random point or refine an ADMM solution.
 The records enter the likelihood only through their whitened projections
 onto the basis, Y = U_w conj(B) (N x n_a), and their whitened norms, so the
 workspace keeps those two and never the whitened records U_w themselves.
+The batch's map to the nodes is folded into the whitener, so the real
+records are whitened by one real product and no node spectrum is formed.
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,8 @@ from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
 from .spectral import SpectralBatch, noise_covariance
 
-# records whitened at once; bounds the (block, (2K+1)*rank) whitened array
-# so the whole N-row one is never formed
+# records whitened at once, by one real product; bounds the
+# (block, (2K+1)*rank) whitened array so the whole N-row one is never formed
 _REDUCE_BLOCK = 1024
 
 
@@ -71,8 +73,9 @@ class EmWorkspace:
     number of line samples, so the quadratic forms use the eigendecomposition
     pseudo-inverse: data and basis are projected onto the block's informative
     eigenspace and scaled to unit noise there.  The whitened records U_w are
-    formed one record block at a time and reduced at once to Y = U_w conj(B)
-    and the norms ||U_w[i]||^2.
+    formed one record block at a time, as one real product of the records
+    with the whitened node map, and reduced at once to Y = U_w conj(B) and
+    the norms ||U_w[i]||^2.
     """
 
     def __init__(self, spec_batch, spec, n_theta, pinv_cutoff=1e-10):
@@ -99,13 +102,18 @@ class EmWorkspace:
         self.B = (self.whiten @ psi.reshape(n_tilt, n_xi, spec.n_a)).reshape(
             n_tilt * self.rank, spec.n_a)
 
-        yhat = spec_batch.yhat.reshape(spec_batch.N, n_tilt, n_xi)
+        # whitened node map (whiten @ to_nodes)^T as one real (m, 2*rank)
+        # matrix, real and imaginary parts interleaved, so a real record row
+        # times it is the whitened row viewed as complex
+        M = np.ascontiguousarray(
+            (self.whiten @ spec_batch.to_nodes).T).view(float)
         B_conj = self.B.conj()
         self.Y = np.empty((spec_batch.N, spec.n_a), dtype=complex)
         self.data_norm2 = np.empty(spec_batch.N)
         for i in range(0, spec_batch.N, _REDUCE_BLOCK):
-            u = (yhat[i:i + _REDUCE_BLOCK] @ self.whiten.T).reshape(
-                -1, n_tilt * self.rank)
+            rows = spec_batch.records[i:i + _REDUCE_BLOCK].reshape(
+                -1, M.shape[0])
+            u = (rows @ M).view(complex).reshape(-1, n_tilt * self.rank)
             self.Y[i:i + _REDUCE_BLOCK] = u @ B_conj
             self.data_norm2[i:i + _REDUCE_BLOCK] = np.einsum(
                 'ij,ij->i', u.conj(), u).real

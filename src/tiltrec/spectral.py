@@ -3,9 +3,12 @@
 Projection lines are mapped to Fourier values at the radial quadrature nodes
 by a direct type-II DFT with the Riemann factor dx, so node values
 approximate the continuous transform integral and are directly comparable to
-tilt-matrix slices.  The detector noise is white, sigma2 on each real
-sample: moment debiasing subtracts it from the diagonal of the line-sample
-second moment, and only EM's whitening needs its node-domain block.
+tilt-matrix slices.  A SpectralBatch keeps the real records together with
+that linear map instead of the node values it would produce; EM composes
+the map into its whitener, so no node spectrum is formed on its path.  The
+detector noise is white, sigma2 on each real sample: moment debiasing
+subtracts it from the diagonal of the line-sample second moment, and only
+EM's whitening needs its node-domain block.
 """
 
 from __future__ import annotations
@@ -27,14 +30,16 @@ def dft_matrix(grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralBatch:
-    """Transformed records: row i concatenates the per-tilt node vectors.
+    """Records and the linear map that takes each tilt row to node values.
 
-    yhat has shape (N, (2K+1)*n_xi); tilt blocks are ordered by kappa
-    ascending, matching the tilt-matrix row blocks.  sigma2 is the noise
-    variance of each real detector sample behind the records.
+    records has shape (N, 2K+1, m) and is real; to_nodes is the complex
+    (n_xi, m) matrix with node spectra records @ to_nodes^T.  Tilt rows are
+    ordered by kappa ascending, matching the tilt-matrix row blocks.  sigma2
+    is the noise variance of each real detector sample behind the records.
     """
 
-    yhat: np.ndarray
+    records: np.ndarray
+    to_nodes: np.ndarray
     quad: QuadratureGrid
     grid: LineGrid
     K: int
@@ -42,28 +47,33 @@ class SpectralBatch:
     sigma2: float
 
     def __post_init__(self):
-        width = (2 * self.K + 1) * self.quad.n_xi
-        if self.yhat.ndim != 2 or self.yhat.shape[1] != width:
-            raise ConfigError(
-                f"yhat shape {self.yhat.shape} inconsistent with "
-                f"(2K+1)*n_xi = {width}"
-            )
+        r = self.records
+        if r.ndim != 3 or np.iscomplexobj(r):
+            raise ConfigError(f"records must be a real 3-D array, got "
+                              f"{r.dtype} of shape {r.shape}")
+        if r.shape[1] != 2 * self.K + 1:
+            raise ConfigError(f"records tilt axis {r.shape[1]} != 2K+1 = "
+                              f"{2 * self.K + 1}")
+        if self.to_nodes.shape != (self.quad.n_xi, r.shape[2]):
+            raise ConfigError(f"to_nodes shape {self.to_nodes.shape} != "
+                              f"(n_xi, m) = {(self.quad.n_xi, r.shape[2])}")
 
     @property
     def N(self) -> int:
-        return self.yhat.shape[0]
+        return self.records.shape[0]
+
+    @property
+    def yhat(self) -> np.ndarray:
+        """Node spectra, shape (N, (2K+1)*n_xi): each record's tilt rows
+        mapped to the nodes and concatenated."""
+        return (self.records @ self.to_nodes.T).reshape(
+            self.N, (2 * self.K + 1) * self.quad.n_xi)
 
 
 def transform_batch(batch: TiltSeriesBatch, quad: QuadratureGrid) -> SpectralBatch:
-    """Node DFT of every (record, tilt) line, concatenated per record."""
-    F = dft_matrix(batch.grid, quad)
-    N, n_tilt, L = batch.samples.shape
-    # (N, n_tilt, L) @ (L, n_xi) -> (N, n_tilt, n_xi) as two real products,
-    # so the samples are never cast to complex; then flatten tilts
-    yhat = np.empty((N, n_tilt, quad.n_xi), dtype=complex)
-    yhat.real[...] = batch.samples @ F.real.T
-    yhat.imag[...] = batch.samples @ F.imag.T
-    return SpectralBatch(yhat=yhat.reshape(N, n_tilt * quad.n_xi), quad=quad,
+    """The line samples as records, with the node DFT as their map."""
+    return SpectralBatch(records=batch.samples,
+                         to_nodes=dft_matrix(batch.grid, quad), quad=quad,
                          grid=batch.grid, K=batch.K, alpha=batch.alpha,
                          sigma2=batch.sigma2)
 

@@ -174,12 +174,12 @@ def e_step(spec_batch, a, p):
 
 
 def whitened_records(work, spec_batch):
-    """U_w: every record's tilt blocks whitened by work.whiten, shape
-    (N, (2K+1) * rank); the workspace keeps only U_w conj(B) and the norms."""
-    n_tilt = 2 * spec_batch.K + 1
-    yhat = spec_batch.yhat.reshape(spec_batch.N, n_tilt, -1)
+    """U_w: every record's tilt blocks mapped to the nodes, then whitened by
+    work.whiten, shape (N, (2K+1) * rank); the workspace folds the two maps
+    into one and keeps only U_w conj(B) and the norms."""
+    yhat = spec_batch.records @ spec_batch.to_nodes.T
     return np.einsum('rj,ikj->ikr', work.whiten, yhat).reshape(
-        spec_batch.N, n_tilt * work.rank)
+        spec_batch.N, (2 * spec_batch.K + 1) * work.rank)
 
 
 def full_noise_covariance(block, K):

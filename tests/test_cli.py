@@ -18,6 +18,7 @@ from tiltrec.errors import ConfigError
 from tiltrec.metrics import CSV_HEADER
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          load_batch, save_batch)
+from tiltrec.spectral import SpectralBatch
 
 TINY = {
     "seed": 3,
@@ -290,6 +291,21 @@ def test_em_only_commands_skip_second_moment(sim_run, tmp_path, monkeypatch):
     em_only = _write_cfg(tmp_path, experiment={"methods": ["em"]})
     assert main(["--config", str(em_only), "--out", str(tmp_path / "exp"),
                  "experiment"]) == 0
+
+
+def test_em_runs_form_no_node_spectra(sim_run, tmp_path, monkeypatch):
+    """EM reads the real records through its whitened node map; no EM or
+    hybrid reconstruct forms the node spectra."""
+    cfg, sim_out = sim_run
+
+    def refuse(self):
+        raise AssertionError("node spectra formed on an EM run")
+
+    monkeypatch.setattr(SpectralBatch, "yhat", property(refuse))
+    for method in ("em", "admm+em"):
+        assert main(["--config", str(cfg), "--out",
+                     str(tmp_path / method.replace("+", "_")), "--method",
+                     method, "reconstruct", str(sim_out / "batch.dat")]) == 0
 
 
 def test_reconstruct_missing_batch(tmp_path, capsys):

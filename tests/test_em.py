@@ -5,6 +5,14 @@ Recovery is tested on model-consistent data (basis predictions plus noise
 with exactly the modeled covariance). Batches projected in real space carry
 a finite-window discrepancy that the likelihood legitimately fits, which
 would make a recovery assertion measure the window, not the solver.
+
+Such spectra cannot be written as real line samples: the real-linear map
+from a line to its node values is not onto the node spectra (its row rank
+stays below twice the whitened rank), and the basis predictions lie outside
+its range.  model_batch therefore passes its complex node spectra as real
+records, their real and imaginary parts interleaved, with the node map
+kron(I, [1, 1j]) that puts them back together; EM reads them through the
+same records-plus-map route as the line samples of a simulated batch.
 """
 
 from dataclasses import replace
@@ -33,7 +41,8 @@ DEG = np.pi / 180.0
 
 def model_batch(truth, p, N, K, alpha, sigma2, grid, quad, seed):
     """Spectra drawn exactly from the mixture model: steered basis
-    predictions plus real-space noise pushed through the node DFT."""
+    predictions plus real-space noise pushed through the node DFT, passed
+    as interleaved real records with the map kron(I, [1, 1j])."""
     spec = truth.spec
     psi = eval_tilt_matrix(spec, quad, K, alpha)
     E = angle_phase_matrix(spec, p.n_theta)
@@ -47,8 +56,10 @@ def model_batch(truth, p, N, K, alpha, sigma2, grid, quad, seed):
         clean = (psi @ (truth.values[:, None] * E[:, [l]])).ravel()
         noise_rs = sig * rng.standard_normal((n_tilt, grid.L))
         yhat[i] = clean + (noise_rs @ F.T).ravel()
-    return SpectralBatch(yhat=yhat, quad=quad, grid=grid, K=K, alpha=alpha,
-                         sigma2=sigma2), labels
+    records = yhat.view(float).reshape(N, n_tilt, 2 * quad.n_xi)
+    to_nodes = np.kron(np.eye(quad.n_xi), [[1.0, 1j]])
+    return SpectralBatch(records=records, to_nodes=to_nodes, quad=quad,
+                         grid=grid, K=K, alpha=alpha, sigma2=sigma2), labels
 
 
 @pytest.fixture(scope="module")
@@ -245,9 +256,9 @@ def test_run_em_monotone_and_recovers(em_problem):
 
 
 def test_non_finite_data_raises(tiny_em):
-    bad = tiny_em["sb"].yhat.copy()
-    bad[0, 0] = np.inf
-    sb_bad = replace(tiny_em["sb"], yhat=bad)
+    bad = tiny_em["sb"].records.copy()
+    bad[0, 0, 0] = np.inf
+    sb_bad = replace(tiny_em["sb"], records=bad)
     with pytest.raises(SolverError), np.errstate(invalid="ignore"):
         run_em(sb_bad, tiny_em["a"], tiny_em["p"], EmConfig(max_iter=5))
 

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tiltrec.errors import ConfigError
 from tiltrec.sim import TiltSeriesBatch, build_line_grid
-from tiltrec.spectral import (blockwise_mean_outer, dft_matrix,
-                              noise_covariance, transform_batch)
+from tiltrec.spectral import (SpectralBatch, blockwise_mean_outer,
+                              dft_matrix, noise_covariance, transform_batch)
 
 from oracles import dft_at_nodes, full_noise_covariance
 
@@ -41,6 +43,27 @@ def test_transform_batch_blocks(small_batch, quad32):
     block = sb.yhat[i, kappa * quad32.n_xi:(kappa + 1) * quad32.n_xi]
     want = dft_at_nodes(batch.samples[i, kappa], grid, quad32)
     assert np.allclose(block, want, atol=1e-12)
+
+
+def test_transform_batch_keeps_the_samples(small_batch, quad32):
+    """The records are the line samples themselves, not a copy."""
+    batch, grid = small_batch
+    sb = transform_batch(batch, quad32)
+    assert np.shares_memory(sb.records, batch.samples)
+    assert np.array_equal(sb.to_nodes, dft_matrix(grid, quad32))
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("records", lambda sb: sb.records.astype(complex)),
+    ("records", lambda sb: sb.records.reshape(sb.N, -1)),
+    ("records", lambda sb: sb.records[:, :4]),
+    ("to_nodes", lambda sb: sb.to_nodes[:-1]),
+    ("to_nodes", lambda sb: sb.to_nodes[:, :-1]),
+], ids=["complex", "2-d", "tilt-axis", "n_xi", "width"])
+def test_spectral_batch_validation(small_batch, quad32, field, bad):
+    sb = transform_batch(small_batch[0], quad32)
+    with pytest.raises(ConfigError, match=field):
+        replace(sb, **{field: bad(sb)})
 
 
 def test_transform_empty_batch(quad32):
