@@ -39,7 +39,7 @@ def main():
     clean = generate_batch(truth, p, N, K, alpha, 0.0, grid, quad, seed=7)
     s2 = variance_for_snr(float(clean.samples.var()), snr)
     batch = generate_batch(truth, p, N, K, alpha, s2, grid, quad, seed=7)
-    feats = empirical_moments(batch, quad)     # moments of the real lines
+    feats = empirical_moments(batch, quad, spec)  # moments of the real lines
     sb = transform_batch(batch, quad)          # samples + node map, read by EM
     print(f"N={N} records at {snr} dB, {n_theta} candidate view angles")
     print("aligned relative error per start (lower is better):\n")

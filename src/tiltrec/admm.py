@@ -1,32 +1,33 @@
 """Consensus ADMM for the weighted moment-matching least squares.
 
-The data-fit objective couples the object coefficients a and the angle
-distribution p through
+The data are the moment features in the QR coordinates of Psi_w = Q R,
+b1 = Q^H mu_w and B2 = Q^H C_w Q, and the data-fit objective couples the
+object coefficients a and the angle distribution p through the residuals
 
-    lam1/2 ||Psi_w (a o g(p)) - mu_w||^2
-  + lam2/2 ||Psi_w ((a a^H) o H(p)) Psi_w^H - C_w||_F^2 ,
+    lam1/2 ||R (a o g(p)) - b1||^2
+  + lam2/2 ||(R A_a) diag(p) (R A_a)^H - B2||_F^2 ,   A_a = diag(a) E.
 
-which is nonconvex because the second term is quartic in a.  Splitting the
-two copies of a into consensus variables (a, z) with a scaled dual s makes
-every block update an exact linear solve:
+These are the wide residuals in mu_w and C_w less the data outside the
+range of Q, a constant; formed as norms, they vanish at an exact fit.  The
+objective is nonconvex (quartic in a).  Splitting the two copies of a into
+consensus variables (a, z) with a scaled dual s makes every block update an
+exact linear solve:
 
   - a-step: both terms are linear in a for fixed (z, p); ridge rho.
   - z-step: the second term is anti-linear in z; conjugating the residual
-    (H and C_w are Hermitian) turns it into the same structure as the a-step.
+    (H and B2 are Hermitian) turns it into the same structure as the a-step.
   - p-step: both moment models are linear in p; the single constraint
     sum(p) = 1 is eliminated through an orthonormal null-space basis.
     Nonnegativity is NOT enforced during iterations; the reported p is the
     simplex projection of the relaxed iterate (both are returned).
 
-Everything is accumulated in coefficient-sized (n_a or n_theta) normal
-equations; the observation-sized operator never has to be materialized.  The
-identity behind the compression: for rank-one blocks,
-<psi_i u_i^H, psi_j u_j^H>_F = (psi_j^H psi_i) (u_i^H u_j), so Gram matrices
-of sums of rank-one terms are entrywise (Schur) products of small Grams.
-Every second-moment quantity factors further through A_x = diag(x) E
-(n_a x n_theta), since (x y^H) o H(p) = A_x diag(p) A_y^H, and so through
-the angle Gram N_x = A_x^H G A_x (n_theta x n_theta).  An iteration costs
-O(n_a^2 n_theta) work plus the two n_a x n_a solves of the a- and z-steps.
+The normal equations read the data as G = R^H R, t_mu = R^H b1 and
+T_C = R^H B2 R.  For rank-one blocks <psi_i u_i^H, psi_j u_j^H>_F =
+(psi_j^H psi_i) (u_i^H u_j), so Grams of sums of rank-one terms are Schur
+products of small Grams, and every second-moment quantity factors through
+A_x = diag(x) E, since (x y^H) o H(p) = A_x diag(p) A_y^H, and the angle
+Gram N_x = A_x^H G A_x.  An iteration costs O(n_a^2 n_theta) work plus the
+two n_a x n_a solves of the a- and z-steps.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, FBCoeffs, eval_tilt_matrix
+from .basis import BasisSpec, FBCoeffs
 from .errors import ConfigError, SolverError
 from .moments import MomentFeatures, angle_phase_matrix
 from .sim import ViewDistribution
@@ -84,27 +85,21 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
 class AdmmWorkspace:
     """Precomputed operator pieces shared by every iteration.
 
-    All data enters through sizes n_a x n_a or smaller: the weighted tilt
-    matrix's Gram G, the data-side compressions t_mu = Psi_w^H mu_w and
-    T_C = Psi_w^H C_w Psi_w, the squared data norms, and the angle phase
-    matrix E.
+    All data enter at size n_a x n_a or smaller: the features' R, b1 and
+    B2, the normal-equation pieces G = R^H R, t_mu = R^H b1 and
+    T_C = R^H B2 R, and the angle phase matrix E.
     """
 
     def __init__(self, features: MomentFeatures, spec: BasisSpec, n_theta: int):
         self.spec = spec
         self.n_theta = int(n_theta)
-        psi = eval_tilt_matrix(spec, features.quad, features.K, features.alpha)
-        mu_w, C_w = features.weighted()
-        self.psi_w = features.d_w[:, None] * psi
-        self.mu_w = mu_w
-        self.C_w = C_w
-        self.G = self.psi_w.conj().T @ self.psi_w
-        self.G = 0.5 * (self.G + self.G.conj().T)
-        self.t_mu = self.psi_w.conj().T @ mu_w
-        TC = self.psi_w.conj().T @ C_w @ self.psi_w
+        self.R, self.b1, self.B2 = features.R, features.b1, features.B2
+        R_h = self.R.conj().T
+        G = R_h @ self.R
+        self.G = 0.5 * (G + G.conj().T)
+        self.t_mu = R_h @ self.b1
+        TC = R_h @ self.B2 @ self.R
         self.T_C = 0.5 * (TC + TC.conj().T)
-        self.mu_norm2 = float(np.vdot(mu_w, mu_w).real)
-        self.C_norm2 = float(np.vdot(C_w, C_w).real)
         self.E = angle_phase_matrix(spec, n_theta)
         # orthonormal basis of {x : sum(x) = 0}, fixed and deterministic
         q, _ = np.linalg.qr(
@@ -123,26 +118,26 @@ class AdmmWorkspace:
         return A, A.conj().T @ (self.G @ A)
 
     def first_term(self, v: np.ndarray) -> float:
-        """||Psi_w v - mu_w||^2 via the compressed pieces; v = a o g."""
-        quad = float(np.vdot(v, self.G @ v).real)
-        cross = float(np.vdot(self.t_mu, v).real)
-        return max(quad - 2.0 * cross + self.mu_norm2, 0.0)
+        """||R v - b1||^2; v = a o g."""
+        r = self.R @ v - self.b1
+        return float(np.vdot(r, r).real)
 
     def second_quadratic(self, gram_x, gram_y) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, c) with ||Psi_w ((x y^H) o H(p)) Psi_w^H - C_w||_F^2
-        = p.Q.p - 2 c.p + ||C_w||^2 for real p, from angle_gram(x), (y):
-        Q = Re(N_x o conj(N_y)) and c = Re diag(A_x^H T_C A_y)."""
+        """(Q, c) with second_term(x, y, p) = p.Q.p - 2 c.p + ||B2||^2 for
+        real p, from angle_gram(x), (y): Q = Re(N_x o conj(N_y)) and
+        c = Re diag(A_x^H T_C A_y)."""
         (A_x, N_x), (A_y, N_y) = gram_x, gram_y
         Q = (N_x * N_y.conj()).real
         c = ((A_x.conj().T @ self.T_C) * A_y.T).sum(axis=1).real
         return Q, c
 
-    def second_term(self, gram_x, gram_y, p: np.ndarray) -> float:
-        """||Psi_w ((x y^H) o H(p)) Psi_w^H - C_w||_F^2 from angle_gram(x), (y)."""
-        Q, c = self.second_quadratic(gram_x, gram_y)
-        quad = float(p @ Q @ p)
-        cross = float(c @ p)
-        return max(quad - 2.0 * cross + self.C_norm2, 0.0)
+    def second_term(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> float:
+        """||(R A_x) diag(p) (R A_y)^H - B2||_F^2, the second-moment residual
+        of ((x y^H) o H(p)) in Q coordinates."""
+        RA_x = self.R @ (x[:, None] * self.E)
+        RA_y = RA_x if y is x else self.R @ (y[:, None] * self.E)
+        r = (RA_x * p[None, :]) @ RA_y.conj().T - self.B2
+        return float(np.vdot(r, r).real)
 
 
 @dataclass
@@ -163,14 +158,15 @@ class AdmmState:
 
 
 def random_start(
-    mu_w: np.ndarray, n_a: int, n_theta: int, seed: int
+    mu_norm: float, n_a: int, n_theta: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded start (a, z, p): a and z i.i.d. complex Gaussian scaled to the
-    weighted first moment's norm, drawn in that order, then p uniform plus
-    seeded noise, simplex-projected.  Only mu_w is read, so a method that
-    never forms the second moment draws the same start."""
+    weighted first moment's norm mu_norm = ||mu_w||, drawn in that order,
+    then p uniform plus seeded noise, simplex-projected.  Only mu_norm is
+    read, so a method that never forms the second moment draws the same
+    start."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    scale = np.linalg.norm(mu_w) / np.sqrt(n_a)
+    scale = mu_norm / np.sqrt(n_a)
     scale = scale if scale > 0 else 1.0
     draw = lambda: scale * (
         rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
@@ -186,17 +182,17 @@ def random_start(
 def init_admm_state(
     features: MomentFeatures, config: AdmmConfig, spec: BasisSpec, n_theta: int
 ) -> AdmmState:
-    """The workspace of features plus random_start(mu_w, ...) at config.seed;
-    s = 0."""
+    """The workspace of features plus random_start(features.mu_norm, ...) at
+    config.seed; s = 0."""
     work = AdmmWorkspace(features, spec, n_theta)
-    a0, z0, p0 = random_start(work.mu_w, spec.n_a, n_theta, config.seed)
+    a0, z0, p0 = random_start(features.mu_norm, spec.n_a, n_theta, config.seed)
     return AdmmState(
         a=a0, z=z0, p=p0, s=np.zeros(spec.n_a, dtype=complex), iter=0, work=work
     )
 
 
 def _second_gram_pieces(work: AdmmWorkspace, fixed: np.ndarray, p: np.ndarray):
-    """Gram and data-correlation of a ||Psi_w ((x fixed^H) o H(p)) Psi_w^H - C_w||
+    """Gram and data-correlation of the ||R ((x fixed^H) o H(p)) R^H - B2||
     block, compressed to n_a x n_a.
 
     With W = fixed[:, None] * H(p) = A_f diag(p) E^H, the Gram G o conj(W^H G W)
@@ -213,8 +209,8 @@ def _second_gram_pieces(work: AdmmWorkspace, fixed: np.ndarray, p: np.ndarray):
 def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
                      center: np.ndarray, fixed: np.ndarray,
                      lam1: float) -> np.ndarray:
-    """Exact minimizer of lam1/2 ||Psi_w (x o g) - mu_w||^2
-    + lam2/2 ||Psi_w ((x fixed^H) o H) Psi_w^H - C_w||_F^2
+    """Exact minimizer of lam1/2 ||R (x o g) - b1||^2
+    + lam2/2 ||R ((x fixed^H) o H) R^H - B2||_F^2
     + rho/2 ||x - center||^2 over one consensus copy x."""
     work = state.work
     lhs = config.rho * np.eye(work.spec.n_a, dtype=complex)
@@ -244,7 +240,7 @@ def update_a(state: AdmmState, config: AdmmConfig) -> np.ndarray:
 
 def update_z(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact minimizer over z.  The second-moment residual satisfies
-    ||X - C_w||_F = ||X^H - C_w||_F (C_w Hermitian), and X^H swaps the roles
+    ||X - B2||_F = ||X^H - B2||_F (B2 Hermitian), and X^H swaps the roles
     of a and z, so the solve mirrors the a-step with penalty center a + s;
     the first-moment term does not involve z."""
     return _consensus_solve(state, config, "z", state.a + state.s, state.a, 0.0)
@@ -254,8 +250,8 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact equality-constrained least squares over the real vector p.
 
     Both moment models are linear in p:
-      mu-model  = Psi_w diag(a) E p,
-      C-model   = sum_l p[l] (Psi_w (a o e_l)) (Psi_w (z o e_l))^H,
+      b1-model  = R diag(a) E p,
+      B2-model  = sum_l p[l] (R (a o e_l)) (R (z o e_l))^H,
     so the normal equations compress through A_a = diag(a) E and
     A_z = diag(z) E.  sum(p) = 1 is eliminated with the orthonormal basis of
     the zero-sum subspace.  The reduced system is solved by lstsq: when some
@@ -301,13 +297,12 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
 
 def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
     """Scaled-dual augmented Lagrangian
-    lam1/2 ||A1 a - mu_w||^2 + lam2/2 ||A2(z) a - C_w||_F^2
+    lam1/2 ||R (a o g) - b1||^2 + lam2/2 ||R ((a z^H) o H) R^H - B2||_F^2
     + rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
     work = state.work
     g = work.g_of(state.p)
     val = 0.5 * config.lam1 * work.first_term(state.a * g)
-    val += 0.5 * config.lam2 * work.second_term(
-        work.angle_gram(state.a), work.angle_gram(state.z), state.p)
+    val += 0.5 * config.lam2 * work.second_term(state.a, state.z, state.p)
     gap = state.a - state.z + state.s
     val += 0.5 * config.rho * float(np.vdot(gap, gap).real)
     val -= 0.5 * config.rho * float(np.vdot(state.s, state.s).real)
@@ -317,9 +312,8 @@ def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
 def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
                      lam1: float, lam2: float) -> float:
     """Unsplit data-fit objective at consensus (z = a)."""
-    gram_a = work.angle_gram(a)
     return (0.5 * lam1 * work.first_term(a * work.g_of(p))
-            + 0.5 * lam2 * work.second_term(gram_a, gram_a, p))
+            + 0.5 * lam2 * work.second_term(a, a, p))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import ConfigError, SolverError
 from .metrics import (TrialReport, joint_alignment, relative_error,
                       reports_to_csv, snr_db, success_rate,
                       total_variation_dist, variance_for_snr)
-from .moments import empirical_moments, first_moment, weight_diagonal
+from .moments import empirical_moments, first_moment
 from .sim import (ViewDistribution, build_line_grid, bump_distribution,
                   check_payload_size, generate_batch, load_batch,
                   random_phantom, read_header_file, save_batch,
@@ -253,12 +253,12 @@ def _init_hash(a, p):
     return h.hexdigest()
 
 
-def _moments_for(methods, batch, quad):
+def _moments_for(methods, batch, quad, spec):
     """The full moments if one of methods runs ADMM, the only reader of the
     second moment; None if all are "em"."""
     if all(m == "em" for m in methods):
         return None
-    return empirical_moments(batch, quad)
+    return empirical_moments(batch, quad, spec)
 
 
 def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
@@ -270,9 +270,9 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
     start itself at config.seed = seed.  The EM methods read the line
     samples with their node map, transform_batch(batch, quad)."""
     sol = cfg["solver"]
-    mu = features.mu if features is not None else first_moment(batch, quad)
-    a0, _, p0 = random_start(weight_diagonal(quad, batch.K) * mu, spec.n_a,
-                             n_theta, seed)
+    mu_norm = (features.mu_norm if features is not None
+               else float(np.linalg.norm(first_moment(batch, quad))))
+    a0, _, p0 = random_start(mu_norm, spec.n_a, n_theta, seed)
     start_hash = _init_hash(a0, p0)
     histories = []
     t0 = time.perf_counter()
@@ -325,7 +325,7 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
     quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
     n_theta = batch.n_theta
 
-    features = _moments_for([method], batch, quad)
+    features = _moments_for([method], batch, quad, spec)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     a, p, runtime, start_hash = _run_method(
@@ -419,7 +419,7 @@ def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
     achieved = snr_db(var, sigma2)
 
     methods = cfg["experiment"]["methods"]
-    features = _moments_for(methods, batch, quad)
+    features = _moments_for(methods, batch, quad, spec)
 
     n_theta = p.n_theta
     reports, hashes = [], {}

@@ -1,21 +1,18 @@
-"""Moment features of tilt-series ensembles.
+"""Moment features of tilt-series ensembles, in the QR coordinates of the
+weighted tilt matrix Psi_w = d_w Psi = Q R (d_w = sqrt(w_j xi_j), tiled
+across tilts).
 
-The population mean and covariance of a spectral tilt record depend on the
-angle distribution p only through the angle-phase matrix E (E[i, l] =
-exp(i k_i phi_l), the coefficient-domain steering of angle phi_l): the
-first-moment attenuation g = E p and the second-moment coupling
-H = E diag(p) E^H give
-
-    mu = Psi (a o g),        C = Psi ((a a^H) o H) Psi^H,
-
-where o is the entrywise product and Psi the stacked tilt matrix.  The same
-quantities are estimated from the real line samples: white detector noise
-is debiased by subtracting sigma2 from the diagonal of their second moment,
-and the linear node DFT maps the sums once.  The first moment is also
-formed on its own (first_moment) for consumers that never read C, such as
-the shared random start of an EM-only run.  The diagonal weight
-sqrt(w_j xi_j), tiled across tilts, turns plain vector/Frobenius norms of
-residuals into the disc-measure norms used by the solver.
+The weighted moments of a record depend on the angle distribution p only
+through the angle-phase matrix E (E[i, l] = exp(i k_i phi_l)): with
+g = E p and H = E diag(p) E^H, mu_w = Psi_w (a o g) and
+C_w = Psi_w ((a a^H) o H) Psi_w^H.  The solver sees them only as
+b1 = Q^H mu_w and B2 = Q^H C_w Q; the rest is a constant it cannot fit.
+So population features are b1 = R (a o g) and
+B2 = (R A_a) diag(p) (R A_a)^H with A_a = diag(a) E, and empirical ones map
+each record's real line samples to Q coordinates, Z = X Phi_Q with
+Phi_Q = F_b^H D_w Q, and debias B2 = Z^H Z / N - sigma2 Phi_Q^H Phi_Q.  No
+wide moment matrix is formed.  The weighted first moment alone
+(first_moment) scales the shared random start, so EM-only runs skip B2.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FBCoeffs, QuadratureGrid
+from .basis import BasisSpec, FBCoeffs, QuadratureGrid, eval_tilt_matrix
 from .errors import ConfigError
 from .sim import TiltSeriesBatch
 from .spectral import blockwise_mean_outer, dft_matrix
@@ -55,104 +52,94 @@ def weight_diagonal(quad: QuadratureGrid, K: int) -> np.ndarray:
     return np.tile(np.sqrt(quad.weights * quad.nodes), 2 * K + 1)
 
 
+def weighted_qr(psi: np.ndarray, quad: QuadratureGrid,
+                K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR (Q, R) of the weighted tilt matrix Psi_w = d_w Psi: the
+    coordinates every moment feature is expressed in."""
+    return np.linalg.qr(weight_diagonal(quad, K)[:, None] * psi)
+
+
 @dataclass(frozen=True)
 class MomentFeatures:
-    """Debiased (or population) moment pair plus the weighting diagonal.
+    """Debiased (or population) moments in the QR coordinates of Psi_w.
 
-    mu and C are unweighted; d_w holds the diagonal weights so consumers can
-    form mu_w = d_w * mu and C_w = d_w[:, None] * C * d_w[None, :].  N is the
-    sample count behind the estimate; N = 0 marks population (analytic)
-    features.  quad, K, alpha record the acquisition geometry so the solver
-    stage can rebuild the tilt matrix without the raw batch.
+    R is the triangular factor of Psi_w = Q R, b1 = Q^H mu_w and
+    B2 = Q^H C_w Q (Hermitian).  mu_norm = ||mu_w|| sets the scale of the
+    random start.  N is the sample count behind the estimate; N = 0 marks
+    population (analytic) features.  K and alpha record the tilt geometry.
     """
 
-    mu: np.ndarray
-    C: np.ndarray
+    R: np.ndarray
+    b1: np.ndarray
+    B2: np.ndarray
+    mu_norm: float
     N: int
-    d_w: np.ndarray
-    quad: QuadratureGrid
     K: int
     alpha: float
 
     def __post_init__(self):
-        width = (2 * self.K + 1) * self.quad.n_xi
-        if self.mu.shape != (width,) or self.C.shape != (width, width):
+        m = self.R.shape[0]
+        if self.b1.shape != (m,) or self.B2.shape != (m, m):
             raise ConfigError(
-                f"moment shapes {self.mu.shape}/{self.C.shape} inconsistent "
-                f"with (2K+1)*n_xi = {width}"
+                f"moment shapes {self.b1.shape}/{self.B2.shape} inconsistent "
+                f"with R of shape {self.R.shape}"
             )
-        herm = np.linalg.norm(self.C - self.C.conj().T)
-        scale = max(np.linalg.norm(self.C), 1e-300)
-        if herm > 1e-10 * scale:
-            raise ConfigError(f"C not Hermitian: relative skew {herm / scale:.3e}")
-        if np.any(self.d_w <= 0):
-            raise ConfigError("weight diagonal must be strictly positive")
-
-    def weighted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mu_w, C_w) with the diagonal applied."""
-        d = self.d_w
-        return d * self.mu, d[:, None] * self.C * d[None, :]
 
 
 def population_features(
     a: FBCoeffs, p, psi: np.ndarray, quad: QuadratureGrid, K: int, alpha: float
 ) -> MomentFeatures:
     """Analytic (infinite-N) features of ground truth (a, p); N = 0."""
+    _, R = weighted_qr(psi, quad, K)
     E = angle_phase_matrix(a.spec, p.n_theta)
-    inner = np.outer(a.values, a.values.conj()) * angle_coupling(E, p.p)
-    C = psi @ inner @ psi.conj().T
-    C = 0.5 * (C + C.conj().T)
+    v = a.values * (E @ p.p)
+    RA = R @ (a.values[:, None] * E)
+    B2 = (RA * p.p[None, :]) @ RA.conj().T
     return MomentFeatures(
-        mu=psi @ (a.values * (E @ p.p)),
-        C=C,
+        R=R,
+        b1=R @ v,
+        B2=0.5 * (B2 + B2.conj().T),
+        mu_norm=float(np.linalg.norm(weight_diagonal(quad, K) * (psi @ v))),
         N=0,
-        d_w=weight_diagonal(quad, K),
-        quad=quad,
         K=K,
         alpha=alpha,
     )
 
 
 def first_moment(batch: TiltSeriesBatch, quad: QuadratureGrid) -> np.ndarray:
-    """mu = F_b mean(y): the node DFT F of each tilt's mean line.
-
-    The first moment alone costs one pass over the samples; empirical_moments
-    takes its mu from here, so both routes give the same bits.
-    """
+    """mu_w = d_w F_b mean(y), the weighted node DFT F of each tilt's mean
+    line: one pass over the samples.  empirical_moments takes b1 and mu_norm
+    from it, so every route scales the random start by the same bits."""
     N, n_tilt, L = batch.samples.shape
     if N < 1:
         raise ConfigError("empty batch: need N >= 1 records")
     mean = batch.samples.reshape(N, n_tilt * L).mean(axis=0)
-    return (mean.reshape(n_tilt, L) @ dft_matrix(batch.grid, quad).T).ravel()
+    return weight_diagonal(quad, batch.K) * (
+        mean.reshape(n_tilt, L) @ dft_matrix(batch.grid, quad).T).ravel()
 
 
-def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid) -> MomentFeatures:
-    """Debiased empirical moments of the node records, formed on the lines.
-
-    With F_b the node DFT F applied to each tilt's line,
-    mu = F_b mean(y) (first_moment) and C = F_b (mean(y y^T) - sigma2 I) F_b^H.
-    F_b is never formed: each (s, t) block of the line-domain moment S maps
-    as F S_st F^H, one tilt row of blocks at a time.  C is
-    Hermitian-symmetrized.
-    """
-    mu = first_moment(batch, quad)
+def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid,
+                      spec: BasisSpec) -> MomentFeatures:
+    """Debiased empirical features, formed on the lines: Phi_Q = F_b^H D_w Q
+    one tilt block at a time, Z = X Phi_Q by one real product with its
+    interleaved real view, B2 = Z^H Z / N - sigma2 Phi_Q^H Phi_Q
+    (Hermitian-symmetrized) and b1 = Q^H mu_w."""
+    mu_w = first_moment(batch, quad)
     N, n_tilt, L = batch.samples.shape
-    S = blockwise_mean_outer(batch.samples.reshape(N, n_tilt * L))
-    S[np.diag_indices_from(S)] -= batch.sigma2
+    psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
+    Q, R = weighted_qr(psi, quad, batch.K)
+    d_Q = weight_diagonal(quad, batch.K)[:, None] * Q
     F = dft_matrix(batch.grid, quad)
-    n = quad.n_xi
-    C = np.empty((n_tilt * n, n_tilt * n), dtype=complex)
-    for s in range(n_tilt):
-        rows = F @ S[s * L:(s + 1) * L]                 # (n, n_tilt * L)
-        C[s * n:(s + 1) * n] = (rows.reshape(n, n_tilt, L)
-                                @ F.conj().T).reshape(n, -1)
-    C = 0.5 * (C + C.conj().T)
+    phi = (F.conj().T @ d_Q.reshape(n_tilt, quad.n_xi, -1)).reshape(
+        n_tilt * L, -1)
+    Z = (batch.samples.reshape(N, n_tilt * L) @ phi.view(float)).view(complex)
+    B2 = blockwise_mean_outer(Z) - batch.sigma2 * (phi.conj().T @ phi)
     return MomentFeatures(
-        mu=mu,
-        C=C,
+        R=R,
+        b1=Q.conj().T @ mu_w,
+        B2=0.5 * (B2 + B2.conj().T),
+        mu_norm=float(np.linalg.norm(mu_w)),
         N=N,
-        d_w=weight_diagonal(quad, batch.K),
-        quad=quad,
         K=batch.K,
         alpha=batch.alpha,
     )

@@ -4,11 +4,11 @@ Projection lines are mapped to Fourier values at the radial quadrature nodes
 by a direct type-II DFT with the Riemann factor dx, so node values
 approximate the continuous transform integral and are directly comparable to
 tilt-matrix slices.  A SpectralBatch keeps the real records together with
-that linear map instead of the node values it would produce; EM composes
-the map into its whitener, so no node spectrum is formed on its path.  The
-detector noise is white, sigma2 on each real sample: moment debiasing
-subtracts it from the diagonal of the line-sample second moment, and only
-EM's whitening needs its node-domain block.
+that linear map instead of the node values it would produce.  EM composes
+the map into its whitener and the moment route into the map to the QR
+coordinates of the features, so neither forms a node spectrum.  The
+detector noise is white, sigma2 on each real sample; only EM's whitening
+needs its node-domain block.
 """
 
 from __future__ import annotations
@@ -92,9 +92,16 @@ def noise_covariance(sigma2: float, grid: LineGrid, quad: QuadratureGrid) -> np.
     return 0.5 * (block + block.conj().T)
 
 
-def blockwise_mean_outer(y: np.ndarray) -> np.ndarray:
-    """Mean outer product of real records (N >= 1), as one y^T y scaled in
-    place."""
-    mean_outer = y.T @ y
-    mean_outer /= len(y)
+def blockwise_mean_outer(Z: np.ndarray) -> np.ndarray:
+    """Mean outer product Z^H Z / len(Z) of the rows of a complex Z (N >= 1).
+
+    With Z = U + iV, Z^H Z = U^T U + V^T V + i (U^T V - V^T U), all read
+    from W^T W for the interleaved real view W of Z: one real symmetric
+    rank-k update, half the work of the complex product.
+    """
+    W = Z.view(float)
+    P = (W.T @ W).reshape(Z.shape[1], 2, Z.shape[1], 2)
+    mean_outer = P[:, 0, :, 0] + P[:, 1, :, 1] + 1j * (P[:, 0, :, 1]
+                                                       - P[:, 1, :, 0])
+    mean_outer /= len(Z)
     return mean_outer

@@ -2,15 +2,19 @@
 
 The moment forms are explicit mixture sums over the angle grid, one steered
 record per candidate angle, so they share no code with the factored
-g = E p, H = E diag(p) E^H forms the package builds on.  The solver forms
-work on the n_a x n_a coupling H(p) with n_a^3 products: the dense
-second-moment operator, the second term tr(M^H G M G) - 2 Re<T_C, M> +
-||C_w||^2, and a whole ADMM iteration, against which the package's
-angle-Gram factorization is checked.
+g = E p, H = E diag(p) E^H forms the package builds on.  Through the wide
+tilt matrix they give the wide moments; through R they give the moments in
+the QR coordinates of Psi_w = Q R directly.  The wide route of the solver's
+data pieces, G = Psi_w^H Psi_w, t_mu = Psi_w^H mu_w and
+T_C = Psi_w^H C_w Psi_w, is kept as the reference for the QR-coordinate
+ones.  The solver forms work on the n_a x n_a coupling H(p) with n_a^3
+products: the dense second-moment operator, the dense residual
+||R M R^H - B2||_F^2, and a whole ADMM iteration, against which the
+package's angle-Gram factorization is checked.
 
 The moments of node records are accumulated in the node domain, debiased
 by the dense per-tilt noise block sigma2 F F^H, against which the package's
-line-domain moments are checked.
+line-domain moments are checked after projection onto Q.
 
 The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
@@ -46,51 +50,65 @@ def brute_force_moments(a, w, psi, spec):
     return mu, C
 
 
-def dense_residuals(a, w, psi_w, features, lam1=1.0, lam2=0.5):
-    """Weighted data-fit residuals and the scalar objective, formed densely.
+def dense_residuals(a, w, R, features, lam1=1.0, lam2=0.5):
+    """Data-fit residuals in Q coordinates and the scalar objective, formed
+    densely from the mixture sums with R in place of the tilt matrix.
 
-    psi_w is the pre-weighted tilt matrix (d_w applied to its rows).  Returns
-    (first-moment residual vector, second-moment residual matrix,
+    Returns (first-moment residual vector, second-moment residual matrix,
     lam1/2 * ||r1||^2 + lam2/2 * ||r2||_F^2).
     """
-    mu_w, C_w = features.weighted()
-    mu_m, C_m = brute_force_moments(a, w, psi_w, a.spec)
-    r1 = mu_m - mu_w
-    r2 = C_m - C_w
+    mu_m, C_m = brute_force_moments(a, w, R, a.spec)
+    r1 = mu_m - features.b1
+    r2 = C_m - features.B2
     obj = 0.5 * lam1 * float(np.vdot(r1, r1).real) + 0.5 * lam2 * float(
         np.vdot(r2, r2).real
     )
     return r1, r2, obj
 
 
-def build_a2_matrix(work, fixed, H):
-    """Dense route: the (M^2, n_a) matrix whose column i is
-    vec(psi_i (Psi_w (fixed o conj(H[i, :])))^H).
+def to_q(Q, d, mu, C):
+    """(Q^H mu_w, Q^H C_w Q) of wide unweighted moments (mu, C), with
+    mu_w = d mu and C_w = d C d."""
+    Q_w = d[:, None] * Q
+    return Q_w.conj().T @ mu, Q_w.conj().T @ C @ Q_w
 
-    Applying it to x gives vec(Psi_w ((x fixed^H) o H) Psi_w^H).  Guarded
-    against runaway sizes.
+
+def wide_data_pieces(psi_w, mu_w, C_w):
+    """(G, t_mu, T_C) by the wide route: Psi_w^H Psi_w, Psi_w^H mu_w and
+    Psi_w^H C_w Psi_w, Hermitian-symmetrized."""
+    G = psi_w.conj().T @ psi_w
+    T_C = psi_w.conj().T @ C_w @ psi_w
+    return (0.5 * (G + G.conj().T), psi_w.conj().T @ mu_w,
+            0.5 * (T_C + T_C.conj().T))
+
+
+def build_a2_matrix(psi, fixed, H):
+    """Dense route: the (M^2, n_a) matrix whose column i is
+    vec(psi_i (psi (fixed o conj(H[i, :])))^H).
+
+    Applying it to x gives vec(psi ((x fixed^H) o H) psi^H); with psi = R
+    that is the second-moment model in Q coordinates.  Guarded against
+    runaway sizes.
     """
-    M = work.psi_w.shape[0]
-    n_a = work.psi_w.shape[1]
+    M, n_a = psi.shape
     if M * M * n_a > 5e7:
         raise ConfigError(
             f"dense second-moment operator would hold {M * M * n_a} entries; "
             f"use the compressed route"
         )
     # H Hermitian makes fixed o conj(H[i, :]) the i-th column of fixed[:,None]*H
-    U = work.psi_w @ (fixed[:, None] * H)
+    U = psi @ (fixed[:, None] * H)
     out = np.empty((M * M, n_a), dtype=complex)
     for i in range(n_a):
-        out[:, i] = np.outer(work.psi_w[:, i], U[:, i].conj()).ravel()
+        out[:, i] = np.outer(psi[:, i], U[:, i].conj()).ravel()
     return out
 
 
 def dense_second_term(work, M):
-    """||Psi_w M Psi_w^H - C_w||_F^2 for the n_a x n_a inner matrix M, as
-    tr(M^H G M G) - 2 Re<T_C, M> + ||C_w||^2 clamped at 0."""
-    quad = float(np.vdot(M, work.G @ M @ work.G).real)
-    cross = float(np.vdot(work.T_C, M).real)
-    return max(quad - 2.0 * cross + work.C_norm2, 0.0)
+    """||R M R^H - B2||_F^2 for the n_a x n_a inner matrix M, formed as the
+    norm of the dense residual."""
+    r = work.R @ M @ work.R.conj().T - work.B2
+    return float(np.vdot(r, r).real)
 
 
 def dense_admm_iteration(state, config):

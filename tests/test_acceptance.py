@@ -29,12 +29,13 @@ from tiltrec.em import EmConfig, run_em
 from tiltrec.metrics import (joint_alignment, relative_error, snr_db,
                              total_variation_dist, variance_for_snr)
 from tiltrec.moments import (angle_phase_matrix, empirical_moments,
-                             population_features)
+                             population_features, weight_diagonal,
+                             weighted_qr)
 from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          generate_batch, random_phantom)
 from tiltrec.spectral import noise_covariance, transform_batch
 
-from oracles import full_noise_covariance, log_marginal_likelihood
+from oracles import full_noise_covariance, log_marginal_likelihood, to_q
 
 DEG = math.pi / 180.0
 
@@ -94,10 +95,13 @@ def test_1_clean_recovery_protocol():
 
 def test_2_moment_factorization_vs_brute_force():
     """Factored first/second moment formulas against direct sums over the
-    angle grid: 100 random (a, p) draws at the full basis size, 1e-12."""
+    angle grid, compared in the QR coordinates of the weighted tilt matrix
+    (b1 = Q^H mu_w, B2 = Q^H C_w Q): 100 random (a, p) draws at the full
+    basis size, 1e-12."""
     spec = build_basis_spec(0.3, 16.0)
     quad = build_quadrature(spec.c, 64)
     psi = eval_tilt_matrix(spec, quad, 6, 1.5 * DEG)
+    Q, d = weighted_qr(psi, quad, 6)[0], weight_diagonal(quad, 6)
     n_theta = 24
     E = angle_phase_matrix(spec, n_theta)
 
@@ -112,10 +116,9 @@ def test_2_moment_factorization_vs_brute_force():
                          real_symmetric=False)
             p = ViewDistribution(rng.dirichlet(np.ones(n_theta)), n_theta)
             feats = population_features(a, p, psi, quad, 6, 1.5 * DEG)
-            mu_f, c_f = feats.mu, feats.C
+            mu_f, c_f = feats.b1, feats.B2
             V = psi @ (a.values[:, None] * E)
-            mu_b = V @ p.p
-            c_b = (V * p.p[None, :]) @ V.conj().T
+            mu_b, c_b = to_q(Q, d, V @ p.p, (V * p.p[None, :]) @ V.conj().T)
             worst_mu = max(worst_mu, np.linalg.norm(mu_f - mu_b)
                            / np.linalg.norm(mu_b))
             worst_c = max(worst_c, np.linalg.norm(c_f - c_b)
@@ -129,16 +132,18 @@ def test_2_moment_factorization_vs_brute_force():
 
 # ---------------------------------------------------------------- check 3
 
-def _blockwise_se(yhat, d, noise_full, n_blocks=50):
-    """Entrywise Monte Carlo standard errors of the weighted debiased
-    moments, from independent sub-batches."""
+def _blockwise_se(yhat, Q_w, noise_q, n_blocks=50):
+    """Entrywise Monte Carlo standard errors of the debiased moments in the
+    Q coordinates of the features, from independent sub-batches: each
+    record maps to z = Q_w^H y with Q_w = d_w Q, and noise_q is the noise
+    covariance in those coordinates."""
     n = yhat.shape[0] // n_blocks
     mus, cs = [], []
     for b in range(n_blocks):
-        y = yhat[b * n:(b + 1) * n].reshape(n, -1)
-        mus.append(d * y.mean(axis=0))
-        mo = (y[:, :, None] * y[:, None, :].conj()).mean(axis=0)
-        cs.append(d[:, None] * (mo - noise_full) * d[None, :])
+        z = yhat[b * n:(b + 1) * n].reshape(n, -1) @ Q_w.conj()
+        mus.append(z.mean(axis=0))
+        mo = (z[:, :, None] * z[:, None, :].conj()).mean(axis=0)
+        cs.append(mo - noise_q)
     mu_se = np.array(mus).std(axis=0, ddof=1) / math.sqrt(n_blocks)
     c_se = np.array(cs).std(axis=0, ddof=1) / math.sqrt(n_blocks)
     return mu_se, c_se
@@ -146,15 +151,19 @@ def _blockwise_se(yhat, d, noise_full, n_blocks=50):
 
 def test_3_debiasing_statistics():
     """Noise-covariance subtraction is unbiased: (a) a pure-noise batch of
-    1e5 records leaves the weighted second-moment estimate within 3
-    aggregate standard errors of zero; (b) on a mixed signal+noise batch the
-    debiased moments land within 3 SE of the generating process's own
-    population moments (per-angle clean spectra weighted by p)."""
+    1e5 records leaves the second-moment estimate within 3 aggregate
+    standard errors of zero; (b) on a mixed signal+noise batch the debiased
+    moments land within 3 SE of the generating process's own population
+    moments (per-angle clean spectra weighted by p).  Estimates, references
+    and standard errors are all in the QR coordinates of the features."""
     spec = build_basis_spec(0.3, 8.0)
     quad = build_quadrature(spec.c, 24)
     K = 1
     alpha = 3.8 * DEG
     p = bump_distribution(12, 1.1, 2.5)
+    Q, d = (weighted_qr(eval_tilt_matrix(spec, quad, K, alpha), quad, K)[0],
+            weight_diagonal(quad, K))
+    Q_w = d[:, None] * Q
     t0 = time.perf_counter()
 
     # pure noise
@@ -165,10 +174,10 @@ def test_3_debiasing_statistics():
     batch = generate_batch(zero, p, 100_000, K, alpha, 1.0, grid, quad,
                            seed=5)
     sb = transform_batch(batch, quad)
-    feats = empirical_moments(batch, quad)
-    c_norm = np.linalg.norm(feats.weighted()[1])
-    _, c_se = _blockwise_se(sb.yhat, feats.d_w,
-                            full_noise_covariance(noise, K))
+    feats = empirical_moments(batch, quad, spec)
+    c_norm = np.linalg.norm(feats.B2)
+    noise_q = Q_w.conj().T @ full_noise_covariance(noise, K) @ Q_w
+    _, c_se = _blockwise_se(sb.yhat, Q_w, noise_q)
     pure_ratio = c_norm / np.linalg.norm(c_se)
 
     # mixed batch vs the exact population moments of the generating process
@@ -179,23 +188,22 @@ def test_3_debiasing_statistics():
     noise = noise_covariance(s2, grid, quad)
     batch = generate_batch(truth, p, 20_000, K, alpha, s2, grid, quad, seed=6)
     sb = transform_batch(batch, quad)
-    feats = empirical_moments(batch, quad)
-    mu_w, c_w = feats.weighted()
+    feats = empirical_moments(batch, quad, spec)
 
-    d = feats.d_w
-    mu0 = np.zeros_like(mu_w)
-    c0 = np.zeros_like(c_w)
+    mu0 = np.zeros(Q.shape[1], dtype=complex)
+    c0 = np.zeros((Q.shape[1], Q.shape[1]), dtype=complex)
     for l in range(p.n_theta):
         onehot = np.zeros(p.n_theta)
         onehot[l] = 1.0
         one = generate_batch(truth, ViewDistribution(onehot, p.n_theta), 1, K,
                              alpha, 0.0, grid, quad, seed=1)
-        y = d * transform_batch(one, quad).yhat[0].ravel()
-        mu0 += p.p[l] * y
-        c0 += p.p[l] * y[:, None] * y.conj()[None, :]
-    mu_se, c_se = _blockwise_se(sb.yhat, d, full_noise_covariance(noise, K))
-    mixed_mu = np.linalg.norm(mu_w - mu0) / np.linalg.norm(mu_se)
-    mixed_c = np.linalg.norm(c_w - c0) / np.linalg.norm(c_se)
+        z = Q_w.conj().T @ transform_batch(one, quad).yhat[0].ravel()
+        mu0 += p.p[l] * z
+        c0 += p.p[l] * z[:, None] * z.conj()[None, :]
+    noise_q = Q_w.conj().T @ full_noise_covariance(noise, K) @ Q_w
+    mu_se, c_se = _blockwise_se(sb.yhat, Q_w, noise_q)
+    mixed_mu = np.linalg.norm(feats.b1 - mu0) / np.linalg.norm(mu_se)
+    mixed_c = np.linalg.norm(feats.B2 - c0) / np.linalg.norm(c_se)
 
     runtime = time.perf_counter() - t0
     ok = pure_ratio <= 3.0 and mixed_mu <= 3.0 and mixed_c <= 3.0 \
@@ -226,7 +234,7 @@ def test_4_em_likelihood_ascent():
         s2 = variance_for_snr(float(clean.samples.var()), 0.0)
         batch = generate_batch(truth, p, 500, 6, alpha, s2, grid, quad,
                                seed=seed)
-        feats = empirical_moments(batch, quad)
+        feats = empirical_moments(batch, quad, spec)
         st = init_admm_state(feats, AdmmConfig(seed=seed), spec, 16)
         res = run_em(transform_batch(batch, quad),
                      FBCoeffs(st.a, spec, real_symmetric=False),
@@ -298,15 +306,15 @@ def test_6_rotation_shift_equivariance():
     a = random_phantom(spec, 1.0, seed=11)
     p = bump_distribution(16, 1.1, 2.5)
     feats = population_features(a, p, psi, quad, 2, 3.8 * DEG)
-    mu, C = feats.mu, feats.C
+    mu, C = feats.b1, feats.B2
     worst_mom = 0.0
     for l0 in (1, 5, 11):
         gamma = 2.0 * math.pi * l0 / p.n_theta
         p_s = ViewDistribution(np.roll(p.p, l0), p.n_theta)
         a_r = a.rotated(gamma)
         feats_r = population_features(a_r, p_s, psi, quad, 2, 3.8 * DEG)
-        dmu = np.linalg.norm(feats_r.mu - mu)
-        dC = np.linalg.norm(feats_r.C - C)
+        dmu = np.linalg.norm(feats_r.b1 - mu)
+        dC = np.linalg.norm(feats_r.B2 - C)
         worst_mom = max(worst_mom, dmu / np.linalg.norm(mu),
                         dC / np.linalg.norm(C))
 

@@ -6,6 +6,8 @@ while counter-shifting the (relaxed, possibly signed) distribution, so the
 recovery test aligns continuously instead of on the angle grid.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -18,11 +20,15 @@ from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _admm_columns, history_to_csv
 from tiltrec.errors import ConfigError, SolverError
-from tiltrec.moments import MomentFeatures, angle_coupling, population_features
+from tiltrec.moments import (angle_coupling, empirical_moments,
+                             population_features, weight_diagonal,
+                             weighted_qr)
 from tiltrec.sim import bump_distribution, random_phantom
+from tiltrec.spectral import dft_matrix, transform_batch
 
-from oracles import (build_a2_matrix, dense_admm_iteration, dense_residuals,
-                     dense_second_term)
+from oracles import (brute_force_moments, build_a2_matrix,
+                     dense_admm_iteration, dense_residuals, dense_second_term,
+                     node_moments, wide_data_pieces)
 
 DEG = np.pi / 180.0
 
@@ -112,25 +118,68 @@ def test_init_deterministic_and_feasible(tiny):
 
 
 def test_random_start_is_init_admm_state_start(tiny):
-    """The start drawn from mu_w alone is bitwise the state's a, z and p."""
+    """The start drawn from ||mu_w|| alone is bitwise the state's a, z and
+    p."""
     for seed in (0, 5):
         st = init_admm_state(tiny["features"], AdmmConfig(seed=seed),
                              tiny["spec"], 5)
-        mu_w = tiny["features"].d_w * tiny["features"].mu
-        a0, z0, p0 = random_start(mu_w, tiny["spec"].n_a, 5, seed)
+        a0, z0, p0 = random_start(tiny["features"].mu_norm, tiny["spec"].n_a,
+                                  5, seed)
         assert a0.tobytes() == st.a.tobytes()
         assert z0.tobytes() == st.z.tobytes()
         assert p0.tobytes() == st.p.tobytes()
 
 
-def test_workspace_compressed_terms_match_raw(prob29):
+def _wide(inst, K=2):
+    """(Q, Psi_w, mu_w, C_w) of an instance: the weighted tilt matrix, its
+    thin-QR basis and the weighted wide population moments."""
+    d = weight_diagonal(inst["quad"], K)
+    Q, _ = weighted_qr(inst["psi"], inst["quad"], K)
+    mu, C = brute_force_moments(inst["a"], inst["p"].p, inst["psi"],
+                                inst["spec"])
+    return Q, d[:, None] * inst["psi"], d * mu, d[:, None] * C * d[None, :]
+
+
+def _assert_matches_wide(work, psi_w, mu_w, C_w):
+    for got, want in zip((work.G, work.t_mu, work.T_C),
+                         wide_data_pieces(psi_w, mu_w, C_w)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_workspace_matches_wide_route(prob29):
+    """G, t_mu and T_C from R, b1, B2 of population features equal the wide
+    route Psi_w^H Psi_w, Psi_w^H mu_w, Psi_w^H C_w Psi_w to 1e-13."""
     work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
-    mu_w, C_w = prob29["features"].weighted()
+    _assert_matches_wide(work, *_wide(prob29)[1:])
+
+
+def test_workspace_matches_wide_route_empirical(small_batch, small_spec,
+                                                quad32):
+    """The same on empirical features, against the node-domain moments of
+    the transformed records."""
+    batch, grid = small_batch
+    feats = empirical_moments(batch, quad32, small_spec)
+    work = AdmmWorkspace(feats, small_spec, 12)
+    mu, C = node_moments(transform_batch(batch, quad32).yhat, batch.sigma2,
+                         dft_matrix(grid, quad32))
+    d = weight_diagonal(quad32, batch.K)
+    psi = eval_tilt_matrix(small_spec, quad32, batch.K, batch.alpha)
+    _assert_matches_wide(work, d[:, None] * psi, d * mu,
+                         d[:, None] * C * d[None, :])
+
+
+def test_workspace_compressed_terms_match_raw(prob29):
+    """The residual norms equal the wide residuals against the in-range
+    data Q b1 and Q B2 Q^H."""
+    work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
+    Q, psi_w, _, _ = _wide(prob29)
+    mu_in = Q @ work.b1
+    C_in = Q @ work.B2 @ Q.conj().T
     rng = np.random.default_rng(7)
     n_a = prob29["spec"].n_a
     for _ in range(3):
         v = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-        direct = np.linalg.norm(work.psi_w @ v - mu_w) ** 2
+        direct = np.linalg.norm(psi_w @ v - mu_in) ** 2
         assert work.first_term(v) == pytest.approx(direct, rel=1e-10)
         # relaxed p: sums to one, some entries negative
         x, y = (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
@@ -138,13 +187,31 @@ def test_workspace_compressed_terms_match_raw(prob29):
         p = 1 / 29 + work.null_basis @ (0.05 * rng.standard_normal(28))
         assert p.min() < 0
         M = np.outer(x, y.conj()) * angle_coupling(work.E, p)
-        direct2 = np.linalg.norm(work.psi_w @ M @ work.psi_w.conj().T - C_w) ** 2
-        factored = work.second_term(work.angle_gram(x), work.angle_gram(y), p)
-        assert factored == pytest.approx(direct2, rel=1e-10)
+        direct2 = np.linalg.norm(psi_w @ M @ psi_w.conj().T - C_in) ** 2
+        assert work.second_term(x, y, p) == pytest.approx(direct2, rel=1e-10)
         assert dense_second_term(work, M) == pytest.approx(direct2, rel=1e-10)
+        Q2, c2 = work.second_quadratic(work.angle_gram(x), work.angle_gram(y))
+        expanded = p @ Q2 @ p - 2.0 * c2 @ p + np.vdot(work.B2, work.B2).real
+        assert expanded == pytest.approx(direct2, rel=1e-10)
     B = work.null_basis
     assert np.allclose(B.T @ B, np.eye(28), atol=1e-12)
     assert np.allclose(B.sum(axis=0), 0.0, atol=1e-12)
+
+
+def test_objective_vanishes_at_truth_on_narrow_wedge():
+    """The narrow-wedge instance (R=16, n_xi=64, K=6, 1.5 deg): the
+    objective at the truth is the norm of a residual that vanishes, not the
+    rounding floor of a cancellation of ||C_w||^2-sized terms."""
+    spec = build_basis_spec(0.3, 16.0)
+    quad = build_quadrature(spec.c, 64)
+    alpha = 1.5 * DEG
+    p = bump_distribution(24, 1.1, 2.5)
+    truth = random_phantom(spec, 1.0, seed=11)
+    psi = eval_tilt_matrix(spec, quad, 6, alpha)
+    feats = population_features(truth, p, psi, quad, 6, alpha)
+    work = AdmmWorkspace(feats, spec, 24)
+    obj = moment_objective(work, truth.values, p.p, 1.0, 0.5)
+    assert obj <= 1e-24 * np.vdot(feats.B2, feats.B2).real
 
 
 # ----------------------------------------------------------- block solves
@@ -170,7 +237,7 @@ def test_block_updates_are_minimizers(prob29):
     work = AdmmWorkspace(feats, spec, 29)
     rng = np.random.default_rng(9)
     n_a = spec.n_a
-    scale = np.linalg.norm(work.mu_w) / np.sqrt(n_a)
+    scale = feats.mu_norm / np.sqrt(n_a)
     st = _state_at(work,
                    scale * (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)),
                    scale * (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)),
@@ -215,13 +282,14 @@ def test_update_p_matches_stacked_least_squares(tiny):
     st = _state_at(work, a, z, np.full(5, 0.2))
     p_fast = update_p(st, AdmmConfig(lam1=lam1, lam2=lam2, rho=1.0))
 
-    mu_w, C_w = feats.weighted()
-    A1 = work.psi_w @ (a[:, None] * work.E)
-    cols = [np.outer(work.psi_w @ (a * work.E[:, l]),
-                     (work.psi_w @ (z * work.E[:, l])).conj()).ravel()
+    R = work.R
+    A1 = R @ (a[:, None] * work.E)
+    cols = [np.outer(R @ (a * work.E[:, l]),
+                     (R @ (z * work.E[:, l])).conj()).ravel()
             for l in range(5)]
     A = np.vstack([np.sqrt(lam1) * A1, np.sqrt(lam2) * np.column_stack(cols)])
-    b = np.concatenate([np.sqrt(lam1) * mu_w, np.sqrt(lam2) * C_w.ravel()])
+    b = np.concatenate([np.sqrt(lam1) * feats.b1,
+                        np.sqrt(lam2) * feats.B2.ravel()])
     B = work.null_basis
     p_part = np.full(5, 0.2)
     reduced = np.vstack([(A @ B).real, (A @ B).imag])
@@ -255,36 +323,35 @@ def test_second_moment_dense_route_matches_compressed(tiny, prob29):
         z = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
         p = project_simplex(rng.standard_normal(n_t) * 0.1 + 1 / n_t)
         H = angle_coupling(work.E, p)
-        A2 = build_a2_matrix(work, z, H)
+        A2 = build_a2_matrix(work.R, z, H)
         gram_c, rhs_c = _second_gram_pieces(work, z, p)
         gram_d = A2.conj().T @ A2
-        rhs_d = A2.conj().T @ work.C_w.ravel()
+        rhs_d = A2.conj().T @ work.B2.ravel()
         assert np.linalg.norm(gram_d - gram_c) <= 1e-12 * np.linalg.norm(gram_d)
         assert np.linalg.norm(rhs_d - rhs_c) <= 1e-12 * np.linalg.norm(rhs_d)
-        # the dense operator itself: A2 @ x == vec(Psi_w ((x z^H) o H) Psi_w^H)
+        # the dense operator itself: A2 @ x == vec(R ((x z^H) o H) R^H)
         x = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-        direct = (work.psi_w @ (np.outer(x, z.conj()) * H)
-                  @ work.psi_w.conj().T).ravel()
+        direct = (work.R @ (np.outer(x, z.conj()) * H)
+                  @ work.R.conj().T).ravel()
         assert np.linalg.norm(A2 @ x - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_dense_route_refuses_runaway_sizes(prob29):
     work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
     big = 1 + int(np.sqrt(5e7 / work.spec.n_a))
-    pad = np.zeros((big - work.psi_w.shape[0], work.spec.n_a))
-    work_big = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
-    work_big.psi_w = np.vstack([work.psi_w, pad])
+    pad = np.zeros((big - work.R.shape[0], work.spec.n_a))
     with pytest.raises(ConfigError):
-        build_a2_matrix(work_big, np.zeros(work.spec.n_a, dtype=complex),
+        build_a2_matrix(np.vstack([work.R, pad]),
+                        np.zeros(work.spec.n_a, dtype=complex),
                         np.eye(work.spec.n_a))
 
 
 # ------------------------------------------------------- objective routes
 
 def test_objective_routes_agree(prob29):
-    """Augmented Lagrangian at consensus == unsplit objective == the raw
-    residual route built from the unweighted tilt matrix."""
-    feats, spec, psi = prob29["features"], prob29["spec"], prob29["psi"]
+    """Augmented Lagrangian at consensus == unsplit objective == the dense
+    residual route built from the mixture sums."""
+    feats, spec = prob29["features"], prob29["spec"]
     work = AdmmWorkspace(feats, spec, 29)
     rng = np.random.default_rng(21)
     vals = rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
@@ -293,8 +360,7 @@ def test_objective_routes_agree(prob29):
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
     lag = augmented_lagrangian(st, cfg)
     obj = moment_objective(work, vals, p, 1.0, 0.5)
-    psi_w = feats.d_w[:, None] * psi
-    _, _, raw = dense_residuals(FBCoeffs(vals, spec), p, psi_w, feats,
+    _, _, raw = dense_residuals(FBCoeffs(vals, spec), p, feats.R, feats,
                                 1.0, 0.5)
     assert lag == pytest.approx(raw, rel=1e-12)
     assert obj == pytest.approx(raw, rel=1e-12)
@@ -345,8 +411,8 @@ def test_exact_recovery_up_to_continuous_rotation(tiny):
     res = run_admm(feats, cfg, spec, 5, state=st)
 
     obj = moment_objective(work, res.a.values, res.p_relaxed, 1.0, 0.5)
-    scale2 = 0.5 * np.vdot(work.mu_w, work.mu_w).real \
-        + 0.25 * np.vdot(work.C_w, work.C_w).real
+    scale2 = 0.5 * np.vdot(feats.b1, feats.b1).real \
+        + 0.25 * np.vdot(feats.B2, feats.B2).real
     assert obj <= 1e-18 * scale2
 
     est = res.a.values
@@ -384,9 +450,8 @@ def test_rotated_init_gives_rotated_trajectory(tiny):
 
 def test_divergence_raises_with_history(tiny):
     feats = tiny["features"]
-    blown = MomentFeatures(mu=feats.mu * 1e9, C=feats.C * 1e9, N=0,
-                           d_w=feats.d_w, quad=feats.quad, K=feats.K,
-                           alpha=feats.alpha)
+    blown = replace(feats, b1=feats.b1 * 1e9, B2=feats.B2 * 1e9,
+                    mu_norm=feats.mu_norm * 1e9)
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0, max_iter=50, seed=0)
     with pytest.raises(SolverError) as err:
         run_admm(blown, cfg, tiny["spec"], 5)

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from tiltrec.basis import FBCoeffs, build_quadrature
+from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
+                           eval_tilt_matrix)
 from tiltrec.errors import ConfigError
 from tiltrec.moments import (angle_coupling, angle_phase_matrix,
                              empirical_moments, first_moment,
-                             population_features,
-                             weight_diagonal)
+                             population_features, weight_diagonal,
+                             weighted_qr)
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          generate_batch, uniform_distribution)
 from tiltrec.spectral import dft_matrix, noise_covariance, transform_batch
 
 from oracles import (brute_force_moments, dense_residuals,
-                     full_noise_covariance, node_moments)
+                     full_noise_covariance, node_moments, to_q)
 
 DEG = np.pi / 180.0
 
@@ -25,17 +26,23 @@ def random_pair(spec, n_theta, rng):
     return a, p
 
 
+def _q_basis(psi, quad, K):
+    """(Q, d_w) of the weighted tilt matrix: the coordinates of b1 and B2."""
+    return weighted_qr(psi, quad, K)[0], weight_diagonal(quad, K)
+
+
 def test_factorization_small(small_problem):
     spec, psi = small_problem["spec"], small_problem["psi"]
+    quad, K = small_problem["quad"], small_problem["K"]
+    Q, d = _q_basis(psi, quad, K)
     rng = np.random.default_rng(17)
     for _ in range(10):
         a, p = random_pair(spec, small_problem["p"].n_theta, rng)
-        feats = population_features(a, p, psi, small_problem["quad"],
-                                    small_problem["K"], small_problem["alpha"])
-        mu, C = feats.mu, feats.C
-        mu_b, C_b = brute_force_moments(a, p.p, psi, spec)
-        assert np.linalg.norm(mu - mu_b) < 1e-12 * np.linalg.norm(mu_b)
-        assert np.linalg.norm(C - C_b) < 1e-12 * np.linalg.norm(C_b)
+        feats = population_features(a, p, psi, quad, K,
+                                    small_problem["alpha"])
+        b1, B2 = to_q(Q, d, *brute_force_moments(a, p.p, psi, spec))
+        assert np.linalg.norm(feats.b1 - b1) < 1e-12 * np.linalg.norm(b1)
+        assert np.linalg.norm(feats.B2 - B2) < 1e-12 * np.linalg.norm(B2)
 
 
 def test_phat_basics(small_spec, bump12):
@@ -94,15 +101,14 @@ def test_rotation_equivariance(small_problem):
     geometry = (psi, small_problem["quad"], small_problem["K"],
                 small_problem["alpha"])
     feats = population_features(a, p, *geometry)
-    mu, C = feats.mu, feats.C
+    b1, B2 = feats.b1, feats.B2
     for l0 in (1, 5, 11):
         gamma = 2.0 * np.pi * l0 / p.n_theta
         a_rot = a.rotated(gamma)
         p_shift = ViewDistribution(np.roll(p.p, l0), p.n_theta)
         rot = population_features(a_rot, p_shift, *geometry)
-        mu_rot, C_rot = rot.mu, rot.C
-        assert np.linalg.norm(mu_rot - mu) < 1e-12 * np.linalg.norm(mu)
-        assert np.linalg.norm(C_rot - C) < 1e-12 * np.linalg.norm(C)
+        assert np.linalg.norm(rot.b1 - b1) < 1e-12 * np.linalg.norm(b1)
+        assert np.linalg.norm(rot.B2 - B2) < 1e-12 * np.linalg.norm(B2)
 
 
 def test_empirical_equals_population_on_model_rows(small_problem, quad32):
@@ -125,17 +131,20 @@ def test_empirical_equals_population_on_model_rows(small_problem, quad32):
     freq = np.bincount(labels, minlength=n_theta) / labels.size
     p_emp = ViewDistribution(freq, n_theta)
     pop = population_features(a, p_emp, psi, quad32, K, alpha)
-    assert np.linalg.norm(emp_mu - pop.mu) < 1e-12 * np.linalg.norm(pop.mu)
-    assert np.linalg.norm(emp_C - pop.C) < 1e-12 * np.linalg.norm(pop.C)
+    b1, B2 = to_q(*_q_basis(psi, quad32, K), emp_mu, emp_C)
+    assert np.linalg.norm(b1 - pop.b1) < 1e-12 * np.linalg.norm(pop.b1)
+    assert np.linalg.norm(B2 - pop.B2) < 1e-12 * np.linalg.norm(pop.B2)
 
 
-def _assert_matches_node_moments(feats, batch, quad):
+def _assert_matches_node_moments(feats, batch, quad, spec):
     """Line-domain moments equal the node-domain accumulation of the
-    transformed records to 1e-13 relative."""
+    transformed records, projected onto Q, to 1e-13 relative."""
     mu, C = node_moments(transform_batch(batch, quad).yhat, batch.sigma2,
                          dft_matrix(batch.grid, quad))
-    assert np.linalg.norm(feats.mu - mu) <= 1e-13 * np.linalg.norm(mu)
-    assert np.linalg.norm(feats.C - C) <= 1e-13 * np.linalg.norm(C)
+    psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
+    b1, B2 = to_q(*_q_basis(psi, quad, batch.K), mu, C)
+    assert np.linalg.norm(feats.b1 - b1) <= 1e-13 * np.linalg.norm(b1)
+    assert np.linalg.norm(feats.B2 - B2) <= 1e-13 * np.linalg.norm(B2)
 
 
 @pytest.mark.parametrize("L,n_xi", [(16, 32), (40, 12)])
@@ -145,9 +154,9 @@ def test_line_moments_match_node_moments(small_phantom, bump12, L, n_xi):
     quad = build_quadrature(0.3, n_xi)
     batch = generate_batch(small_phantom, bump12, 1500, 2, 3.8 * DEG, 0.5,
                            build_line_grid(L), quad, seed=3)
-    feats = empirical_moments(batch, quad)
+    feats = empirical_moments(batch, quad, small_phantom.spec)
     assert feats.N == 1500 and feats.K == 2
-    _assert_matches_node_moments(feats, batch, quad)
+    _assert_matches_node_moments(feats, batch, quad, small_phantom.spec)
 
 
 def test_debias_pure_noise(small_spec, quad32):
@@ -155,27 +164,28 @@ def test_debias_pure_noise(small_spec, quad32):
     zero = FBCoeffs(np.zeros(small_spec.n_a, dtype=complex), small_spec)
     batch = generate_batch(zero, uniform_distribution(6), 20000, 1, 0.05,
                            2.0, grid, quad32, seed=4)
-    feats = empirical_moments(batch, quad32)
-    _assert_matches_node_moments(feats, batch, quad32)
-    # aggregate SE bound for the debiased second moment around zero
-    sb = transform_batch(batch, quad32)
+    feats = empirical_moments(batch, quad32, small_spec)
+    _assert_matches_node_moments(feats, batch, quad32, small_spec)
+    # aggregate SE bound for the debiased second moment around zero, with
+    # the records and the noise model in the Q coordinates of B2
+    Q, d = _q_basis(eval_tilt_matrix(small_spec, quad32, 1, 0.05), quad32, 1)
     noise_full = full_noise_covariance(noise_covariance(2.0, grid, quad32), 1)
-    absY2 = np.abs(sb.yhat) ** 2
-    second = (absY2.T @ absY2) / 20000
+    z = transform_batch(batch, quad32).yhat @ (d[:, None] * Q).conj()
+    noise_q = to_q(Q, d, np.zeros(len(d)), noise_full)[1]
+    absZ2 = np.abs(z) ** 2
+    second = (absZ2.T @ absZ2) / 20000
     var_entries = np.maximum(
-        second - np.abs(noise_full) ** 2, 0.0) / 20000
-    assert np.linalg.norm(feats.C) <= 3.0 * np.sqrt(var_entries.sum())
+        second - np.abs(noise_q) ** 2, 0.0) / 20000
+    assert np.linalg.norm(feats.B2) <= 3.0 * np.sqrt(var_entries.sum())
     # Hermitian after symmetrization: exact
-    assert np.array_equal(feats.C, feats.C.conj().T)
+    assert np.array_equal(feats.B2, feats.B2.conj().T)
 
 
 def test_residuals_vanish_at_truth(small_problem):
     feats = small_problem["features"]
-    spec, psi = small_problem["spec"], small_problem["psi"]
     a, p = small_problem["a"], small_problem["p"]
-    psi_w = feats.d_w[:, None] * psi
-    r1, r2, obj = dense_residuals(a, p.p, psi_w, feats)
-    scale = np.linalg.norm(feats.weighted()[0])
+    r1, r2, obj = dense_residuals(a, p.p, feats.R, feats)
+    scale = np.linalg.norm(feats.b1)
     assert np.linalg.norm(r1) < 1e-12 * scale
     assert obj < 1e-20 * max(1.0, scale ** 2)
 
@@ -185,12 +195,19 @@ def test_empty_batch_rejected(quad32):
                             sigma2=1.0, grid=build_line_grid(16), seed=0,
                             n_theta=12)
     with pytest.raises(ConfigError):
-        empirical_moments(empty, quad32)
+        empirical_moments(empty, quad32, build_basis_spec(0.3, 8.0))
     with pytest.raises(ConfigError):
         first_moment(empty, quad32)
 
 
-def test_first_moment_is_empirical_mu(small_batch, quad32):
+def test_first_moment_is_empirical_mu(small_batch, quad32, small_spec):
+    """The start scale of an EM-only run is bitwise the features' mu_norm,
+    and b1 is the weighted first moment's Q coordinates."""
     batch, _ = small_batch
-    mu = first_moment(batch, quad32)
-    assert mu.tobytes() == empirical_moments(batch, quad32).mu.tobytes()
+    mu_w = first_moment(batch, quad32)
+    feats = empirical_moments(batch, quad32, small_spec)
+    assert np.float64(np.linalg.norm(mu_w)).tobytes() == \
+        np.float64(feats.mu_norm).tobytes()
+    psi = eval_tilt_matrix(small_spec, quad32, batch.K, batch.alpha)
+    Q = weighted_qr(psi, quad32, batch.K)[0]
+    assert np.array_equal(feats.b1, Q.conj().T @ mu_w)

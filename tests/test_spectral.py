@@ -99,9 +99,9 @@ def test_noise_covariance_validates(quad32):
 
 def test_blockwise_mean_outer_oracle():
     rng = np.random.default_rng(5)
-    Y = rng.standard_normal((37, 8))
+    Y = rng.standard_normal((37, 8)) + 1j * rng.standard_normal((37, 8))
     C = blockwise_mean_outer(Y)
-    want = sum(np.outer(Y[i], Y[i]) for i in range(37)) / 37
+    want = sum(np.outer(Y[i].conj(), Y[i]) for i in range(37)) / 37
     assert np.max(np.abs(C - want)) < 1e-13 * np.abs(want).max()
 
 
