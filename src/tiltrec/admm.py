@@ -26,8 +26,18 @@ T_C = R^H B2 R.  For rank-one blocks <psi_i u_i^H, psi_j u_j^H>_F =
 (psi_j^H psi_i) (u_i^H u_j), so Grams of sums of rank-one terms are Schur
 products of small Grams, and every second-moment quantity factors through
 A_x = diag(x) E, since (x y^H) o H(p) = A_x diag(p) A_y^H, and the angle
-Gram N_x = A_x^H G A_x.  An iteration costs O(n_a^2 n_theta) work plus the
-two n_a x n_a solves of the a- and z-steps.
+Gram N_x = A_x^H G A_x.  The first moment is the second moment's cross
+term with the constant partner 1: g g^H = E_p 11^T E_p^H and
+conj(g) o t_mu = ((t_mu 1^T) o conj(E)) p, with E_p = E diag(p).  So one
+pair against a fixed partner y,
+
+    M_y = lam1 11^T + lam2 N_y ,   D_y = lam1 t_mu 1^T + lam2 T_C A_y ,
+
+carries both terms into every block step: the a- and z-steps solve
+(rho I + G o conj(E_p M_y E_p^H)) x = rho center + (D_y o conj(E)) p, and
+the p-step's normal system is Re(N_a o conj(M_z)) p = Re sum_i
+(conj(A_a) o D_z)[i, :].  An iteration costs O(n_a^2 n_theta) work plus
+the two n_a x n_a solves of the a- and z-steps.
 """
 
 from __future__ import annotations
@@ -108,10 +118,6 @@ class AdmmWorkspace:
         self.null_basis = q[:, 1:]
         self.p_rank_warned = False
 
-    def g_of(self, p: np.ndarray) -> np.ndarray:
-        """First-moment attenuation g = E p (valid for relaxed p too)."""
-        return self.E @ p
-
     def angle_gram(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A_x = diag(x) E and its angle Gram N_x = A_x^H G A_x."""
         A = x[:, None] * self.E
@@ -122,14 +128,13 @@ class AdmmWorkspace:
         r = self.R @ v - self.b1
         return float(np.vdot(r, r).real)
 
-    def second_quadratic(self, gram_x, gram_y) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, c) with second_term(x, y, p) = p.Q.p - 2 c.p + ||B2||^2 for
-        real p, from angle_gram(x), (y): Q = Re(N_x o conj(N_y)) and
-        c = Re diag(A_x^H T_C A_y)."""
-        (A_x, N_x), (A_y, N_y) = gram_x, gram_y
-        Q = (N_x * N_y.conj()).real
-        c = ((A_x.conj().T @ self.T_C) * A_y.T).sum(axis=1).real
-        return Q, c
+    def schur_pair(self, y: np.ndarray, lam1: float,
+                   lam2: float) -> tuple[np.ndarray, np.ndarray]:
+        """(M_y, D_y) = (lam1 11^T + lam2 N_y, lam1 t_mu 1^T + lam2 T_C A_y),
+        the normal-equation pieces of both moment terms against the fixed
+        partner y (the first moment's partner is the constant 1)."""
+        A, N = self.angle_gram(y)
+        return lam2 * N + lam1, lam2 * (self.T_C @ A) + lam1 * self.t_mu[:, None]
 
     def second_term(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> float:
         """||(R A_x) diag(p) (R A_y)^H - B2||_F^2, the second-moment residual
@@ -191,38 +196,19 @@ def init_admm_state(
     )
 
 
-def _second_gram_pieces(work: AdmmWorkspace, fixed: np.ndarray, p: np.ndarray):
-    """Gram and data-correlation of the ||R ((x fixed^H) o H(p)) R^H - B2||
-    block, compressed to n_a x n_a.
-
-    With W = fixed[:, None] * H(p) = A_f diag(p) E^H, the Gram G o conj(W^H G W)
-    has W^H G W = (E diag(p)) N_f (E diag(p))^H, and the data term diag(T_C W)
-    is ((T_C A_f) o conj(E)) p.
-    """
-    A_f, N_f = work.angle_gram(fixed)
-    Ep = work.E * p[None, :]
-    gram = work.G * (Ep @ N_f @ Ep.conj().T).conj()
-    rhs = ((work.T_C @ A_f) * work.E.conj()) @ p
-    return gram, rhs
-
-
 def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
                      center: np.ndarray, fixed: np.ndarray,
                      lam1: float) -> np.ndarray:
     """Exact minimizer of lam1/2 ||R (x o g) - b1||^2
     + lam2/2 ||R ((x fixed^H) o H) R^H - B2||_F^2
-    + rho/2 ||x - center||^2 over one consensus copy x."""
+    + rho/2 ||x - center||^2 over one consensus copy x: the system
+    (rho I + G o conj(E_p M E_p^H)) x = rho center + (D o conj(E)) p with
+    (M, D) = schur_pair(fixed) and E_p = E diag(p)."""
     work = state.work
-    lhs = config.rho * np.eye(work.spec.n_a, dtype=complex)
-    rhs = config.rho * center
-    if lam1 > 0:
-        g = work.g_of(state.p)
-        lhs = lhs + lam1 * (np.conj(g)[:, None] * work.G * g[None, :])
-        rhs = rhs + lam1 * np.conj(g) * work.t_mu
-    if config.lam2 > 0:
-        gram2, rhs2 = _second_gram_pieces(work, fixed, state.p)
-        lhs = lhs + config.lam2 * gram2
-        rhs = rhs + config.lam2 * rhs2
+    M, D = work.schur_pair(fixed, lam1, config.lam2)
+    Ep = work.E * state.p[None, :]
+    lhs = config.rho * np.eye(work.spec.n_a) + work.G * (Ep @ M @ Ep.conj().T).conj()
+    rhs = config.rho * center + (D * work.E.conj()) @ state.p
     x_new = np.linalg.solve(lhs, rhs)
     if not np.all(np.isfinite(x_new)):
         raise SolverError(
@@ -252,27 +238,22 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     Both moment models are linear in p:
       b1-model  = R diag(a) E p,
       B2-model  = sum_l p[l] (R (a o e_l)) (R (z o e_l))^H,
-    so the normal equations compress through A_a = diag(a) E and
-    A_z = diag(z) E.  sum(p) = 1 is eliminated with the orthonormal basis of
-    the zero-sum subspace.  The reduced system is solved by lstsq: when some
-    of p is unobservable (fewer than n_theta - 1 moment harmonics) the system
-    is consistent but rank-deficient, and the minimum-norm solution keeps the
-    unobservable component at zero instead of amplifying noise into it; the
-    first such solve logs a warning.
+    so with A_a = diag(a) E, its angle Gram N_a and (M_z, D_z) =
+    schur_pair(z) the normal system is Re(N_a o conj(M_z)) p =
+    Re sum_i (conj(A_a) o D_z)[i, :]; the first moment enters as the cross
+    term with the constant partner 1.  sum(p) = 1 is eliminated with the
+    orthonormal basis of the zero-sum subspace.  The reduced system is
+    solved by lstsq: when some of p is unobservable (fewer than n_theta - 1
+    moment harmonics) the system is consistent but rank-deficient, and the
+    minimum-norm solution keeps the unobservable component at zero instead
+    of amplifying noise into it; the first such solve logs a warning.
     """
     work = state.work
     n_t = work.n_theta
-    gram_a = work.angle_gram(state.a)
-    A_a, N_a = gram_a
-    lhs = np.zeros((n_t, n_t))
-    rhs = np.zeros(n_t)
-    if config.lam1 > 0:
-        lhs = lhs + config.lam1 * N_a.real
-        rhs = rhs + config.lam1 * (A_a.conj().T @ work.t_mu).real
-    if config.lam2 > 0:
-        Q, c = work.second_quadratic(gram_a, work.angle_gram(state.z))
-        lhs = lhs + config.lam2 * Q
-        rhs = rhs + config.lam2 * c
+    A_a, N_a = work.angle_gram(state.a)
+    M_z, D_z = work.schur_pair(state.z, config.lam1, config.lam2)
+    lhs = (N_a * M_z.conj()).real
+    rhs = (A_a.conj() * D_z).sum(axis=0).real
     B = work.null_basis
     p_part = np.full(n_t, 1.0 / n_t)
     red_lhs = B.T @ lhs @ B
@@ -300,8 +281,7 @@ def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
     lam1/2 ||R (a o g) - b1||^2 + lam2/2 ||R ((a z^H) o H) R^H - B2||_F^2
     + rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
     work = state.work
-    g = work.g_of(state.p)
-    val = 0.5 * config.lam1 * work.first_term(state.a * g)
+    val = 0.5 * config.lam1 * work.first_term(state.a * (work.E @ state.p))
     val += 0.5 * config.lam2 * work.second_term(state.a, state.z, state.p)
     gap = state.a - state.z + state.s
     val += 0.5 * config.rho * float(np.vdot(gap, gap).real)
@@ -312,7 +292,7 @@ def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
 def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
                      lam1: float, lam2: float) -> float:
     """Unsplit data-fit objective at consensus (z = a)."""
-    return (0.5 * lam1 * work.first_term(a * work.g_of(p))
+    return (0.5 * lam1 * work.first_term(a * (work.E @ p))
             + 0.5 * lam2 * work.second_term(a, a, p))
 
 

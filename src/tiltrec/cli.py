@@ -76,9 +76,9 @@ def load_config(path=None, seed=None, out=None, method=None):
         cfg["out"] = out
     if method is not None:
         cfg["solver"]["method"] = method
-    if cfg["solver"]["method"] not in _METHODS:
-        raise ConfigError(f"unknown method {cfg['solver']['method']!r}; "
-                          f"choose from {_METHODS}")
+    for m in [cfg["solver"]["method"], *cfg["experiment"]["methods"]]:
+        if m not in _METHODS:
+            raise ConfigError(f"unknown method {m!r}; choose from {_METHODS}")
     return cfg
 
 

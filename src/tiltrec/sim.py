@@ -197,10 +197,6 @@ def project_clean(
     return line.real
 
 
-def _draw_index(u: float, cdf: np.ndarray) -> int:
-    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
-
-
 def generate_batch(
     coeffs: FBCoeffs,
     p: ViewDistribution,
@@ -237,7 +233,8 @@ def generate_batch(
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         for i in range(N)
     ]
-    labels = np.array([_draw_index(rng.random(), cdf) for rng in streams], dtype=int)
+    u = np.array([rng.random() for rng in streams])
+    labels = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
     # clean lines depend on i only through l_i: tabulate the used angles once
     kappas = np.arange(-K, K + 1)

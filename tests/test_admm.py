@@ -13,9 +13,9 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
-                          _second_gram_pieces, augmented_lagrangian,
-                          init_admm_state, moment_objective, project_simplex,
-                          random_start, run_admm, update_a, update_p, update_z)
+                          augmented_lagrangian, init_admm_state,
+                          moment_objective, project_simplex, random_start,
+                          run_admm, update_a, update_p, update_z)
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _admm_columns, history_to_csv
@@ -190,7 +190,10 @@ def test_workspace_compressed_terms_match_raw(prob29):
         direct2 = np.linalg.norm(psi_w @ M @ psi_w.conj().T - C_in) ** 2
         assert work.second_term(x, y, p) == pytest.approx(direct2, rel=1e-10)
         assert dense_second_term(work, M) == pytest.approx(direct2, rel=1e-10)
-        Q2, c2 = work.second_quadratic(work.angle_gram(x), work.angle_gram(y))
+        A_x, N_x = work.angle_gram(x)
+        M_y, D_y = work.schur_pair(y, 0.0, 1.0)
+        Q2 = (N_x * M_y.conj()).real
+        c2 = (A_x.conj() * D_y).sum(axis=0).real
         expanded = p @ Q2 @ p - 2.0 * c2 @ p + np.vdot(work.B2, work.B2).real
         assert expanded == pytest.approx(direct2, rel=1e-10)
     B = work.null_basis
@@ -311,10 +314,19 @@ def test_update_p_rank_deficient_falls_back(tiny, caplog):
     assert abs(p_new.sum() - 1.0) < 1e-10
 
 
+def _step_system(work, fixed, p, lam1, lam2):
+    """The a/z-step Gram G o conj(E_p M E_p^H) and right-hand side
+    (D o conj(E)) p from (M, D) = schur_pair(fixed), without the ridge."""
+    M, D = work.schur_pair(fixed, lam1, lam2)
+    Ep = work.E * p[None, :]
+    return work.G * (Ep @ M @ Ep.conj().T).conj(), (D * work.E.conj()) @ p
+
+
 def test_second_moment_dense_route_matches_compressed(tiny, prob29):
-    """The factored a/z-step pieces equal the dense operator's normal
-    equations with more angles than coefficients (tiny: n_theta = 5 > 3)
-    and with fewer (prob29: n_theta = 29 < 30)."""
+    """The a/z-step system from the Schur pair equals the dense operators'
+    normal equations, with more angles than coefficients (tiny: n_theta =
+    5 > 3) and with fewer (prob29: n_theta = 29 < 30): the second-moment
+    part against A2, the first-moment part against R diag(g)."""
     rng = np.random.default_rng(15)
     for inst in (tiny, prob29):
         feats, spec, n_t = inst["features"], inst["spec"], inst["n_theta"]
@@ -324,11 +336,15 @@ def test_second_moment_dense_route_matches_compressed(tiny, prob29):
         p = project_simplex(rng.standard_normal(n_t) * 0.1 + 1 / n_t)
         H = angle_coupling(work.E, p)
         A2 = build_a2_matrix(work.R, z, H)
-        gram_c, rhs_c = _second_gram_pieces(work, z, p)
-        gram_d = A2.conj().T @ A2
-        rhs_d = A2.conj().T @ work.B2.ravel()
-        assert np.linalg.norm(gram_d - gram_c) <= 1e-12 * np.linalg.norm(gram_d)
-        assert np.linalg.norm(rhs_d - rhs_c) <= 1e-12 * np.linalg.norm(rhs_d)
+        A1 = work.R * (work.E @ p)[None, :]
+        for lam1, lam2, A, b in ((0.0, 1.0, A2, work.B2.ravel()),
+                                 (1.0, 0.0, A1, work.b1)):
+            gram_c, rhs_c = _step_system(work, z, p, lam1, lam2)
+            gram_d = A.conj().T @ A
+            rhs_d = A.conj().T @ b
+            assert (np.linalg.norm(gram_d - gram_c)
+                    <= 1e-12 * np.linalg.norm(gram_d))
+            assert np.linalg.norm(rhs_d - rhs_c) <= 1e-12 * np.linalg.norm(rhs_d)
         # the dense operator itself: A2 @ x == vec(R ((x z^H) o H) R^H)
         x = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
         direct = (work.R @ (np.outer(x, z.conj()) * H)
@@ -370,20 +386,23 @@ def test_objective_routes_agree(prob29):
 
 def test_run_matches_dense_oracle_iteration(prob29):
     """20 iterations of run_admm follow the oracle iteration built on H(p)
-    and n_a^3 products: iterate, Lagrangian and objective histories."""
+    and n_a^3 products: iterate, Lagrangian and objective histories, also
+    with either moment weight at zero."""
     feats, spec = prob29["features"], prob29["spec"]
-    cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0, max_iter=20, seed=3,
-                     tol_change=0.0)
-    res = run_admm(feats, cfg, spec, 29)
-    st = init_admm_state(feats, cfg, spec, 29)
-    lags, objs = zip(*(dense_admm_iteration(st, cfg) for _ in range(20)))
-    assert res.n_iter == 20
-    consensus = 0.5 * (st.a + st.z)
-    assert (np.linalg.norm(res.a.values - consensus)
-            <= 1e-10 * np.linalg.norm(consensus))
-    assert np.linalg.norm(res.p_relaxed - st.p) <= 1e-10 * np.linalg.norm(st.p)
-    assert np.allclose(res.history["lagrangian"], lags, rtol=1e-10, atol=0)
-    assert np.allclose(res.history["objective"], objs, rtol=1e-10, atol=0)
+    for lam1, lam2 in ((1.0, 0.5), (0.0, 0.5), (1.0, 0.0)):
+        cfg = AdmmConfig(lam1=lam1, lam2=lam2, rho=1.0, max_iter=20, seed=3,
+                         tol_change=0.0)
+        res = run_admm(feats, cfg, spec, 29)
+        st = init_admm_state(feats, cfg, spec, 29)
+        lags, objs = zip(*(dense_admm_iteration(st, cfg) for _ in range(20)))
+        assert res.n_iter == 20
+        consensus = 0.5 * (st.a + st.z)
+        assert (np.linalg.norm(res.a.values - consensus)
+                <= 1e-10 * np.linalg.norm(consensus))
+        assert (np.linalg.norm(res.p_relaxed - st.p)
+                <= 1e-10 * np.linalg.norm(st.p))
+        assert np.allclose(res.history["lagrangian"], lags, rtol=1e-10, atol=0)
+        assert np.allclose(res.history["objective"], objs, rtol=1e-10, atol=0)
 
 
 def test_objective_decreases_from_random_start(prob29):

@@ -74,6 +74,10 @@ def test_config_overrides_and_validation(tmp_path):
     bad = _write_cfg(tmp_path, name="bad.json", solver={"method": "bogus"})
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    bad = _write_cfg(tmp_path, name="bad_exp.json",
+                     experiment={"methods": ["admm", "bogus"]})
+    with pytest.raises(ConfigError, match="'bogus'"):
+        load_config(str(bad))
 
 
 # ---------------------------------------------------------- file formats

@@ -126,6 +126,19 @@ def test_generate_batch_shapes_and_determinism(small_phantom, bump12, quad32):
     assert not np.array_equal(b1.samples, b3.samples)
 
 
+def test_hidden_angle_is_cdf_index_of_first_draw(small_phantom, bump12, quad32):
+    """Label i is the first cdf cell above the first uniform of substream
+    (seed, i), the last cell if rounding leaves the cdf's end below it."""
+    batch = generate_batch(small_phantom, bump12, 200, 1, 3.8 * DEG, 0.5,
+                           build_line_grid(16), quad32, seed=9)
+    cdf = np.cumsum(bump12.p)
+    for i, label in enumerate(batch.hidden_angles):
+        u = np.random.default_rng(
+            np.random.SeedSequence(entropy=9, spawn_key=(i,))).random()
+        above = [l for l in range(bump12.n_theta) if u < cdf[l]]
+        assert label == (above[0] if above else bump12.n_theta - 1)
+
+
 def test_noise_variance_matches(small_phantom, bump12, quad32):
     grid = build_line_grid(16)
     sigma2 = 4.0
