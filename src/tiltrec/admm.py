@@ -63,7 +63,6 @@ class AdmmConfig:
     lam2: float = 0.5
     rho: float = 1.0
     max_iter: int = 500
-    tol_primal: float | None = None  # default 1e-6 * sqrt(n_a), set at run time
     tol_change: float = 1e-10
     seed: int = 0
 
@@ -76,9 +75,6 @@ class AdmmConfig:
             raise ConfigError(f"rho must be positive, got {self.rho}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-
-    def primal_tol(self, n_a: int) -> float:
-        return self.tol_primal if self.tol_primal is not None else 1e-6 * np.sqrt(n_a)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -328,7 +324,7 @@ def run_admm(
     if state is None:
         state = init_admm_state(features, config, spec, n_theta)
     work = state.work
-    tol_primal = config.primal_tol(spec.n_a)
+    tol_primal = 1e-6 * np.sqrt(spec.n_a)
     last_lag = None
     converged = False
 

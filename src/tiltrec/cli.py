@@ -46,22 +46,38 @@ DEFAULT_CONFIG = {
     "solver": {"method": "admm", "lambda1": 1.0, "lambda2": 0.5, "rho": 1.0,
                "admm_iters": 500, "em_iters": 100,
                "hybrid_admm_iters": 100, "hybrid_em_iters": 50,
-               "n_xi": 64, "pinv_cutoff": 1e-10},
+               "n_xi": 64},
     "experiment": {"snrs_db": [6.6, -4.4], "trials": 10,
                    "methods": ["admm", "em", "admm+em"],
                    "success_threshold": 0.3},
 }
 
-_METHODS = ("admm", "em", "admm+em")
+# each method's solver stages with their iteration budget keys
+_STAGES = {"admm": [("admm", "admm_iters")], "em": [("em", "em_iters")],
+           "admm+em": [("admm", "hybrid_admm_iters"),
+                       ("em", "hybrid_em_iters")]}
+_METHODS = tuple(_STAGES)
 
 
-def _deep_merge(base, override):
+def _deep_merge(base, override, where="config"):
+    """base updated from override, which may only hold keys that base has,
+    each of base's JSON type (an int passes for a float; a None default
+    takes any value); anything else raises a ConfigError naming the key."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = val
+        name = f"{where}.{key}"
+        if key not in base:
+            raise ConfigError(f"unknown config key {name}")
+        default = base[key]
+        types = (int, float) if type(default) is float else (type(default),)
+        if isinstance(default, dict):
+            val = _deep_merge(default, val, name)
+        elif default is not None and type(val) not in types:
+            raise ConfigError(f"{name} must be {type(default).__name__}, "
+                              f"got {json.dumps(val)}")
+        out[key] = val
     return out
 
 
@@ -183,33 +199,40 @@ def _build_problem(cfg):
     return spec, truth, p
 
 
-def _noise_level(acq, truth, p, grid, quad, seed, target_db):
-    """(sigma2, clean variance) from the noiseless batch that seed draws:
-    sigma2 meets target_db, or is the configured sigma2 when that is None."""
-    clean = generate_batch(truth, p, acq["N"], acq["K"],
-                           math.radians(acq["alpha_deg"]), 0.0, grid, quad,
-                           seed=seed)
-    var = float(clean.samples.var())
-    if target_db is None:
-        return float(acq["sigma2"]), var
-    return variance_for_snr(var, float(target_db)), var
+def _sample_variance(samples):
+    """Variance of all samples as E[y^2] - E[y]^2 from one dot product;
+    np.var would allocate a batch-sized temporary."""
+    flat = samples.reshape(-1)
+    return float(np.dot(flat, flat)) / flat.size - float(flat.mean()) ** 2
+
+
+def _draw_batch(acq, truth, p, grid, quad, seed, target_db):
+    """(batch, clean variance) of the seed's draw.  Its noise variance meets
+    target_db, or is acq["sigma2"] when target_db is None.  A noisy batch
+    takes its clean variance from a noiseless draw of the same seed, freed
+    before the noisy draw; a noiseless batch is its own clean batch."""
+    def draw(sigma2):
+        return generate_batch(truth, p, acq["N"], acq["K"],
+                              math.radians(acq["alpha_deg"]), sigma2, grid,
+                              quad, seed=seed)
+
+    if target_db is None and acq["sigma2"] == 0:
+        batch = draw(0.0)
+        return batch, _sample_variance(batch.samples)
+    clean_var = _sample_variance(draw(0.0).samples)
+    sigma2 = (float(acq["sigma2"]) if target_db is None
+              else variance_for_snr(clean_var, float(target_db)))
+    return draw(sigma2), clean_var
 
 
 def cmd_simulate(cfg, out_dir):
     spec, truth, p = _build_problem(cfg)
     acq = cfg["acquisition"]
-    grid = build_line_grid(acq["L"])
-    quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
-    target = acq.get("target_snr_db")
-    sigma2, clean_var = float(acq["sigma2"]), None
-    if target is not None or sigma2 > 0:
-        sigma2, clean_var = _noise_level(acq, truth, p, grid, quad,
-                                         cfg["seed"], target)
-    batch = generate_batch(truth, p, acq["N"], acq["K"],
-                           math.radians(acq["alpha_deg"]), sigma2, grid, quad,
-                           seed=cfg["seed"])
-    if clean_var is None:  # a noiseless batch is its own clean batch
-        clean_var = float(batch.samples.var())
+    batch, clean_var = _draw_batch(
+        acq, truth, p, build_line_grid(acq["L"]),
+        build_quadrature(spec.c, cfg["solver"]["n_xi"]), cfg["seed"],
+        acq["target_snr_db"])
+    sigma2 = batch.sigma2
     achieved = snr_db(clean_var, sigma2)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,60 +278,51 @@ def _init_hash(a, p):
 
 def _moments_for(methods, batch, quad, spec):
     """The full moments if one of methods runs ADMM, the only reader of the
-    second moment; None if all are "em"."""
-    if all(m == "em" for m in methods):
+    second moment; None otherwise."""
+    if all(s != "admm" for m in methods for s, _ in _STAGES[m]):
         return None
     return empirical_moments(batch, quad, spec)
 
 
 def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
-                out_dir=None, tag=""):
-    """Run one method from the seed's random start; every method of a cell
-    starts from the same point, so method comparisons are like for like.
-    The start reads only the weighted first moment, so features (the full
-    moments, read by ADMM) may be None for "em"; run_admm draws the same
-    start itself at config.seed = seed.  The EM methods read the line
-    samples with their node map, transform_batch(batch, quad)."""
+                out_dir=None):
+    """Run the method's solver stages, each from the estimate of the one
+    before and the first from the seed's random start, which every method
+    of a cell shares.  The start reads only the weighted first moment, so
+    features (the full moments, read by ADMM) may be None for "em"; ADMM
+    runs only first and draws the same start itself at config.seed = seed.
+    With out_dir, every stage that ran, failed ones too, writes its history
+    there."""
     sol = cfg["solver"]
     mu_norm = (features.mu_norm if features is not None
                else float(np.linalg.norm(first_moment(batch, quad))))
     a0, _, p0 = random_start(mu_norm, spec.n_a, n_theta, seed)
     start_hash = _init_hash(a0, p0)
+    a = FBCoeffs(values=a0, spec=spec, real_symmetric=False)
+    p = ViewDistribution(p=p0, n_theta=n_theta)
     histories = []
     t0 = time.perf_counter()
-    if method == "admm":
-        admm_cfg = AdmmConfig(lam1=sol["lambda1"], lam2=sol["lambda2"],
-                              rho=sol["rho"], max_iter=sol["admm_iters"],
-                              seed=seed)
-        res = run_admm(features, admm_cfg, spec, n_theta)
-        a, p = res.a, res.p
-        histories.append(("admm", _admm_columns(res.history)))
-    elif method == "em":
-        em_cfg = EmConfig(max_iter=sol["em_iters"],
-                          pinv_cutoff=sol["pinv_cutoff"])
-        init_a = FBCoeffs(values=a0, spec=spec, real_symmetric=False)
-        init_p = ViewDistribution(p=p0, n_theta=n_theta)
-        res = run_em(transform_batch(batch, quad), init_a, init_p, em_cfg)
-        a, p = res.a, res.p
-        histories.append(("em", _em_columns(res.history)))
-    elif method == "admm+em":
-        admm_cfg = AdmmConfig(lam1=sol["lambda1"], lam2=sol["lambda2"],
-                              rho=sol["rho"],
-                              max_iter=sol["hybrid_admm_iters"], seed=seed)
-        res1 = run_admm(features, admm_cfg, spec, n_theta)
-        em_cfg = EmConfig(max_iter=sol["hybrid_em_iters"],
-                          pinv_cutoff=sol["pinv_cutoff"])
-        res2 = run_em(transform_batch(batch, quad), res1.a, res1.p, em_cfg)
-        a, p = res2.a, res2.p
-        histories.append(("admm", _admm_columns(res1.history)))
-        histories.append(("em", _em_columns(res2.history)))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    runtime = time.perf_counter() - t0
-
-    if out_dir is not None:
-        for kind, columns in histories:
-            history_to_csv(columns, out_dir / f"{tag}{kind}_history.csv")
+    try:
+        for solver, budget in _STAGES[method]:
+            if solver == "admm":
+                res = run_admm(features, AdmmConfig(
+                    lam1=sol["lambda1"], lam2=sol["lambda2"], rho=sol["rho"],
+                    max_iter=sol[budget], seed=seed), spec, n_theta)
+            else:
+                res = run_em(transform_batch(batch, quad), a, p,
+                             EmConfig(max_iter=sol[budget]))
+            histories.append((solver, res.history))
+            a, p = res.a, res.p
+        runtime = time.perf_counter() - t0
+    except SolverError as err:
+        histories.append((solver, err.history))
+        raise
+    finally:
+        if out_dir is not None:
+            for solver, history in histories:
+                columns = (_admm_columns(history) if solver == "admm"
+                           else _em_columns(history))
+                history_to_csv(columns, out_dir / f"{solver}_history.csv")
     return a, p, runtime, start_hash
 
 
@@ -318,7 +332,7 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         raise ConfigError(f"batch file not found: {batch_path}")
     batch = load_batch(batch_path)
     method = cfg["solver"]["method"]
-    if method in ("em", "admm+em") and batch.sigma2 <= 0:
+    if any(s == "em" for s, _ in _STAGES[method]) and batch.sigma2 <= 0:
         raise ConfigError("EM needs a noisy batch; sigma2 = 0 has no "
                           "likelihood model")
     spec = build_basis_spec(cfg["phantom"]["c"], cfg["phantom"]["R"])
@@ -333,11 +347,8 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
-    # sample variance as E[y^2] - E[y]^2 from one dot product: np.var would
-    # allocate a batch-sized temporary only for the snr_db field
-    flat = batch.samples.reshape(-1)
-    var = float(np.dot(flat, flat)) / flat.size - float(flat.mean()) ** 2
-    debiased = max(var - batch.sigma2, np.finfo(float).tiny)
+    debiased = max(_sample_variance(batch.samples) - batch.sigma2,
+                   np.finfo(float).tiny)
     achieved = snr_db(debiased, batch.sigma2) if batch.sigma2 > 0 else math.inf
     save_coeff_file(est_path, a, p, meta={
         "kind": "estimate", "method": method, "seed": cfg["seed"],
@@ -408,15 +419,11 @@ def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
 def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
     """One (snr, trial) cell: one batch, one shared init, every method."""
     acq = cfg["acquisition"]
-    grid = build_line_grid(acq["L"])
     quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
-    alpha = math.radians(acq["alpha_deg"])
     seed = cfg["seed"] + trial
-
-    sigma2, var = _noise_level(acq, truth, p, grid, quad, seed, snr_target)
-    batch = generate_batch(truth, p, acq["N"], acq["K"], alpha, sigma2, grid,
-                           quad, seed=seed)
-    achieved = snr_db(var, sigma2)
+    batch, clean_var = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
+                                   quad, seed, snr_target)
+    achieved = snr_db(clean_var, batch.sigma2)
 
     methods = cfg["experiment"]["methods"]
     features = _moments_for(methods, batch, quad, spec)
@@ -442,14 +449,10 @@ def cmd_experiment(cfg, out_dir, threads=1):
     exp = cfg["experiment"]
     cells = [(snr, t) for snr in exp["snrs_db"] for t in range(exp["trials"])]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda cell: _experiment_trial(cfg, spec, truth, p, *cell),
-                cells))
-    else:
-        results = [_experiment_trial(cfg, spec, truth, p, *cell)
-                   for cell in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(
+            lambda cell: _experiment_trial(cfg, spec, truth, p, *cell),
+            cells))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     all_reports = [r for reports, _ in results for r in reports]

@@ -26,19 +26,19 @@ from .spectral import SpectralBatch, noise_covariance
 # records whitened at once, by one real product; bounds the
 # (block, (2K+1)*rank) whitened array so the whole N-row one is never formed
 _REDUCE_BLOCK = 1024
+# eigenvalues below this fraction of the largest are dropped by both
+# pseudo-inverses: the noise block's and the M-step normal matrix's
+_PINV_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
 class EmConfig:
     max_iter: int = 100
     tol_loglik: float = 1e-12
-    pinv_cutoff: float = 1e-10
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if not (0.0 < self.pinv_cutoff < 1.0):
-            raise ConfigError("pinv_cutoff must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,18 @@ class EmWorkspace:
     the norms ||U_w[i]||^2.
     """
 
-    def __init__(self, spec_batch, spec, n_theta, pinv_cutoff=1e-10):
+    def __init__(self, spec_batch, spec, n_theta):
         if not isinstance(spec_batch, SpectralBatch):
             raise ConfigError("expected a SpectralBatch")
         if spec_batch.sigma2 <= 0:
             raise ConfigError("EM needs a nonzero noise model; sigma2 = 0 "
                               "gives a degenerate likelihood")
         self.spec = spec
-        self.pinv_cutoff = pinv_cutoff
         n_tilt, n_xi = 2 * spec_batch.K + 1, spec_batch.quad.n_xi
 
         lam, U = np.linalg.eigh(noise_covariance(
             spec_batch.sigma2, spec_batch.grid, spec_batch.quad))
-        keep = lam > pinv_cutoff * lam.max()
+        keep = lam > _PINV_CUTOFF * lam.max()
         if not np.any(keep):
             raise ConfigError("noise block has no informative eigenspace")
         # rows of W whiten one tilt block: cov(W n_hat) = I on the kept space
@@ -147,7 +146,7 @@ def m_step(work, responsibilities):
 
     p becomes the column means of the responsibilities; a solves the
     pooled weighted normal equations through an eigendecomposition
-    pseudo-inverse with the workspace's relative cutoff.
+    pseudo-inverse with the relative cutoff _PINV_CUTOFF.
     """
     pi = responsibilities.pi
     col_mass = pi.sum(axis=0)
@@ -159,7 +158,7 @@ def m_step(work, responsibilities):
     rhs = (work.E.conj() * weighted_data).sum(axis=1)
 
     lam, U = np.linalg.eigh(0.5 * (normal + normal.conj().T))
-    keep = lam > work.pinv_cutoff * lam.max()
+    keep = lam > _PINV_CUTOFF * lam.max()
     if not np.any(keep):
         raise ConfigError("normal matrix vanished; responsibilities degenerate")
     a_new = U[:, keep] @ ((U[:, keep].conj().T @ rhs) / lam[keep])
@@ -185,8 +184,7 @@ def run_em(spec_batch, init_a, init_p, config=None):
     non-decreasing up to roundoff or the model code is wrong.
     """
     config = config or EmConfig()
-    work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta,
-                       pinv_cutoff=config.pinv_cutoff)
+    work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta)
     a_cur, p_cur = init_a, init_p
     history = []
     converged = False

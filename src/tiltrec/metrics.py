@@ -53,7 +53,7 @@ def variance_for_snr(clean_variance, target_db):
 def relative_error(truth, estimate, n_search):
     """Min over an n_search rotation grid of ||rot(estimate) - truth|| /
     ||truth|| in coefficient space; returns (re, best rotation in radians)."""
-    if truth.spec is not estimate.spec and truth.spec.n_a != estimate.spec.n_a:
+    if (truth.spec.c, truth.spec.R) != (estimate.spec.c, estimate.spec.R):
         raise ConfigError("coefficients live on different bases")
     norm = np.linalg.norm(truth.values)
     if norm == 0:
@@ -84,6 +84,8 @@ def joint_alignment(truth_a, est_a, truth_p, est_p):
     discrepancies.  Diagnostic only; the reported metrics align separately."""
     pv = truth_p.p if isinstance(truth_p, ViewDistribution) else np.asarray(truth_p)
     ev = est_p.p if isinstance(est_p, ViewDistribution) else np.asarray(est_p)
+    if (truth_a.spec.c, truth_a.spec.R) != (est_a.spec.c, est_a.spec.R):
+        raise ConfigError("coefficients live on different bases")
     n = pv.size
     norm = np.linalg.norm(truth_a.values)
     if norm == 0:

@@ -286,7 +286,7 @@ def save_batch(batch: TiltSeriesBatch, path: str):
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(batch.samples, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(batch.samples, dtype="<f8").data)
         if batch.hidden_angles is not None:
             fh.write(batch.hidden_angles.astype("<f8").tobytes())
 

@@ -101,8 +101,6 @@ def test_config_validation():
         AdmmConfig(rho=0.0)
     with pytest.raises(ConfigError):
         AdmmConfig(max_iter=0)
-    assert AdmmConfig().primal_tol(9) == pytest.approx(3e-6)
-    assert AdmmConfig(tol_primal=1e-3).primal_tol(9) == 1e-3
 
 
 def test_init_deterministic_and_feasible(tiny):

@@ -17,7 +17,7 @@ from tiltrec.cli import (DEFAULT_CONFIG, load_config, load_coeff_file, main,
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import CSV_HEADER
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
-                         load_batch, save_batch)
+                         generate_batch, load_batch, save_batch)
 from tiltrec.spectral import SpectralBatch
 
 TINY = {
@@ -78,6 +78,16 @@ def test_config_overrides_and_validation(tmp_path):
                      experiment={"methods": ["admm", "bogus"]})
     with pytest.raises(ConfigError, match="'bogus'"):
         load_config(str(bad))
+    # malformed files name the offending key instead of crashing later
+    malformed = [([1, 2], r"config must"),
+                 ({"solver": 5}, r"config\.solver must"),
+                 ({"acquisition": {"N": "many"}}, r"config\.acquisition\.N"),
+                 ({"solver": {"pinv_cutoff": 1e-10}},
+                  r"config\.solver\.pinv_cutoff")]
+    for content, match in malformed:
+        bad.write_text(json.dumps(content))
+        with pytest.raises(ConfigError, match=match):
+            load_config(str(bad))
 
 
 # ---------------------------------------------------------- file formats
@@ -226,6 +236,30 @@ def test_simulate_outputs_and_target_snr(tmp_path):
     assert manifest["extra"]["sigma2"] > 0
 
 
+def test_batch_draws_per_command(tmp_path, monkeypatch):
+    """A noisy batch takes two generate_batch calls (the clean one for the
+    SNR, then the noisy one), a noiseless batch one, and so does every
+    experiment cell: the traced project_clean counts rely on this."""
+    seeds = []
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return generate_batch(*args, **kwargs)
+
+    monkeypatch.setattr("tiltrec.cli.generate_batch", counting)
+    for sigma2, calls in ((0.5, 2), (0.0, 1)):
+        seeds.clear()
+        cfg = _write_cfg(tmp_path, acquisition={"sigma2": sigma2})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "s"),
+                     "simulate"]) == 0
+        assert seeds == [TINY["seed"]] * calls
+    seeds.clear()
+    cfg = _write_cfg(tmp_path, experiment={"methods": ["admm"]})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "e"),
+                 "experiment"]) == 0
+    assert sorted(seeds) == [3, 3, 4, 4]  # seed + trial, two cells
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = _write_cfg(tmp_path)
     outs = []
@@ -310,6 +344,22 @@ def test_em_runs_form_no_node_spectra(sim_run, tmp_path, monkeypatch):
         assert main(["--config", str(cfg), "--out",
                      str(tmp_path / method.replace("+", "_")), "--method",
                      method, "reconstruct", str(sim_out / "batch.dat")]) == 0
+
+
+def test_failed_solver_leaves_history(tmp_path, capsys):
+    """A stage that diverges still writes the history it gathered, and the
+    command exits 1."""
+    cfg = _write_cfg(tmp_path, phantom={"scale": 1e9})
+    sim = tmp_path / "sim"
+    assert main(["--config", str(cfg), "--out", str(sim), "simulate"]) == 0
+    for method in ("admm", "admm+em"):
+        out = tmp_path / method.replace("+", "_")
+        code = main(["--config", str(cfg), "--out", str(out), "--method",
+                     method, "reconstruct", str(sim / "batch.dat")])
+        assert code == 1
+        assert "diverged at iteration 1" in capsys.readouterr().err
+        rows = (out / "admm_history.csv").read_text().splitlines()
+        assert rows[0].startswith("iter,") and len(rows) >= 2
 
 
 def test_reconstruct_missing_batch(tmp_path, capsys):

@@ -92,10 +92,6 @@ def em_problem(small_spec, small_phantom, bump12):
 def test_config_validation():
     with pytest.raises(ConfigError):
         EmConfig(max_iter=0)
-    with pytest.raises(ConfigError):
-        EmConfig(pinv_cutoff=0.0)
-    with pytest.raises(ConfigError):
-        EmConfig(pinv_cutoff=1.5)
 
 
 def test_responsibilities_validation():

@@ -9,7 +9,8 @@ from tiltrec.metrics import (CSV_HEADER, TrialReport, joint_alignment,
                              relative_error, reports_to_csv, snr_db,
                              success_rate, total_variation_dist,
                              variance_for_snr)
-from tiltrec.sim import ViewDistribution, bump_distribution, uniform_distribution
+from tiltrec.sim import (ViewDistribution, bump_distribution, random_phantom,
+                         uniform_distribution)
 
 from oracles import pixel_relative_error
 
@@ -76,6 +77,19 @@ def test_relative_error_rejects_degenerate(small_phantom):
         relative_error(zero, zero, 12)
     with pytest.raises(ConfigError):
         relative_error(small_phantom, zero, 12)
+
+
+def test_metrics_reject_other_basis():
+    """Bases at c=0.3 and c=0.31 (R=8) both hold 30 functions; coefficients
+    on one are not comparable with those on the other."""
+    a, b = (random_phantom(build_basis_spec(c, 8.0), 1.0, seed=11)
+            for c in (0.3, 0.31))
+    assert a.spec.n_a == b.spec.n_a
+    with pytest.raises(ConfigError, match="different bases"):
+        relative_error(a, b, 24)
+    p = uniform_distribution(8)
+    with pytest.raises(ConfigError, match="different bases"):
+        joint_alignment(a, b, p, p)
 
 
 def test_pixel_error_tracks_coefficient_error(small_phantom):
