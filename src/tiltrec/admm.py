@@ -36,8 +36,11 @@ pair against a fixed partner y,
 carries both terms into every block step: the a- and z-steps solve
 (rho I + G o conj(E_p M_y E_p^H)) x = rho center + (D_y o conj(E)) p, and
 the p-step's normal system is Re(N_a o conj(M_z)) p = Re sum_i
-(conj(A_a) o D_z)[i, :].  An iteration costs O(n_a^2 n_theta) work plus
-the two n_a x n_a solves of the a- and z-steps.
+(conj(A_a) o D_z)[i, :].  Each iterate's pieces A_y, R A_y, N_y =
+(R A_y)^H (R A_y) and T_C A_y are formed once for every step that reads
+them, the consensus c's by linearity (R A_c = (R A_a + R A_z)/2).  An
+iteration costs four products of an n_a x n_a matrix with an n_a x n_theta
+one (R A_y and T_C A_y of the new a and z) and the two n_a x n_a solves.
 """
 
 from __future__ import annotations
@@ -113,11 +116,35 @@ class AdmmWorkspace:
         )
         self.null_basis = q[:, 1:]
         self.p_rank_warned = False
+        self._kept = []     # (bytes of y, pieces of y), the last three
 
-    def angle_gram(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A_x = diag(x) E and its angle Gram N_x = A_x^H G A_x."""
-        A = x[:, None] * self.E
-        return A, A.conj().T @ (self.G @ A)
+    def form_pieces(self, y: np.ndarray) -> tuple:
+        """(A_y, R A_y, N_y, T_C A_y): A_y = diag(y) E and its angle Gram
+        N_y = (R A_y)^H (R A_y) = A_y^H G A_y."""
+        A = y[:, None] * self.E
+        RA = self.R @ A
+        return A, RA, RA.conj().T @ RA, self.T_C @ A
+
+    def pieces(self, y: np.ndarray) -> tuple:
+        """form_pieces(y), kept for the last three vectors and keyed by
+        their bytes, so each iterate's are formed once and a replaced or
+        changed vector never reads stale ones."""
+        key = y.tobytes()
+        for kept_key, kept in self._kept:
+            if kept_key == key:
+                return kept
+        self._kept = self._kept[-2:] + [(key, self.form_pieces(y))]
+        return self._kept[-1][1]
+
+    def mean(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(x + y)/2, its pieces kept as the means of those of x and y
+        (all linear in the vector but N): no n_a^2 n_theta product."""
+        A, RA, _, TA = (0.5 * (u + v)
+                        for u, v in zip(self.pieces(x), self.pieces(y)))
+        c = 0.5 * (x + y)
+        self._kept = self._kept[-2:] + [(c.tobytes(),
+                                         (A, RA, RA.conj().T @ RA, TA))]
+        return c
 
     def first_term(self, v: np.ndarray) -> float:
         """||R v - b1||^2; v = a o g."""
@@ -129,14 +156,13 @@ class AdmmWorkspace:
         """(M_y, D_y) = (lam1 11^T + lam2 N_y, lam1 t_mu 1^T + lam2 T_C A_y),
         the normal-equation pieces of both moment terms against the fixed
         partner y (the first moment's partner is the constant 1)."""
-        A, N = self.angle_gram(y)
-        return lam2 * N + lam1, lam2 * (self.T_C @ A) + lam1 * self.t_mu[:, None]
+        _, _, N, TA = self.pieces(y)
+        return lam2 * N + lam1, lam2 * TA + lam1 * self.t_mu[:, None]
 
-    def second_term(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> float:
+    def second_term(self, RA_x: np.ndarray, RA_y: np.ndarray,
+                    p: np.ndarray) -> float:
         """||(R A_x) diag(p) (R A_y)^H - B2||_F^2, the second-moment residual
-        of ((x y^H) o H(p)) in Q coordinates."""
-        RA_x = self.R @ (x[:, None] * self.E)
-        RA_y = RA_x if y is x else self.R @ (y[:, None] * self.E)
+        of ((x y^H) o H(p)) in Q coordinates, from R A_x and R A_y."""
         r = (RA_x * p[None, :]) @ RA_y.conj().T - self.B2
         return float(np.vdot(r, r).real)
 
@@ -154,7 +180,7 @@ class AdmmState:
     iter: int
     work: AdmmWorkspace
     history: dict = field(default_factory=lambda: {
-        "iter": [], "objective": [], "primal": [], "lagrangian": [],
+        "iter": [], "objective": [], "primal": [], "dual": [], "lagrangian": [],
     })
 
 
@@ -203,7 +229,8 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
     work = state.work
     M, D = work.schur_pair(fixed, lam1, config.lam2)
     Ep = work.E * state.p[None, :]
-    lhs = config.rho * np.eye(work.spec.n_a) + work.G * (Ep @ M @ Ep.conj().T).conj()
+    lhs = work.G * (Ep.conj() @ M.conj() @ Ep.T)
+    lhs.flat[:: lhs.shape[0] + 1] += config.rho
     rhs = config.rho * center + (D * work.E.conj()) @ state.p
     x_new = np.linalg.solve(lhs, rhs)
     if not np.all(np.isfinite(x_new)):
@@ -246,7 +273,7 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """
     work = state.work
     n_t = work.n_theta
-    A_a, N_a = work.angle_gram(state.a)
+    A_a, _, N_a, _ = work.pieces(state.a)
     M_z, D_z = work.schur_pair(state.z, config.lam1, config.lam2)
     lhs = (N_a * M_z.conj()).real
     rhs = (A_a.conj() * D_z).sum(axis=0).real
@@ -278,7 +305,8 @@ def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
     + rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
     work = state.work
     val = 0.5 * config.lam1 * work.first_term(state.a * (work.E @ state.p))
-    val += 0.5 * config.lam2 * work.second_term(state.a, state.z, state.p)
+    val += 0.5 * config.lam2 * work.second_term(
+        work.pieces(state.a)[1], work.pieces(state.z)[1], state.p)
     gap = state.a - state.z + state.s
     val += 0.5 * config.rho * float(np.vdot(gap, gap).real)
     val -= 0.5 * config.rho * float(np.vdot(state.s, state.s).real)
@@ -288,8 +316,9 @@ def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
 def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
                      lam1: float, lam2: float) -> float:
     """Unsplit data-fit objective at consensus (z = a)."""
+    RA = work.pieces(a)[1]
     return (0.5 * lam1 * work.first_term(a * (work.E @ p))
-            + 0.5 * lam2 * work.second_term(a, a, p))
+            + 0.5 * lam2 * work.second_term(RA, RA, p))
 
 
 @dataclass(frozen=True)
@@ -303,6 +332,7 @@ class AdmmResult:
     history: dict
     n_iter: int
     converged: bool
+    stop_reason: str    # "tolerance" or "max_iter"
     symmetry_residual: float
 
 
@@ -314,8 +344,9 @@ def run_admm(
     state: AdmmState | None = None,
 ) -> AdmmResult:
     """Alg.: repeat a-step, z-step, p-step, dual step s += a - z, until the
-    primal gap ||a - z|| and the Lagrangian change pass their tolerances or
-    max_iter is reached.
+    primal gap ||a - z|| and the Lagrangian change pass their tolerances
+    (stop_reason "tolerance") or max_iter is reached ("max_iter").  The
+    history also records the dual residual rho ||z_k - z_{k-1}||.
 
     An explicit initial `state` overrides the seeded random initialization
     (used to share starts across methods).  Raises SolverError (history
@@ -326,9 +357,10 @@ def run_admm(
     work = state.work
     tol_primal = 1e-6 * np.sqrt(spec.n_a)
     last_lag = None
-    converged = False
+    stop_reason = "max_iter"
 
     for _ in range(config.max_iter):
+        z_prev = state.z
         state.a = update_a(state, config)
         state.z = update_z(state, config)
         state.p = update_p(state, config)
@@ -337,12 +369,12 @@ def run_admm(
 
         lag = augmented_lagrangian(state, config)
         primal = float(np.linalg.norm(state.a - state.z))
-        consensus = 0.5 * (state.a + state.z)
+        dual = config.rho * float(np.linalg.norm(state.z - z_prev))
+        consensus = work.mean(state.a, state.z)
         obj = moment_objective(work, consensus, state.p, config.lam1, config.lam2)
-        state.history["iter"].append(state.iter)
-        state.history["objective"].append(obj)
-        state.history["primal"].append(primal)
-        state.history["lagrangian"].append(lag)
+        for key, val in (("iter", state.iter), ("objective", obj),
+                         ("primal", primal), ("dual", dual), ("lagrangian", lag)):
+            state.history[key].append(val)
 
         if not np.isfinite(lag) or obj > _DIVERGE_LIMIT:
             raise SolverError(
@@ -352,11 +384,10 @@ def run_admm(
         if last_lag is not None:
             change = abs(lag - last_lag) / max(abs(last_lag), 1.0)
             if primal <= tol_primal and change <= config.tol_change:
-                converged = True
+                stop_reason = "tolerance"
                 break
         last_lag = lag
 
-    consensus = 0.5 * (state.a + state.z)
     a_out = FBCoeffs(consensus, spec)
     p_proj = project_simplex(state.p)
     p_proj = p_proj / p_proj.sum()
@@ -366,6 +397,7 @@ def run_admm(
         p_relaxed=state.p.copy(),
         history=state.history,
         n_iter=state.iter,
-        converged=converged,
+        converged=stop_reason == "tolerance",
+        stop_reason=stop_reason,
         symmetry_residual=a_out.symmetry_residual(),
     )

@@ -110,7 +110,7 @@ def _write_manifest(out_dir, command, cfg, inputs, outputs, extra=None):
     manifest = {
         "command": command,
         "config": cfg,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): d or _sha256(p) for p, d in inputs.items()},
         "outputs": [str(p) for p in outputs],
     }
     if extra:
@@ -156,7 +156,7 @@ def save_coeff_file(path, coeffs, p, meta=None):
 
 
 def load_coeff_file(path):
-    header, payload = read_header_file(
+    header, payload, _ = read_header_file(
         path, {"c": float, "R": float, "n_a": 1, "n_theta": 1,
                "real_symmetric": bool})
     spec = build_basis_spec(header["c"], header["R"])
@@ -242,7 +242,7 @@ def cmd_simulate(cfg, out_dir):
     save_coeff_file(truth_path, truth, p,
                     meta={"kind": "truth", "sigma2": sigma2})
     manifest = _write_manifest(
-        out_dir, "simulate", cfg, [], [batch_path, truth_path],
+        out_dir, "simulate", cfg, {}, [batch_path, truth_path],
         extra={"sigma2": sigma2, "snr_db": achieved,
                "clean_variance": clean_var})
     print(f"wrote {batch_path} ({batch.N} records), SNR = "
@@ -262,6 +262,7 @@ def history_to_csv(columns, path):
 def _admm_columns(history):
     return {"iter": history["iter"], "objective": history["objective"],
             "primal_residual": history["primal"],
+            "dual_residual": history["dual"],
             "lagrangian": history["lagrangian"]}
 
 
@@ -292,7 +293,8 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
     features (the full moments, read by ADMM) may be None for "em"; ADMM
     runs only first and draws the same start itself at config.seed = seed.
     With out_dir, every stage that ran, failed ones too, writes its history
-    there."""
+    there.  Returns the estimate, the runtime, the start's hash and one
+    record per stage: its iterations and how it stopped."""
     sol = cfg["solver"]
     mu_norm = (features.mu_norm if features is not None
                else float(np.linalg.norm(first_moment(batch, quad))))
@@ -300,7 +302,7 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
     start_hash = _init_hash(a0, p0)
     a = FBCoeffs(values=a0, spec=spec, real_symmetric=False)
     p = ViewDistribution(p=p0, n_theta=n_theta)
-    histories = []
+    histories, stages = [], []
     t0 = time.perf_counter()
     try:
         for solver, budget in _STAGES[method]:
@@ -312,6 +314,12 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
                 res = run_em(transform_batch(batch, quad), a, p,
                              EmConfig(max_iter=sol[budget]))
             histories.append((solver, res.history))
+            stages.append({"solver": solver, "n_iter": res.n_iter,
+                           "converged": res.converged})
+            if solver == "admm":
+                stages[-1].update(stop_reason=res.stop_reason,
+                                  primal_residual=res.history["primal"][-1],
+                                  dual_residual=res.history["dual"][-1])
             a, p = res.a, res.p
         runtime = time.perf_counter() - t0
     except SolverError as err:
@@ -323,7 +331,7 @@ def _run_method(method, features, batch, quad, spec, n_theta, cfg, seed,
                 columns = (_admm_columns(history) if solver == "admm"
                            else _em_columns(history))
                 history_to_csv(columns, out_dir / f"{solver}_history.csv")
-    return a, p, runtime, start_hash
+    return a, p, runtime, start_hash, stages
 
 
 def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
@@ -342,7 +350,7 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
     features = _moments_for([method], batch, quad, spec)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    a, p, runtime, start_hash = _run_method(
+    a, p, runtime, start_hash, stages = _run_method(
         method, features, batch, quad, spec, n_theta, cfg, cfg["seed"],
         out_dir=out_dir)
 
@@ -360,7 +368,8 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
 
     outputs = sorted(out_dir.glob("*history.csv")) + [est_path, pgm_path]
     extra = {"method": method, "runtime_s": runtime,
-             "pgm_normalization": [lo, hi], "init_sha256": start_hash}
+             "pgm_normalization": [lo, hi], "init_sha256": start_hash,
+             "solver": stages}
     if truth_path is not None:
         truth_a, truth_p, _ = load_coeff_file(truth_path)
         re, gamma = relative_error(truth_a, a, 10 * n_theta)
@@ -368,8 +377,9 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         extra.update({"re": re, "tv": tv})
         print(f"method={method} RE={re:.6g} TV={tv:.6g} "
               f"(rotation {gamma:.4f} rad, shift {shift})")
-    manifest = _write_manifest(out_dir, "reconstruct", cfg, [batch_path],
-                               outputs, extra=extra)
+    manifest = _write_manifest(out_dir, "reconstruct", cfg,
+                               {batch_path: batch.source_sha256}, outputs,
+                               extra=extra)
     print(f"wrote {est_path} in {runtime:.1f}s")
     return outputs + [manifest]
 
@@ -404,7 +414,7 @@ def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
     lo_e, hi_e = write_pgm(out_dir / "estimate_aligned.pgm",
                            synthesize_image(aligned, size))
     manifest = _write_manifest(
-        out_dir, "evaluate", {}, [truth_path, estimate_path],
+        out_dir, "evaluate", {}, dict.fromkeys([truth_path, estimate_path]),
         [csv_path, out_dir / "truth.pgm", out_dir / "estimate_aligned.pgm"],
         extra={"re": re, "tv": tv,
                "joint_alignment": {"re": re_joint, "tv": tv_joint,
@@ -431,7 +441,7 @@ def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
     n_theta = p.n_theta
     reports, hashes = [], {}
     for method in methods:
-        a, pd, runtime, start_hash = _run_method(
+        a, pd, runtime, start_hash, _ = _run_method(
             method, features, batch, quad, spec, n_theta, cfg, seed)
         hashes[method] = start_hash
         re, gamma = relative_error(truth, a, 10 * n_theta)
@@ -486,7 +496,7 @@ def cmd_experiment(cfg, out_dir, threads=1):
     init_hashes = [hashes for _, hashes in results]
     shared = all(len(set(h.values())) == 1 for h in init_hashes if h)
     manifest = _write_manifest(
-        out_dir, "experiment", cfg, [], [trials_path, agg_path],
+        out_dir, "experiment", cfg, {}, [trials_path, agg_path],
         extra={"init_hashes": init_hashes, "shared_inits": shared})
     print(f"wrote {trials_path} ({len(all_reports)} rows) and {agg_path}; "
           f"shared inits per trial: {shared}")

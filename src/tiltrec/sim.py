@@ -13,6 +13,7 @@ output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -124,6 +125,7 @@ class TiltSeriesBatch:
     seed: int
     n_theta: int
     hidden_angles: np.ndarray | None = None
+    source_sha256: str | None = None    # of the file it was loaded from
 
     def __post_init__(self):
         N = self.samples.shape[0]
@@ -292,7 +294,8 @@ def save_batch(batch: TiltSeriesBatch, path: str):
 
 
 def read_header_file(path, fields):
-    """(header, payload) of a file that starts with one JSON header line.
+    """(header, payload, sha256) of a file that starts with one JSON header
+    line; the sha256 is that of the bytes read, header line and payload.
 
     The payload is read once into a writable bytearray sized from the file
     (a pipe or other non-regular file is read to its end), so arrays viewing
@@ -302,12 +305,15 @@ def read_header_file(path, fields):
     another type.
     """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("ascii"))
+        line = fh.readline()
+        header = json.loads(line.decode("ascii"))
         st = os.fstat(fh.fileno())
         size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else 0
         payload = bytearray(max(size, 0))
         del payload[fh.readinto(payload):]
         payload += fh.read()  # what the size missed: a pipe, a grown file
+    digest = hashlib.sha256(line)
+    digest.update(payload)
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: header is not a JSON object")
     for key, kind in fields.items():
@@ -325,7 +331,7 @@ def read_header_file(path, fields):
         if not ok:
             raise ConfigError(
                 f"{path}: header field {key!r} must be {want}, got {value!r}")
-    return header, payload
+    return header, payload, digest.hexdigest()
 
 
 def check_payload_size(path, payload: bytearray, expected: int):
@@ -338,7 +344,7 @@ def check_payload_size(path, payload: bytearray, expected: int):
 
 
 def load_batch(path: str) -> TiltSeriesBatch:
-    header, payload = read_header_file(
+    header, payload, digest = read_header_file(
         path, {"N": 1, "K": 0, "L": 1, "n_theta": 1, "seed": 0,
                "alpha": float, "sigma2": float, "dx": float,
                "hidden_angles": bool})
@@ -365,4 +371,5 @@ def load_batch(path: str) -> TiltSeriesBatch:
         seed=header["seed"],
         n_theta=header["n_theta"],
         hidden_angles=hidden,
+        source_sha256=digest,
     )

@@ -186,9 +186,10 @@ def test_workspace_compressed_terms_match_raw(prob29):
         assert p.min() < 0
         M = np.outer(x, y.conj()) * angle_coupling(work.E, p)
         direct2 = np.linalg.norm(psi_w @ M @ psi_w.conj().T - C_in) ** 2
-        assert work.second_term(x, y, p) == pytest.approx(direct2, rel=1e-10)
+        A_x, RA_x, N_x, _ = work.pieces(x)
+        assert (work.second_term(RA_x, work.pieces(y)[1], p)
+                == pytest.approx(direct2, rel=1e-10))
         assert dense_second_term(work, M) == pytest.approx(direct2, rel=1e-10)
-        A_x, N_x = work.angle_gram(x)
         M_y, D_y = work.schur_pair(y, 0.0, 1.0)
         Q2 = (N_x * M_y.conj()).real
         c2 = (A_x.conj() * D_y).sum(axis=0).real
@@ -392,15 +393,88 @@ def test_run_matches_dense_oracle_iteration(prob29):
                          tol_change=0.0)
         res = run_admm(feats, cfg, spec, 29)
         st = init_admm_state(feats, cfg, spec, 29)
-        lags, objs = zip(*(dense_admm_iteration(st, cfg) for _ in range(20)))
+        lags, objs, primal, dual = [], [], [], []
+        for _ in range(20):
+            z_prev = st.z
+            lag, obj = dense_admm_iteration(st, cfg)
+            lags.append(lag)
+            objs.append(obj)
+            primal.append(np.linalg.norm(st.a - st.z))
+            dual.append(cfg.rho * np.linalg.norm(st.z - z_prev))
         assert res.n_iter == 20
         consensus = 0.5 * (st.a + st.z)
-        assert (np.linalg.norm(res.a.values - consensus)
-                <= 1e-10 * np.linalg.norm(consensus))
+        scale = np.linalg.norm(consensus)
+        assert np.linalg.norm(res.a.values - consensus) <= 1e-10 * scale
         assert (np.linalg.norm(res.p_relaxed - st.p)
                 <= 1e-10 * np.linalg.norm(st.p))
         assert np.allclose(res.history["lagrangian"], lags, rtol=1e-10, atol=0)
         assert np.allclose(res.history["objective"], objs, rtol=1e-10, atol=0)
+        for key, want in (("primal", primal), ("dual", dual)):
+            assert np.allclose(res.history[key], want, rtol=0,
+                               atol=1e-10 * scale)
+
+
+def test_pieces_formed_once_per_iterate(tiny, monkeypatch):
+    """k iterations form the angle pieces 2k + 1 times: the start's z, then
+    each new a (in the z-step) and z (in the p-step).  Every other step
+    reads kept pieces, and the consensus takes its own by linearity."""
+    calls = []
+    form = AdmmWorkspace.form_pieces
+    monkeypatch.setattr(AdmmWorkspace, "form_pieces",
+                        lambda work, y: calls.append(y) or form(work, y))
+    for k in (1, 2, 7):
+        calls.clear()
+        cfg = AdmmConfig(max_iter=k, tol_change=0.0, seed=1)
+        assert run_admm(tiny["features"], cfg, tiny["spec"], 5).n_iter == k
+        assert len(calls) == 2 * k + 1
+
+
+def test_pieces_follow_replaced_iterates(prob29):
+    """After a or z is replaced, by a new array or in place, every step
+    equals the one of a freshly built state to 1e-13: the kept pieces are
+    keyed by value and never stale.  The pieces of a mean, taken by
+    linearity, equal the formed ones to rounding."""
+    feats, spec = prob29["features"], prob29["spec"]
+    cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
+    rng = np.random.default_rng(31)
+    n_a = spec.n_a
+    st = init_admm_state(feats, cfg, spec, 29)
+    st.a = update_a(st, cfg)
+    st.z = update_z(st, cfg)
+    st.p = update_p(st, cfg)
+
+    def check():
+        fresh = AdmmState(a=st.a.copy(), z=st.z.copy(), p=st.p, s=st.s,
+                          iter=0, work=AdmmWorkspace(feats, spec, 29))
+        for step in (update_a, update_z, update_p, augmented_lagrangian):
+            got, want = step(st, cfg), step(fresh, cfg)
+            assert (np.linalg.norm(np.subtract(got, want))
+                    <= 1e-13 * np.linalg.norm(want))
+
+    draw = lambda: rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
+    st.z = draw()
+    check()
+    st.a = draw()
+    check()
+    st.a[:] = draw()
+    check()
+    st.z[:] = draw()
+    check()
+    c = st.work.mean(st.a, st.z)
+    for got, want in zip(st.work.pieces(c), st.work.form_pieces(c)):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_stop_reason(tiny):
+    """A run that meets its tolerances stops on "tolerance" and is
+    converged; one cut by max_iter says so."""
+    feats, spec = tiny["features"], tiny["spec"]
+    done = run_admm(feats, AdmmConfig(rho=2.0, seed=1), spec, 5)
+    assert (done.stop_reason, done.converged) == ("tolerance", True)
+    assert done.n_iter < 500
+    cut = run_admm(feats, AdmmConfig(rho=2.0, seed=1, max_iter=3), spec, 5)
+    assert (cut.stop_reason, cut.converged, cut.n_iter) == ("max_iter", False,
+                                                            3)
 
 
 def test_objective_decreases_from_random_start(prob29):
@@ -482,7 +556,8 @@ def test_history_csv(tiny, tmp_path):
     path = tmp_path / "hist.csv"
     history_to_csv(_admm_columns(res.history), str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,objective,primal_residual,lagrangian"
+    assert lines[0] == ("iter,objective,primal_residual,dual_residual,"
+                        "lagrangian")
     assert len(lines) == 6
     first = lines[1].split(",")
     assert int(first[0]) == 1

@@ -5,6 +5,8 @@ iteration counts) keeps every pipeline stage exercised while the whole file
 stays fast.
 """
 
+import csv
+import hashlib
 import json
 import re
 
@@ -308,6 +310,45 @@ def test_reconstruct_each_method(sim_run, tmp_path):
         assert (w, h) == (16, 16)
     # one seed, one batch: every method starts from the same point
     assert len(set(hashes)) == 1
+
+
+def test_reconstruct_manifest_records_solver_stages(sim_run, tmp_path):
+    """extra.solver holds one entry per stage: n_iter and converged, and
+    for ADMM the stop reason and the last primal and dual residuals of its
+    history."""
+    cfg, sim_out = sim_run
+    out = tmp_path / "rec"
+    assert main(["--config", str(cfg), "--out", str(out), "--method",
+                 "admm+em", "reconstruct", str(sim_out / "batch.dat")]) == 0
+    manifest = json.loads((out / "manifest_reconstruct.json").read_text())
+    admm, em = manifest["extra"]["solver"]
+    with open(out / "admm_history.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert admm == {"solver": "admm", "n_iter": 5, "converged": False,
+                    "stop_reason": "max_iter",
+                    "primal_residual": float(last["primal_residual"]),
+                    "dual_residual": float(last["dual_residual"])}
+    assert em["solver"] == "em" and set(em) == {"solver", "n_iter",
+                                                "converged"}
+    assert 1 <= em["n_iter"] <= 3 and isinstance(em["converged"], bool)
+
+
+def test_reconstruct_manifest_hashes_the_batch_it_read(sim_run, tmp_path,
+                                                       monkeypatch):
+    """The manifest's digest of the batch is the sha256 of the file, taken
+    from the bytes load_batch read: the file is not read a second time."""
+    def reread(path):
+        raise AssertionError(f"{path} hashed again")
+
+    monkeypatch.setattr("tiltrec.cli._sha256", reread)
+    cfg, sim_out = sim_run
+    batch = sim_out / "batch.dat"
+    out = tmp_path / "rec"
+    assert main(["--config", str(cfg), "--out", str(out), "--method", "admm",
+                 "reconstruct", str(batch)]) == 0
+    manifest = json.loads((out / "manifest_reconstruct.json").read_text())
+    assert manifest["inputs"] == {
+        str(batch): hashlib.sha256(batch.read_bytes()).hexdigest()}
 
 
 def test_em_only_commands_skip_second_moment(sim_run, tmp_path, monkeypatch):
