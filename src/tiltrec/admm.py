@@ -348,15 +348,18 @@ def run_admm(
     (stop_reason "tolerance") or max_iter is reached ("max_iter").  The
     history also records the dual residual rho ||z_k - z_{k-1}||.
 
-    An explicit initial `state` overrides the seeded random initialization
-    (used to share starts across methods).  Raises SolverError (history
-    attached) on divergence.
+    An explicit `state` overrides the seeded random initialization and is
+    continued for max_iter more iterations: k iterations and then K - k
+    more give bitwise the result of one K-iteration run.  n_iter counts the
+    state's iterations, and history is a copy of all of them.  Raises
+    SolverError (history attached) on divergence.
     """
     if state is None:
         state = init_admm_state(features, config, spec, n_theta)
     work = state.work
     tol_primal = 1e-6 * np.sqrt(spec.n_a)
-    last_lag = None
+    last_lag = (state.history["lagrangian"][-1]
+                if state.history["lagrangian"] else None)
     stop_reason = "max_iter"
 
     for _ in range(config.max_iter):
@@ -395,7 +398,7 @@ def run_admm(
         a=a_out,
         p=ViewDistribution(p_proj, n_theta),
         p_relaxed=state.p.copy(),
-        history=state.history,
+        history={key: list(vals) for key, vals in state.history.items()},
         n_iter=state.iter,
         converged=stop_reason == "tolerance",
         stop_reason=stop_reason,

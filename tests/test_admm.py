@@ -18,7 +18,7 @@ from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
                           run_admm, update_a, update_p, update_z)
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
-from tiltrec.cli import _admm_columns, history_to_csv
+from tiltrec.cli import _admm_columns, _admm_snapshots, history_to_csv
 from tiltrec.errors import ConfigError, SolverError
 from tiltrec.moments import (angle_coupling, empirical_moments,
                              population_features, weight_diagonal,
@@ -474,6 +474,54 @@ def test_stop_reason(tiny):
     cut = run_admm(feats, AdmmConfig(rho=2.0, seed=1, max_iter=3), spec, 5)
     assert (cut.stop_reason, cut.converged, cut.n_iter) == ("max_iter", False,
                                                             3)
+
+
+def _assert_same_result(got, want):
+    assert np.array_equal(got.a.values, want.a.values)
+    assert np.array_equal(got.p.p, want.p.p)
+    assert np.array_equal(got.p_relaxed, want.p_relaxed)
+    assert got.history == want.history
+    assert (got.n_iter, got.stop_reason) == (want.n_iter, want.stop_reason)
+
+
+@pytest.mark.parametrize("case", ["max_iter", "tolerance"])
+def test_resumed_run_continues_exactly(tiny, prob29, case):
+    """k iterations and then K - k more on the same state give bitwise one
+    K-iteration run, also when the tolerance stop falls on iteration k + 1,
+    and continuing the state leaves the first result's history as it was."""
+    if case == "max_iter":
+        inst, k, K, cfg = prob29, 37, 200, AdmmConfig(max_iter=200, seed=2)
+    else:
+        inst, cfg = tiny, AdmmConfig(rho=2.0, seed=1)
+    feats, spec, n_theta = inst["features"], inst["spec"], inst["n_theta"]
+    whole = run_admm(feats, cfg, spec, n_theta)
+    if case == "tolerance":
+        assert whole.stop_reason == "tolerance"
+        k, K = whole.n_iter - 1, cfg.max_iter
+    state = init_admm_state(feats, cfg, spec, n_theta)
+    first = run_admm(feats, replace(cfg, max_iter=k), spec, n_theta,
+                     state=state)
+    kept = {key: list(vals) for key, vals in first.history.items()}
+    rest = run_admm(feats, replace(cfg, max_iter=K - k), spec, n_theta,
+                    state=state)
+    _assert_same_result(rest, whole)
+    assert first.history == kept and first.n_iter == k
+
+
+def test_snapshots_equal_separate_runs_across_a_tolerance_stop(tiny):
+    """Each budget's snapshot of the shared run is bitwise a separate run of
+    that budget, for budgets before, at and after its tolerance stop."""
+    feats, spec = tiny["features"], tiny["spec"]
+    cfg = AdmmConfig(rho=2.0, seed=1)
+    stop = run_admm(feats, cfg, spec, 5).n_iter
+    budgets = {stop - 1, stop, stop + 1, cfg.max_iter}
+    snapshots = _admm_snapshots(
+        feats, budgets, {"solver": {"lambda1": cfg.lam1, "lambda2": cfg.lam2,
+                                    "rho": cfg.rho}}, cfg.seed, spec, 5)
+    assert set(snapshots) == budgets
+    for budget in budgets:
+        _assert_same_result(snapshots[budget][0], run_admm(
+            feats, replace(cfg, max_iter=budget), spec, 5))
 
 
 def test_objective_decreases_from_random_start(prob29):

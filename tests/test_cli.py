@@ -5,22 +5,31 @@ iteration counts) keeps every pipeline stage exercised while the whole file
 stays fast.
 """
 
+import builtins
 import csv
+import dataclasses
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tiltrec.basis import FBCoeffs, build_basis_spec
-from tiltrec.cli import (DEFAULT_CONFIG, load_config, load_coeff_file, main,
-                         save_coeff_file, write_pgm)
+import tiltrec.admm
+from tiltrec.admm import AdmmConfig, random_start, run_admm
+from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
+from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
+                         _draw_batch, _experiment_trial, load_config,
+                         load_coeff_file, main, save_coeff_file, write_pgm)
+from tiltrec.em import EmConfig, run_em
 from tiltrec.errors import ConfigError
-from tiltrec.metrics import CSV_HEADER
+from tiltrec.metrics import (CSV_HEADER, TrialReport, relative_error,
+                             snr_db, total_variation_dist)
+from tiltrec.moments import empirical_moments
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          generate_batch, load_batch, save_batch)
-from tiltrec.spectral import SpectralBatch
+from tiltrec.spectral import SpectralBatch, transform_batch
 
 TINY = {
     "seed": 3,
@@ -103,7 +112,7 @@ def test_coeff_file_roundtrip(tmp_path):
     p = ViewDistribution(rng.dirichlet(np.ones(12)), 12)
     path = tmp_path / "c.dat"
     save_coeff_file(path, a, p, meta={"kind": "truth", "note": 7})
-    a2, p2, meta = load_coeff_file(path)
+    a2, p2, meta, _ = load_coeff_file(path)
     assert np.array_equal(a2.values, a.values)
     assert np.allclose(p2.p, p.p, atol=1e-15)
     assert a2.spec.n_a == spec.n_a and not a2.real_symmetric
@@ -303,7 +312,7 @@ def test_reconstruct_each_method(sim_run, tmp_path):
         assert (out / "reconstruction.pgm").exists()
         for hist in expected_hist[method]:
             assert (out / hist).exists()
-        _, _, meta = load_coeff_file(out / "estimate.dat")
+        _, _, meta, _ = load_coeff_file(out / "estimate.dat")
         assert meta["method"] == method
         hashes.append(meta["init_sha256"])
         w, h, _ = _read_pgm(out / "reconstruction.pgm")
@@ -333,19 +342,31 @@ def test_reconstruct_manifest_records_solver_stages(sim_run, tmp_path):
     assert 1 <= em["n_iter"] <= 3 and isinstance(em["converged"], bool)
 
 
+def _count_opens(monkeypatch, paths):
+    """{path: number of times the run opens it}, counted from builtins.open."""
+    opens = dict.fromkeys(paths, 0)
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, Path)) and Path(file) in opens:
+            opens[Path(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    return opens
+
+
 def test_reconstruct_manifest_hashes_the_batch_it_read(sim_run, tmp_path,
                                                        monkeypatch):
     """The manifest's digest of the batch is the sha256 of the file, taken
     from the bytes load_batch read: the file is not read a second time."""
-    def reread(path):
-        raise AssertionError(f"{path} hashed again")
-
-    monkeypatch.setattr("tiltrec.cli._sha256", reread)
     cfg, sim_out = sim_run
     batch = sim_out / "batch.dat"
+    opens = _count_opens(monkeypatch, [batch])
     out = tmp_path / "rec"
     assert main(["--config", str(cfg), "--out", str(out), "--method", "admm",
                  "reconstruct", str(batch)]) == 0
+    assert opens == {batch: 1}
     manifest = json.loads((out / "manifest_reconstruct.json").read_text())
     assert manifest["inputs"] == {
         str(batch): hashlib.sha256(batch.read_bytes()).hexdigest()}
@@ -462,11 +483,32 @@ def test_evaluate_reconstruction(sim_run, tmp_path):
     assert (out / "manifest_evaluate.json").exists()
 
 
+def test_evaluate_manifest_hashes_the_files_it_read(sim_run, tmp_path,
+                                                    monkeypatch):
+    """The evaluate manifest's digests are the sha256 of the truth and
+    estimate files, taken from the bytes load_coeff_file read: each file is
+    opened once."""
+    cfg, sim_out = sim_run
+    rec = tmp_path / "rec"
+    assert main(["--config", str(cfg), "--out", str(rec), "reconstruct",
+                 str(sim_out / "batch.dat")]) == 0
+    truth, estimate = sim_out / "truth.dat", rec / "estimate.dat"
+    opens = _count_opens(monkeypatch, [truth, estimate])
+    out = tmp_path / "ev"
+    assert main(["--out", str(out), "evaluate", str(truth),
+                 str(estimate)]) == 0
+    assert opens == {truth: 1, estimate: 1}
+    manifest = json.loads((out / "manifest_evaluate.json").read_text())
+    assert manifest["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (truth, estimate)}
+
+
 def test_evaluate_uses_configured_success_threshold(sim_run, tmp_path):
     """evaluate scores success against the configured threshold, as
     experiment does: at threshold 0 an estimate with nonzero RE fails."""
     _, sim_out = sim_run
-    truth, p, meta = load_coeff_file(sim_out / "truth.dat")
+    truth, p, meta, _ = load_coeff_file(sim_out / "truth.dat")
     estimate = tmp_path / "estimate.dat"
     save_coeff_file(estimate, FBCoeffs(1.01 * truth.values, truth.spec,
                                        truth.real_symmetric), p, meta)
@@ -516,3 +558,63 @@ def test_experiment_determinism_and_shared_inits(tmp_path):
 
     manifest = json.loads((outs[0] / "manifest_experiment.json").read_text())
     assert manifest["extra"]["shared_inits"] is True
+
+
+def _separate_runs_cell(cfg, spec, truth, p, snr, trial):
+    """The reports of one experiment cell built from one separate run_admm
+    per ADMM stage, each at its own budget, plus run_em."""
+    acq, sol = cfg["acquisition"], cfg["solver"]
+    quad = build_quadrature(spec.c, sol["n_xi"])
+    seed, n_theta = cfg["seed"] + trial, p.n_theta
+    batch, clean_var = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
+                                   quad, seed, snr)
+    feats = empirical_moments(batch, quad, spec)
+
+    def admm(key):
+        return run_admm(feats, AdmmConfig(
+            lam1=sol["lambda1"], lam2=sol["lambda2"], rho=sol["rho"],
+            max_iter=sol[key], seed=seed), spec, n_theta)
+
+    def em(a, pd, key):
+        return run_em(transform_batch(batch, quad), a, pd,
+                      EmConfig(max_iter=sol[key]))
+
+    a0, _, p0 = random_start(feats.mu_norm, spec.n_a, n_theta, seed)
+    hybrid = admm("hybrid_admm_iters")
+    estimates = {
+        "admm": admm("admm_iters"),
+        "em": em(FBCoeffs(values=a0, spec=spec, real_symmetric=False),
+                 ViewDistribution(p=p0, n_theta=n_theta), "em_iters"),
+        "admm+em": em(hybrid.a, hybrid.p, "hybrid_em_iters")}
+    reports = []
+    for method, est in estimates.items():
+        re_, gamma = relative_error(truth, est.a, 10 * n_theta)
+        tv, shift = total_variation_dist(p, est.p)
+        reports.append(TrialReport(
+            method=method, snr_db=snr_db(clean_var, batch.sigma2), re=re_,
+            tv=tv, aligned_rotation=gamma, aligned_shift=shift,
+            success=re_ <= cfg["experiment"]["success_threshold"],
+            seed=seed, runtime=0.0))
+    return reports
+
+
+@pytest.mark.parametrize("admm_iters, hybrid_admm_iters", [(5, 5), (7, 3)])
+def test_experiment_cell_makes_one_admm_run(monkeypatch, admm_iters,
+                                            hybrid_admm_iters):
+    """One cell iterates ADMM as often as its largest ADMM budget, for equal
+    and unequal budgets, and its reports (runtime aside) equal those of
+    separate runs at each budget."""
+    cfg = _deep_merge(DEFAULT_CONFIG, {**TINY, "solver": {
+        **TINY["solver"], "admm_iters": admm_iters,
+        "hybrid_admm_iters": hybrid_admm_iters}})
+    spec, truth, p = _build_problem(cfg)
+    steps = []
+    update_a = tiltrec.admm.update_a
+    monkeypatch.setattr(tiltrec.admm, "update_a",
+                        lambda *args: steps.append(1) or update_a(*args))
+    reports, hashes = _experiment_trial(cfg, spec, truth, p, 3.0, 1)
+    assert len(steps) == max(admm_iters, hybrid_admm_iters)
+    assert len(set(hashes.values())) == 1
+    assert [dataclasses.replace(r, runtime=0.0) for r in reports] == \
+        _separate_runs_cell(cfg, spec, truth, p, 3.0, 1)
+
