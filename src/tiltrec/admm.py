@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, FBCoeffs
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, SolverResult
 from .moments import MomentFeatures, angle_phase_matrix
 from .sim import ViewDistribution
 
@@ -180,7 +180,8 @@ class AdmmState:
     iter: int
     work: AdmmWorkspace
     history: dict = field(default_factory=lambda: {
-        "iter": [], "objective": [], "primal": [], "dual": [], "lagrangian": [],
+        "iter": [], "objective": [], "primal_residual": [], "dual_residual": [],
+        "lagrangian": [],
     })
 
 
@@ -322,18 +323,11 @@ def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
 
 
 @dataclass(frozen=True)
-class AdmmResult:
-    """Final estimate: consensus coefficients, simplex-projected p (primary),
-    the relaxed p iterate (diagnostic), history, and termination info."""
+class AdmmResult(SolverResult):
+    """A SolverResult whose a is the consensus and p the simplex projection
+    of the relaxed p iterate, which is kept as a diagnostic."""
 
-    a: FBCoeffs
-    p: ViewDistribution
     p_relaxed: np.ndarray
-    history: dict
-    n_iter: int
-    converged: bool
-    stop_reason: str    # "tolerance" or "max_iter"
-    symmetry_residual: float
 
 
 def run_admm(
@@ -346,7 +340,8 @@ def run_admm(
     """Alg.: repeat a-step, z-step, p-step, dual step s += a - z, until the
     primal gap ||a - z|| and the Lagrangian change pass their tolerances
     (stop_reason "tolerance") or max_iter is reached ("max_iter").  The
-    history also records the dual residual rho ||z_k - z_{k-1}||.
+    history columns are iter, objective, primal_residual ||a - z||,
+    dual_residual rho ||z_k - z_{k-1}|| and lagrangian.
 
     An explicit `state` overrides the seeded random initialization and is
     continued for max_iter more iterations: k iterations and then K - k
@@ -376,7 +371,8 @@ def run_admm(
         consensus = work.mean(state.a, state.z)
         obj = moment_objective(work, consensus, state.p, config.lam1, config.lam2)
         for key, val in (("iter", state.iter), ("objective", obj),
-                         ("primal", primal), ("dual", dual), ("lagrangian", lag)):
+                         ("primal_residual", primal), ("dual_residual", dual),
+                         ("lagrangian", lag)):
             state.history[key].append(val)
 
         if not np.isfinite(lag) or obj > _DIVERGE_LIMIT:
@@ -391,16 +387,13 @@ def run_admm(
                 break
         last_lag = lag
 
-    a_out = FBCoeffs(consensus, spec)
     p_proj = project_simplex(state.p)
     p_proj = p_proj / p_proj.sum()
     return AdmmResult(
-        a=a_out,
+        a=FBCoeffs(consensus, spec),
         p=ViewDistribution(p_proj, n_theta),
         p_relaxed=state.p.copy(),
         history={key: list(vals) for key, vals in state.history.items()},
         n_iter=state.iter,
-        converged=stop_reason == "tolerance",
         stop_reason=stop_reason,
-        symmetry_residual=a_out.symmetry_residual(),
     )

@@ -193,13 +193,6 @@ class FBCoeffs:
             sym[i] = 0.5 * (self.values[i] + (-1.0) ** k * np.conj(self.values[j]))
         return FBCoeffs(sym, spec, real_symmetric=True)
 
-    def symmetry_residual(self) -> float:
-        """Relative distance from the symmetrized vector."""
-        norm = np.linalg.norm(self.values)
-        if norm == 0.0:
-            return 0.0
-        return np.linalg.norm(self.values - self.symmetrized().values) / norm
-
 
 @functools.lru_cache(maxsize=8)
 def _radial_matrix(spec: BasisSpec, grid: QuadratureGrid) -> np.ndarray:

@@ -51,6 +51,9 @@ DEFAULT_CONFIG = {
                    "methods": ["admm", "em", "admm+em"],
                    "success_threshold": 0.3},
 }
+# the estimate meta fields evaluate reads, with their defaults
+_ESTIMATE_META = {"method": "unknown", "snr_db": math.nan, "seed": -1,
+                  "runtime_s": 0.0}
 
 # each method's solver stages with their iteration budget keys
 _STAGES = {"admm": [("admm", "admm_iters")], "em": [("em", "em_iters")],
@@ -178,7 +181,11 @@ def load_coeff_file(path):
         dist = ViewDistribution(p=p, n_theta=header["n_theta"])
     except ConfigError as err:
         raise ConfigError(f"{path}: probability payload: {err}") from None
-    return coeffs, dist, header.get("meta", {}), digest
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: header field 'meta' must be a JSON "
+                          f"object, got {json.dumps(meta)}")
+    return coeffs, dist, meta, digest
 
 
 def _build_problem(cfg):
@@ -262,17 +269,6 @@ def history_to_csv(columns, path):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _admm_columns(history):
-    return {"iter": history["iter"], "objective": history["objective"],
-            "primal_residual": history["primal"],
-            "dual_residual": history["dual"],
-            "lagrangian": history["lagrangian"]}
-
-
-def _em_columns(history):
-    return {"iter": range(len(history)), "log_likelihood": history}
-
-
 def _init_hash(a, p):
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(a).tobytes())
@@ -320,7 +316,8 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
     its budget, and its runtime is that entry's time plus its later stages.
     With out_dir (one method), every stage that ran, failed ones too,
     writes its history there.  Returns the start's hash and, per method,
-    its estimate, runtime and one record per stage (iterations, stop)."""
+    its estimate, runtime and one record per stage: the solver, n_iter,
+    converged, stop_reason and the last value of each history column."""
     sol = cfg["solver"]
     mu_norm = (features.mu_norm if features is not None
                else float(np.linalg.norm(first_moment(batch, quad))))
@@ -344,12 +341,10 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
                                  EmConfig(max_iter=sol[key]))
                 histories.append((solver, res.history))
                 stages.append({"solver": solver, "n_iter": res.n_iter,
-                               "converged": res.converged})
-                if solver == "admm":
-                    stages[-1].update(
-                        stop_reason=res.stop_reason,
-                        primal_residual=res.history["primal"][-1],
-                        dual_residual=res.history["dual"][-1])
+                               "converged": res.converged,
+                               "stop_reason": res.stop_reason,
+                               **{key: column[-1] for key, column
+                                  in res.history.items()}})
                 a, p = res.a, res.p
             results.append((a, p, runtime + time.perf_counter() - t0, stages))
     except SolverError as err:
@@ -358,9 +353,7 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
     finally:
         if out_dir is not None:
             for solver, history in histories:
-                columns = (_admm_columns(history) if solver == "admm"
-                           else _em_columns(history))
-                history_to_csv(columns, out_dir / f"{solver}_history.csv")
+                history_to_csv(history, out_dir / f"{solver}_history.csv")
     return _init_hash(a0, p0), results
 
 
@@ -420,6 +413,9 @@ def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
             raise ConfigError(f"input not found: {p}")
     truth_a, truth_p, _, truth_digest = load_coeff_file(truth_path)
     est_a, est_p, meta, est_digest = load_coeff_file(estimate_path)
+    meta = _deep_merge(_ESTIMATE_META, {k: v for k, v in meta.items()
+                                        if k in _ESTIMATE_META},
+                       f"{estimate_path}: meta")
     n_theta = truth_p.n_theta
 
     re, gamma = relative_error(truth_a, est_a, 10 * n_theta)
@@ -427,11 +423,10 @@ def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
     re_joint, tv_joint, l_joint = joint_alignment(truth_a, est_a,
                                                   truth_p, est_p)
     report = TrialReport(
-        method=meta.get("method", "unknown"),
-        snr_db=float(meta.get("snr_db", math.nan)),
-        re=re, tv=tv, aligned_rotation=gamma, aligned_shift=shift,
-        success=re <= success_threshold, seed=int(meta.get("seed", -1)),
-        runtime=float(meta.get("runtime_s", 0.0)))
+        method=meta["method"], snr_db=float(meta["snr_db"]), re=re, tv=tv,
+        aligned_rotation=gamma, aligned_shift=shift,
+        success=re <= success_threshold, seed=meta["seed"],
+        runtime=float(meta["runtime_s"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FBCoeffs, eval_tilt_matrix
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, SolverResult
 from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
 from .spectral import SpectralBatch, noise_covariance
@@ -39,30 +39,6 @@ class EmConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
-class Responsibilities:
-    """Soft angle assignments: pi[i, l] = posterior of angle l for record i."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        if self.pi.ndim != 2:
-            raise ConfigError("responsibilities must be a 2-D array")
-        if np.any(self.pi < 0):
-            raise ConfigError("responsibilities must be non-negative")
-        row = self.pi.sum(axis=1)
-        if np.abs(row - 1.0).max() > 1e-12:
-            raise ConfigError("responsibility rows must sum to 1")
-
-    @property
-    def N(self):
-        return self.pi.shape[0]
-
-    @property
-    def n_theta(self):
-        return self.pi.shape[1]
 
 
 class EmWorkspace:
@@ -141,14 +117,14 @@ class EmWorkspace:
         return 0.5 * (self.data_norm2[:, None] - 2.0 * cross + v_norm2[None, :])
 
 
-def m_step(work, responsibilities):
-    """Exact maximizer of the expected complete-data log likelihood.
+def m_step(work, pi):
+    """Exact maximizer of the expected complete-data log likelihood, given
+    the responsibilities pi (N x n_theta, rows summing to 1).
 
-    p becomes the column means of the responsibilities; a solves the
-    pooled weighted normal equations through an eigendecomposition
-    pseudo-inverse with the relative cutoff _PINV_CUTOFF.
+    p becomes the column means of pi; a solves the pooled weighted normal
+    equations through an eigendecomposition pseudo-inverse with the
+    relative cutoff _PINV_CUTOFF.
     """
-    pi = responsibilities.pi
     col_mass = pi.sum(axis=0)
     weighted_data = work.Y.T @ pi
 
@@ -167,27 +143,22 @@ def m_step(work, responsibilities):
             ViewDistribution(p=p_new / p_new.sum(), n_theta=pi.shape[1]))
 
 
-@dataclass(frozen=True)
-class EmResult:
-    a: FBCoeffs
-    p: ViewDistribution
-    history: np.ndarray
-    n_iter: int
-    converged: bool
-
-
 def run_em(spec_batch, init_a, init_p, config=None):
     """Alternate E and M steps from the supplied starting point.
 
     The history records the log marginal likelihood of the current
-    parameters at every visit, including the final ones; it must be
-    non-decreasing up to roundoff or the model code is wrong.
+    parameters at every visit, including the final ones, with the visit
+    index as iter; it must be non-decreasing up to roundoff or the model
+    code is wrong.  The run stops when the gain of a visit falls below
+    config.tol_loglik relative (stop_reason "tolerance") or after max_iter
+    M-steps ("max_iter").
     """
     config = config or EmConfig()
     work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta)
     a_cur, p_cur = init_a, init_p
-    history = []
-    converged = False
+    history = {"iter": [], "log_likelihood": []}
+    lls = history["log_likelihood"]
+    stop_reason = "max_iter"
     for it in range(config.max_iter + 1):
         with np.errstate(divide='ignore'):
             log_p = np.log(p_cur.p)
@@ -198,16 +169,16 @@ def run_em(spec_batch, init_a, init_p, config=None):
         ll = float((peak + np.log(row_mass)).sum())
         if not np.isfinite(ll):
             raise SolverError(f"log likelihood became non-finite at "
-                              f"iteration {it}", history=np.array(history))
-        history.append(ll)
+                              f"iteration {it}", history=history)
+        history["iter"].append(it)
+        lls.append(ll)
         if it == config.max_iter:
             break
-        if it >= 1:
-            gain = history[-1] - history[-2]
-            if gain < config.tol_loglik * max(1.0, abs(history[-2])):
-                converged = True
-                break
-        a_cur, p_cur = m_step(work, Responsibilities(pi=pi / row_mass[:, None]))
+        if it >= 1 and lls[-1] - lls[-2] < config.tol_loglik * max(
+                1.0, abs(lls[-2])):
+            stop_reason = "tolerance"
+            break
+        a_cur, p_cur = m_step(work, pi / row_mass[:, None])
 
-    return EmResult(a=a_cur, p=p_cur, history=np.asarray(history),
-                    n_iter=len(history) - 1, converged=converged)
+    return SolverResult(a=a_cur, p=p_cur, history=history, n_iter=it,
+                        stop_reason=stop_reason)

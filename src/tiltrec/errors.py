@@ -1,8 +1,29 @@
-"""Exception types shared across the package."""
+"""The solver outcome types shared across the package: the result every
+solver stage returns and the error it raises, both carrying its history."""
+
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration values."""
+
+
+@dataclass(frozen=True)
+class SolverResult:
+    """One solver stage's outcome: the estimate a (FBCoeffs) and p
+    (ViewDistribution); history, a dict from each of the solver's CSV
+    columns to its per-iteration values; n_iter; and stop_reason,
+    "tolerance" or "max_iter"."""
+
+    a: object
+    p: object
+    history: dict
+    n_iter: int
+    stop_reason: str
+
+    @property
+    def converged(self):
+        return self.stop_reason == "tolerance"
 
 
 class SolverError(RuntimeError):
@@ -11,8 +32,8 @@ class SolverError(RuntimeError):
     Attributes
     ----------
     history : dict or None
-        Whatever per-iteration diagnostics the solver had accumulated when
-        it gave up (objective values, residuals, iterate snapshots).
+        The solver's history columns as far as it got, in the shape a
+        SolverResult carries them.
     """
 
     def __init__(self, message, history=None):

@@ -18,9 +18,10 @@ line-domain moments are checked after projection onto Q.
 
 The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
-workspace, the whitened record array, the dense block-diagonal noise
-covariance, the single-line node DFT, the image-domain error, and the
-polar-quadrature image synthesis the closed form is checked against.
+workspace, the distance of coefficients from real-image symmetry, the
+whitened record array, the dense block-diagonal noise covariance, the
+single-line node DFT, the image-domain error, and the polar-quadrature
+image synthesis the closed form is checked against.
 """
 
 import math
@@ -30,7 +31,7 @@ from scipy import linalg
 from scipy.special import logsumexp
 
 from tiltrec.basis import _radial_matrix, build_quadrature, synthesize_image
-from tiltrec.em import EmWorkspace, Responsibilities
+from tiltrec.em import EmWorkspace
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
 from tiltrec.spectral import dft_matrix
@@ -185,10 +186,18 @@ def log_marginal_likelihood(spec_batch, a, p):
 
 
 def e_step(spec_batch, a, p):
-    """Posterior responsibilities over the candidate angles."""
+    """Posterior responsibilities over the candidate angles, N x n_theta."""
     logits = _em_logits(spec_batch, a, p)
-    return Responsibilities(
-        pi=np.exp(logits - logsumexp(logits, axis=1)[:, None]))
+    return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+
+
+def symmetry_residual(coeffs):
+    """Relative distance of a coefficient vector from its symmetrized
+    vector, the one with the real-image symmetry."""
+    norm = np.linalg.norm(coeffs.values)
+    if norm == 0.0:
+        return 0.0
+    return np.linalg.norm(coeffs.values - coeffs.symmetrized().values) / norm
 
 
 def whitened_records(work, spec_batch):

@@ -240,7 +240,7 @@ def test_4_em_likelihood_ascent():
                      FBCoeffs(st.a, spec, real_symmetric=False),
                      ViewDistribution(st.p, 16),
                      EmConfig(max_iter=50, tol_loglik=0.0))
-        ll = np.asarray(res.history)
+        ll = np.asarray(res.history["log_likelihood"])
         worst = min(worst, (np.diff(ll) / np.abs(ll[:-1])).min())
         total_iters += res.n_iter
     runtime = time.perf_counter() - t0

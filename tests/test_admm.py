@@ -18,7 +18,7 @@ from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
                           run_admm, update_a, update_p, update_z)
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
-from tiltrec.cli import _admm_columns, _admm_snapshots, history_to_csv
+from tiltrec.cli import _admm_snapshots, history_to_csv
 from tiltrec.errors import ConfigError, SolverError
 from tiltrec.moments import (angle_coupling, empirical_moments,
                              population_features, weight_diagonal,
@@ -409,7 +409,8 @@ def test_run_matches_dense_oracle_iteration(prob29):
                 <= 1e-10 * np.linalg.norm(st.p))
         assert np.allclose(res.history["lagrangian"], lags, rtol=1e-10, atol=0)
         assert np.allclose(res.history["objective"], objs, rtol=1e-10, atol=0)
-        for key, want in (("primal", primal), ("dual", dual)):
+        for key, want in (("primal_residual", primal),
+                          ("dual_residual", dual)):
             assert np.allclose(res.history[key], want, rtol=0,
                                atol=1e-10 * scale)
 
@@ -530,7 +531,7 @@ def test_objective_decreases_from_random_start(prob29):
     obj = np.asarray(res.history["objective"])
     lag = np.asarray(res.history["lagrangian"])
     assert obj[-1] < 0.1 * obj[0]
-    assert res.history["primal"][-1] < 1e-3
+    assert res.history["primal_residual"][-1] < 1e-3
     rel_inc = np.diff(lag) / np.maximum(np.abs(lag[:-1]), 1e-300)
     assert np.max(rel_inc) <= 1e-10
 
@@ -601,7 +602,7 @@ def test_history_csv(tiny, tmp_path):
     cfg = AdmmConfig(max_iter=5, seed=0)
     res = run_admm(tiny["features"], cfg, tiny["spec"], 5)
     path = tmp_path / "hist.csv"
-    history_to_csv(_admm_columns(res.history), str(path))
+    history_to_csv(res.history, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == ("iter,objective,primal_residual,dual_residual,"
                         "lagrangian")

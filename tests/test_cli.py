@@ -22,7 +22,7 @@ from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
 from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
                          _draw_batch, _experiment_trial, load_config,
                          load_coeff_file, main, save_coeff_file, write_pgm)
-from tiltrec.em import EmConfig, run_em
+from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import (CSV_HEADER, TrialReport, relative_error,
                              snr_db, total_variation_dist)
@@ -322,24 +322,31 @@ def test_reconstruct_each_method(sim_run, tmp_path):
 
 
 def test_reconstruct_manifest_records_solver_stages(sim_run, tmp_path):
-    """extra.solver holds one entry per stage: n_iter and converged, and
-    for ADMM the stop reason and the last primal and dual residuals of its
-    history."""
+    """extra.solver holds one record per stage, the same for every solver:
+    n_iter, converged, the stop reason, and the last row of the stage's
+    history file, column by column."""
     cfg, sim_out = sim_run
     out = tmp_path / "rec"
     assert main(["--config", str(cfg), "--out", str(out), "--method",
                  "admm+em", "reconstruct", str(sim_out / "batch.dat")]) == 0
     manifest = json.loads((out / "manifest_reconstruct.json").read_text())
     admm, em = manifest["extra"]["solver"]
-    with open(out / "admm_history.csv") as fh:
-        last = list(csv.DictReader(fh))[-1]
-    assert admm == {"solver": "admm", "n_iter": 5, "converged": False,
-                    "stop_reason": "max_iter",
-                    "primal_residual": float(last["primal_residual"]),
-                    "dual_residual": float(last["dual_residual"])}
-    assert em["solver"] == "em" and set(em) == {"solver", "n_iter",
-                                                "converged"}
-    assert 1 <= em["n_iter"] <= 3 and isinstance(em["converged"], bool)
+    for record in (admm, em):
+        with open(out / f"{record['solver']}_history.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert record == {"solver": record["solver"],
+                          "n_iter": record["n_iter"],
+                          "converged": record["stop_reason"] == "tolerance",
+                          "stop_reason": record["stop_reason"],
+                          **{key: float(val) for key, val in last.items()}}
+        assert record["iter"] == record["n_iter"]
+    assert admm["solver"] == "admm" and em["solver"] == "em"
+    assert (admm["n_iter"], admm["stop_reason"]) == (5, "max_iter")
+    assert set(admm) - set(em) == {"objective", "primal_residual",
+                                   "dual_residual", "lagrangian"}
+    assert set(em) - set(admm) == {"log_likelihood"}
+    assert 1 <= em["n_iter"] <= 3
+    assert em["stop_reason"] in ("tolerance", "max_iter")
 
 
 def _count_opens(monkeypatch, paths):
@@ -422,6 +429,29 @@ def test_failed_solver_leaves_history(tmp_path, capsys):
         assert "diverged at iteration 1" in capsys.readouterr().err
         rows = (out / "admm_history.csv").read_text().splitlines()
         assert rows[0].startswith("iter,") and len(rows) >= 2
+
+
+def test_failed_em_stage_leaves_history(sim_run, tmp_path, monkeypatch,
+                                        capsys):
+    """An EM stage that fails on its second visit writes the one history
+    row it gathered under the EM header, and the command exits 1."""
+    cfg, sim_out = sim_run
+    half_distances = EmWorkspace.half_distances
+    calls = []
+
+    def nan_on_second_call(self, a_values):
+        calls.append(1)
+        d = half_distances(self, a_values)
+        return d if len(calls) != 2 else np.full_like(d, np.nan)
+
+    monkeypatch.setattr(EmWorkspace, "half_distances", nan_on_second_call)
+    out = tmp_path / "em"
+    assert main(["--config", str(cfg), "--out", str(out), "--method", "em",
+                 "reconstruct", str(sim_out / "batch.dat")]) == 1
+    assert "non-finite at iteration 1" in capsys.readouterr().err
+    rows = (out / "em_history.csv").read_text().splitlines()
+    assert rows[0] == "iter,log_likelihood" and len(rows) == 2
+    assert rows[1].startswith("0,")
 
 
 def test_reconstruct_missing_batch(tmp_path, capsys):
@@ -518,6 +548,27 @@ def test_evaluate_uses_configured_success_threshold(sim_run, tmp_path):
                  str(sim_out / "truth.dat"), str(estimate)]) == 0
     fields = (out / "report.csv").read_text().splitlines()[1].split(",")
     assert float(fields[2]) > 0.0 and fields[4] == "0"
+
+
+@pytest.mark.parametrize("meta,field", [
+    ([1, 2], "'meta'"), ({"seed": {"x": 1}}, "meta.seed"),
+    ({"seed": "abc"}, "meta.seed"), ({"seed": True}, "meta.seed"),
+    ({"method": 5}, "meta.method"), ({"snr_db": "high"}, "meta.snr_db"),
+    ({"runtime_s": None}, "meta.runtime_s")],
+    ids=["list", "seed_object", "seed_string", "seed_bool", "method_int",
+         "snr_db_string", "runtime_s_null"])
+def test_evaluate_rejects_malformed_meta(sim_run, tmp_path, capsys, meta,
+                                         field):
+    """An estimate whose meta is not an object, or holds a field evaluate
+    reads with another JSON type, exits 2 with a message naming it."""
+    _, sim_out = sim_run
+    truth, p, _, _ = load_coeff_file(sim_out / "truth.dat")
+    estimate = tmp_path / "estimate.dat"
+    save_coeff_file(estimate, truth, p, meta)
+    assert main(["--out", str(tmp_path / "ev"), "evaluate",
+                 str(sim_out / "truth.dat"), str(estimate)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and str(estimate) in err
 
 
 def test_evaluate_missing_input(tmp_path, capsys):

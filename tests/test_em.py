@@ -23,9 +23,8 @@ from scipy.special import logsumexp
 
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
-from tiltrec.cli import _em_columns, history_to_csv
-from tiltrec.em import (EmConfig, EmWorkspace, Responsibilities, m_step,
-                        run_em)
+from tiltrec.cli import history_to_csv
+from tiltrec.em import EmConfig, EmWorkspace, m_step, run_em
 from tiltrec.errors import ConfigError, SolverError
 from tiltrec.metrics import relative_error
 from tiltrec.moments import angle_phase_matrix
@@ -94,17 +93,6 @@ def test_config_validation():
         EmConfig(max_iter=0)
 
 
-def test_responsibilities_validation():
-    with pytest.raises(ConfigError):
-        Responsibilities(pi=np.full(5, 0.2))
-    with pytest.raises(ConfigError):
-        Responsibilities(pi=np.array([[0.5, 0.6], [0.5, 0.4]]))
-    with pytest.raises(ConfigError):
-        Responsibilities(pi=np.array([[1.5, -0.5]]))
-    r = Responsibilities(pi=np.full((4, 5), 0.2))
-    assert r.N == 4 and r.n_theta == 5
-
-
 def test_workspace_validation(tiny_em):
     clean = replace(tiny_em["sb"], sigma2=0.0)
     with pytest.raises(ConfigError):
@@ -127,11 +115,11 @@ def test_e_step_rows_and_one_hot(small_spec, small_phantom, bump12):
     batch = generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG, 1e-6,
                            grid, quad, seed=3)
     sb = transform_batch(batch, quad)
-    resp = e_step(sb, small_phantom, bump12)
-    assert np.allclose(resp.pi.sum(axis=1), 1.0, atol=1e-12)
+    pi = e_step(sb, small_phantom, bump12)
+    assert np.allclose(pi.sum(axis=1), 1.0, atol=1e-12)
     # at vanishing noise the posterior concentrates on the hidden label
-    assert np.array_equal(np.argmax(resp.pi, axis=1), batch.hidden_angles)
-    assert resp.pi.max(axis=1).min() > 0.999
+    assert np.array_equal(np.argmax(pi, axis=1), batch.hidden_angles)
+    assert pi.max(axis=1).min() > 0.999
 
 
 def test_workspace_keeps_only_n_a_sized_record_statistics(tiny_em):
@@ -166,7 +154,7 @@ def test_m_step_matches_stacked_least_squares(tiny_em):
     rng = np.random.default_rng(2)
     raw = rng.random((20, 8))
     pi = raw / raw.sum(axis=1)[:, None]
-    a_m, p_m = m_step(work, Responsibilities(pi=pi))
+    a_m, p_m = m_step(work, pi)
     U_w = whitened_records(work, tiny_em["sb"])
     rows, tgt = [], []
     for i in range(20):
@@ -235,8 +223,8 @@ def test_run_em_monotone_and_recovers(em_problem):
     a0 = FBCoeffs(truth.values * (1 + 0.2 * rng.standard_normal(spec.n_a)),
                   spec, real_symmetric=False)
     res = run_em(em_problem["sb"], a0, p, EmConfig(max_iter=60))
-    h = res.history
-    assert len(h) == res.n_iter + 1
+    h = np.asarray(res.history["log_likelihood"])
+    assert res.history["iter"] == list(range(res.n_iter + 1))
     assert np.all(np.diff(h) >= -1e-8 * np.maximum(1.0, np.abs(h[:-1])))
     assert res.converged
 
@@ -244,11 +232,23 @@ def test_run_em_monotone_and_recovers(em_problem):
     pi = np.zeros((em_problem["sb"].N, 12))
     pi[np.arange(em_problem["sb"].N), em_problem["labels"]] = 1.0
     work = EmWorkspace(em_problem["sb"], spec, 12)
-    a_or, _ = m_step(work, Responsibilities(pi=pi))
+    a_or, _ = m_step(work, pi)
     re_end, _ = relative_error(truth, res.a, 120)
     re_oracle, _ = relative_error(truth, a_or, 120)
     assert re_end <= re_oracle + 1e-3
     assert re_end < 0.05
+
+
+def test_run_em_stop_reason(em_problem):
+    """A run whose likelihood gain falls below the tolerance stops on
+    "tolerance" and is converged; one cut by max_iter says so."""
+    spec, truth, p = em_problem["spec"], em_problem["a"], em_problem["p"]
+    done = run_em(em_problem["sb"], truth, p, EmConfig(max_iter=60))
+    assert (done.stop_reason, done.converged) == ("tolerance", True)
+    assert done.n_iter < 60
+    cut = run_em(em_problem["sb"], truth, p, EmConfig(max_iter=2))
+    assert (cut.stop_reason, cut.converged, cut.n_iter) == ("max_iter",
+                                                            False, 2)
 
 
 def test_non_finite_data_raises(tiny_em):
@@ -263,8 +263,9 @@ def test_history_csv(em_problem, tmp_path):
     res = run_em(em_problem["sb"], em_problem["a"], em_problem["p"],
                  EmConfig(max_iter=4))
     path = tmp_path / "em.csv"
-    history_to_csv(_em_columns(res.history), str(path))
+    history_to_csv(res.history, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,log_likelihood"
-    assert len(lines) == res.history.size + 1
-    assert float(lines[1].split(",")[1]) == pytest.approx(res.history[0])
+    assert len(lines) == res.n_iter + 2
+    assert float(lines[1].split(",")[1]) == pytest.approx(
+        res.history["log_likelihood"][0])

@@ -11,7 +11,7 @@ from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          random_phantom, save_batch, two_bump_distribution,
                          uniform_distribution)
 
-from oracles import default_n_xi, dft_at_nodes
+from oracles import default_n_xi, dft_at_nodes, symmetry_residual
 
 DEG = np.pi / 180.0
 
@@ -50,9 +50,9 @@ def test_phantom_deterministic(small_spec):
     a2 = random_phantom(small_spec, 1.0, seed=3)
     assert np.array_equal(a1.values, a2.values)
     assert a1.real_symmetric
-    assert a1.symmetry_residual() < 1e-14
+    assert symmetry_residual(a1) < 1e-14
     raw = random_phantom(small_spec, 1.0, realize=False, seed=3)
-    assert raw.symmetry_residual() > 1e-3  # unsymmetrized draw
+    assert symmetry_residual(raw) > 1e-3  # unsymmetrized draw
 
 
 def test_zero_object_projects_to_zero(small_spec, quad32):
