@@ -17,7 +17,7 @@ import numpy as np
 
 from tiltrec.admm import AdmmConfig, init_admm_state, run_admm
 from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
-from tiltrec.em import EmConfig, run_em
+from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.metrics import joint_alignment, variance_for_snr
 from tiltrec.moments import empirical_moments
 from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
@@ -40,7 +40,8 @@ def main():
     s2 = variance_for_snr(float(clean.samples.var()), snr)
     batch = generate_batch(truth, p, N, K, alpha, s2, grid, quad, seed=7)
     feats = empirical_moments(batch, quad, spec)  # moments of the real lines
-    sb = transform_batch(batch, quad)          # samples + node map, read by EM
+    # samples + node map, compressed once into the EM record statistics
+    work = EmWorkspace(transform_batch(batch, quad), spec, n_theta)
     print(f"N={N} records at {snr} dB, {n_theta} candidate view angles")
     print("aligned relative error per start (lower is better):\n")
     print("  start   moments only   EM only   moments + EM")
@@ -55,9 +56,9 @@ def main():
 
         res_m = run_admm(feats, cfg, spec, n_theta, state=start)
         re_m = joint_alignment(truth, res_m.a, p, res_m.p)[0]
-        res_e = run_em(sb, a0, p0, EmConfig(max_iter=100))
+        res_e = run_em(work, a0, p0, EmConfig(max_iter=100))
         re_e = joint_alignment(truth, res_e.a, p, res_e.p)[0]
-        res_h = run_em(sb, res_m.a, res_m.p, EmConfig(max_iter=50))
+        res_h = run_em(work, res_m.a, res_m.p, EmConfig(max_iter=50))
         re_h = joint_alignment(truth, res_h.a, p, res_h.p)[0]
         rows.append((re_m, re_e, re_h))
         print(f"  {seed:5d}   {re_m:12.3f}   {re_e:7.3f}   {re_h:12.3f}")

@@ -23,7 +23,7 @@ import numpy as np
 from .admm import AdmmConfig, init_admm_state, random_start, run_admm
 from .basis import (FBCoeffs, build_basis_spec, build_quadrature,
                     synthesize_image)
-from .em import EmConfig, run_em
+from .em import EmConfig, EmWorkspace, run_em
 from .errors import ConfigError, SolverError
 from .metrics import (TrialReport, joint_alignment, relative_error,
                       reports_to_csv, snr_db, success_rate,
@@ -98,6 +98,14 @@ def load_config(path=None, seed=None, out=None, method=None):
     for m in [cfg["solver"]["method"], *cfg["experiment"]["methods"]]:
         if m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {_METHODS}")
+    targets = {"acquisition.target_snr_db": cfg["acquisition"]["target_snr_db"],
+               **{f"experiment.snrs_db[{i}]": v
+                  for i, v in enumerate(cfg["experiment"]["snrs_db"])}}
+    for key, v in targets.items():
+        if v is not None and (type(v) not in (int, float)
+                              or not abs(v) <= sys.float_info.max):
+            raise ConfigError(f"config.{key} must be null or a finite "
+                              f"number, got {json.dumps(v)}")
     return cfg
 
 
@@ -216,32 +224,33 @@ def _sample_variance(samples):
     return float(np.dot(flat, flat)) / flat.size - float(flat.mean()) ** 2
 
 
-def _draw_batch(acq, truth, p, grid, quad, seed, target_db):
-    """(batch, clean variance) of the seed's draw.  Its noise variance meets
-    target_db, or is acq["sigma2"] when target_db is None.  A noisy batch
-    takes its clean variance from a noiseless draw of the same seed, freed
-    before the noisy draw; a noiseless batch is its own clean batch."""
+def _draw_batch(acq, truth, p, grid, quad, seed, targets_db):
+    """(batches, clean variance) of the seed's draw, one batch per SNR
+    target in targets_db.  A batch's noise variance meets its target, or is
+    acq["sigma2"] when the target is None.  Noisy batches take the clean
+    variance from a noiseless draw of the same seed, freed before one noisy
+    pass draws them all; a lone noiseless batch is its own clean batch."""
     def draw(sigma2):
         return generate_batch(truth, p, acq["N"], acq["K"],
                               math.radians(acq["alpha_deg"]), sigma2, grid,
                               quad, seed=seed)
 
-    if target_db is None and acq["sigma2"] == 0:
+    if targets_db == [None] and acq["sigma2"] == 0:
         batch = draw(0.0)
-        return batch, _sample_variance(batch.samples)
+        return [batch], _sample_variance(batch.samples)
     clean_var = _sample_variance(draw(0.0).samples)
-    sigma2 = (float(acq["sigma2"]) if target_db is None
-              else variance_for_snr(clean_var, float(target_db)))
-    return draw(sigma2), clean_var
+    return draw([float(acq["sigma2"]) if t is None
+                 else variance_for_snr(clean_var, t)
+                 for t in targets_db]), clean_var
 
 
 def cmd_simulate(cfg, out_dir):
     spec, truth, p = _build_problem(cfg)
     acq = cfg["acquisition"]
-    batch, clean_var = _draw_batch(
+    [batch], clean_var = _draw_batch(
         acq, truth, p, build_line_grid(acq["L"]),
         build_quadrature(spec.c, cfg["solver"]["n_xi"]), cfg["seed"],
-        acq["target_snr_db"])
+        [acq["target_snr_db"]])
     sigma2 = batch.sigma2
     achieved = snr_db(clean_var, sigma2)
 
@@ -326,7 +335,7 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
              ViewDistribution(p=p0, n_theta=n_theta))
     budgets = {sol[key] for m in methods for solver, key in _STAGES[m]
                if solver == "admm"}
-    histories, results, solver = [], [], "admm"
+    histories, results, solver, work = [], [], "admm", None
     try:
         admm = (_admm_snapshots(features, budgets, cfg, seed, spec, n_theta)
                 if budgets else {})
@@ -337,8 +346,9 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
                 if solver == "admm":
                     res, runtime = admm[sol[key]]
                 else:
-                    res = run_em(transform_batch(batch, quad), a, p,
-                                 EmConfig(max_iter=sol[key]))
+                    work = work or EmWorkspace(transform_batch(batch, quad),
+                                               spec, n_theta)
+                    res = run_em(work, a, p, EmConfig(max_iter=sol[key]))
                 histories.append((solver, res.history))
                 stages.append({"solver": solver, "n_iter": res.n_iter,
                                "converged": res.converged,
@@ -452,32 +462,37 @@ def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
     return [csv_path, manifest]
 
 
-def _experiment_trial(cfg, spec, truth, p, snr_target, trial):
-    """One (snr, trial) cell: one batch, one shared init, one ADMM run,
-    every method."""
+def _experiment_trial(cfg, spec, truth, p, trial):
+    """Every SNR cell of one trial, at seed + trial: one clean draw and one
+    noisy pass give one batch per experiment SNR, all from the same labels,
+    clean lines and unit noise, so each is bitwise the batch a separate
+    draw at its SNR would give.  Each batch then gets one shared init, one
+    ADMM run and every method.  Returns one (reports, {method: init hash})
+    pair per SNR, in snrs_db order."""
     acq = cfg["acquisition"]
     quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
     seed = cfg["seed"] + trial
-    batch, clean_var = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
-                                   quad, seed, snr_target)
-    achieved = snr_db(clean_var, batch.sigma2)
-
+    batches, clean_var = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
+                                     quad, seed, cfg["experiment"]["snrs_db"])
     methods = cfg["experiment"]["methods"]
-    features = _moments_for(methods, batch, quad, spec)
-
     n_theta = p.n_theta
-    start_hash, results = _run_methods(methods, features, batch, quad, spec,
-                                       n_theta, cfg, seed)
-    reports = []
-    for method, (a, pd, runtime, _) in zip(methods, results):
-        re, gamma = relative_error(truth, a, 10 * n_theta)
-        tv, shift = total_variation_dist(p, pd)
-        reports.append(TrialReport(
-            method=method, snr_db=achieved, re=re, tv=tv,
-            aligned_rotation=gamma, aligned_shift=shift,
-            success=re <= cfg["experiment"]["success_threshold"],
-            seed=seed, runtime=runtime))
-    return reports, dict.fromkeys(methods, start_hash)
+    cells = []
+    while batches:      # each batch is freed once its cell is done
+        batch = batches.pop(0)
+        features = _moments_for(methods, batch, quad, spec)
+        start_hash, results = _run_methods(methods, features, batch, quad,
+                                           spec, n_theta, cfg, seed)
+        reports = []
+        for method, (a, pd, runtime, _) in zip(methods, results):
+            re, gamma = relative_error(truth, a, 10 * n_theta)
+            tv, shift = total_variation_dist(p, pd)
+            reports.append(TrialReport(
+                method=method, snr_db=snr_db(clean_var, batch.sigma2), re=re,
+                tv=tv, aligned_rotation=gamma, aligned_shift=shift,
+                success=re <= cfg["experiment"]["success_threshold"],
+                seed=seed, runtime=runtime))
+        cells.append((reports, dict.fromkeys(methods, start_hash)))
+    return cells
 
 
 def cmd_experiment(cfg, out_dir, threads=1):
@@ -486,9 +501,11 @@ def cmd_experiment(cfg, out_dir, threads=1):
     cells = [(snr, t) for snr in exp["snrs_db"] for t in range(exp["trials"])]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(
-            lambda cell: _experiment_trial(cfg, spec, truth, p, *cell),
-            cells))
+        trials = list(pool.map(
+            lambda t: _experiment_trial(cfg, spec, truth, p, t),
+            range(exp["trials"] if exp["snrs_db"] else 0)))
+    results = [trial[i] for i in range(len(exp["snrs_db"]))
+               for trial in trials]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     all_reports = [r for reports, _ in results for r in reports]

@@ -143,18 +143,19 @@ def m_step(work, pi):
             ViewDistribution(p=p_new / p_new.sum(), n_theta=pi.shape[1]))
 
 
-def run_em(spec_batch, init_a, init_p, config=None):
-    """Alternate E and M steps from the supplied starting point.
+def run_em(work, init_a, init_p, config=None):
+    """Alternate E and M steps on the records of the EmWorkspace work from
+    the supplied starting point.
 
     The history records the log marginal likelihood of the current
     parameters at every visit, including the final ones, with the visit
     index as iter; it must be non-decreasing up to roundoff or the model
     code is wrong.  The run stops when the gain of a visit falls below
-    config.tol_loglik relative (stop_reason "tolerance") or after max_iter
-    M-steps ("max_iter").
+    config.tol_loglik relative: within that band of zero it has converged
+    (stop_reason "tolerance"), below it the likelihood fell ("decrease").
+    Otherwise it stops after max_iter M-steps ("max_iter").
     """
     config = config or EmConfig()
-    work = EmWorkspace(spec_batch, init_a.spec, init_p.n_theta)
     a_cur, p_cur = init_a, init_p
     history = {"iter": [], "log_likelihood": []}
     lls = history["log_likelihood"]
@@ -174,10 +175,12 @@ def run_em(spec_batch, init_a, init_p, config=None):
         lls.append(ll)
         if it == config.max_iter:
             break
-        if it >= 1 and lls[-1] - lls[-2] < config.tol_loglik * max(
-                1.0, abs(lls[-2])):
-            stop_reason = "tolerance"
-            break
+        if it >= 1:
+            gain = lls[-1] - lls[-2]
+            band = config.tol_loglik * max(1.0, abs(lls[-2]))
+            if gain < band:
+                stop_reason = "tolerance" if gain >= -band else "decrease"
+                break
         a_cur, p_cur = m_step(work, pi / row_mass[:, None])
 
     return SolverResult(a=a_cur, p=p_cur, history=history, n_iter=it,

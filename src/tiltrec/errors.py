@@ -13,7 +13,7 @@ class SolverResult:
     """One solver stage's outcome: the estimate a (FBCoeffs) and p
     (ViewDistribution); history, a dict from each of the solver's CSV
     columns to its per-iteration values; n_iter; and stop_reason,
-    "tolerance" or "max_iter"."""
+    "tolerance", "max_iter" or, for EM, "decrease"."""
 
     a: object
     p: object

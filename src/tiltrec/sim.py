@@ -214,12 +214,17 @@ def generate_batch(
     y_{i,kappa} = P_{theta_i + kappa*alpha}(f) + Gaussian noise.
 
     Record i consumes only the substream spawned from (seed, i): first one
-    uniform draw for l_i, then the noise block, so batches are deterministic
-    in seed regardless of generation order.
+    uniform draw for l_i, then the unit-normal noise block z_i, so batches
+    are deterministic in seed regardless of generation order.  sigma2 may
+    also be a sequence of variances: one pass then returns one batch per
+    variance, whose record i is clean_i + sqrt(sigma2_j) * z_i from the one
+    label, clean lines and z_i, so each batch is bitwise that of a separate
+    call with its variance.
     """
+    variances = np.atleast_1d(sigma2).astype(float)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    if sigma2 < 0:
+    if np.any(variances < 0):
         raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
     if K * alpha > MAX_TILT_SPAN + 1e-12:
         warnings.warn(
@@ -228,7 +233,7 @@ def generate_batch(
     _check_support(coeffs.spec, grid)
 
     cdf = np.cumsum(p.p)
-    sigma = float(np.sqrt(sigma2))
+    sigmas = np.sqrt(variances)
     n_tilt = 2 * K + 1
 
     streams = [
@@ -249,24 +254,19 @@ def generate_batch(
         ]
         table[int(l)] = np.array(rows)
 
-    samples = np.empty((N, n_tilt, grid.L))
+    samples = [np.empty((N, n_tilt, grid.L)) for _ in sigmas]
+    noisy = bool(np.any(sigmas > 0.0))
     for i, (rng, l) in enumerate(zip(streams, labels)):
         clean = table[int(l)]
-        if sigma > 0.0:
-            samples[i] = clean + sigma * rng.standard_normal((n_tilt, grid.L))
-        else:
-            samples[i] = clean
+        z = rng.standard_normal((n_tilt, grid.L)) if noisy else None
+        for out, sigma in zip(samples, sigmas):
+            out[i] = clean + sigma * z if sigma > 0.0 else clean
 
-    return TiltSeriesBatch(
-        samples=samples,
-        K=K,
-        alpha=float(alpha),
-        sigma2=float(sigma2),
-        grid=grid,
-        seed=int(seed),
-        n_theta=p.n_theta,
-        hidden_angles=labels,
-    )
+    batches = [TiltSeriesBatch(samples=out, K=K, alpha=float(alpha),
+                               sigma2=float(s2), grid=grid, seed=int(seed),
+                               n_theta=p.n_theta, hidden_angles=labels)
+               for out, s2 in zip(samples, variances)]
+    return batches if np.ndim(sigma2) else batches[0]
 
 
 def save_batch(batch: TiltSeriesBatch, path: str):

@@ -25,7 +25,7 @@ from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
                          _experiment_trial)
-from tiltrec.em import EmConfig, run_em
+from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.metrics import (joint_alignment, relative_error, snr_db,
                              total_variation_dist, variance_for_snr)
 from tiltrec.moments import (angle_phase_matrix, empirical_moments,
@@ -236,7 +236,7 @@ def test_4_em_likelihood_ascent():
                                seed=seed)
         feats = empirical_moments(batch, quad, spec)
         st = init_admm_state(feats, AdmmConfig(seed=seed), spec, 16)
-        res = run_em(transform_batch(batch, quad),
+        res = run_em(EmWorkspace(transform_batch(batch, quad), spec, 16),
                      FBCoeffs(st.a, spec, real_symmetric=False),
                      ViewDistribution(st.p, 16),
                      EmConfig(max_iter=50, tol_loglik=0.0))
@@ -264,21 +264,24 @@ def test_5_method_ordering():
         "acquisition": {"N": 2000, "K": 6, "alpha_deg": 7.5, "L": 128},
         "solver": {"lambda2": 5.0, "admm_iters": 4000,
                    "hybrid_admm_iters": 4000, "hybrid_em_iters": 50},
+        "experiment": {"snrs_db": [6.6, -4.4]},
     })
     spec, truth, p = _build_problem(cfg)
 
     t0 = time.perf_counter()
-    details, ok = [], True
-    for snr in (6.6, -4.4):
-        rows = {m: [] for m in ("admm", "em", "admm+em")}
-        for trial in range(10):
-            reports, hashes = _experiment_trial(cfg, spec, truth, p, snr,
-                                                trial)
+    snrs = cfg["experiment"]["snrs_db"]
+    rows = {snr: {m: [] for m in ("admm", "em", "admm+em")} for snr in snrs}
+    for trial in range(10):
+        for snr, (reports, hashes) in zip(
+                snrs, _experiment_trial(cfg, spec, truth, p, trial)):
             assert len(set(hashes.values())) == 1, "inits were not shared"
             for r in reports:
-                rows[r.method].append(r.re)
-        succ = {m: np.mean(np.array(v) <= 0.3) for m, v in rows.items()}
-        med = {m: np.median(v) for m, v in rows.items()}
+                rows[snr][r.method].append(r.re)
+    details, ok = [], True
+    for snr in snrs:
+        succ = {m: np.mean(np.array(v) <= 0.3)
+                for m, v in rows[snr].items()}
+        med = {m: np.median(v) for m, v in rows[snr].items()}
         clause1 = succ["admm"] >= succ["em"]
         clause2 = med["admm+em"] <= med["admm"]
         ok = ok and clause1 and clause2

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -20,12 +21,13 @@ import tiltrec.admm
 from tiltrec.admm import AdmmConfig, random_start, run_admm
 from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
 from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
-                         _draw_batch, _experiment_trial, load_config,
+                         _experiment_trial, _sample_variance, load_config,
                          load_coeff_file, main, save_coeff_file, write_pgm)
 from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import (CSV_HEADER, TrialReport, relative_error,
-                             snr_db, total_variation_dist)
+                             reports_to_csv, snr_db, total_variation_dist,
+                             variance_for_snr)
 from tiltrec.moments import empirical_moments
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          generate_batch, load_batch, save_batch)
@@ -99,6 +101,33 @@ def test_config_overrides_and_validation(tmp_path):
         bad.write_text(json.dumps(content))
         with pytest.raises(ConfigError, match=match):
             load_config(str(bad))
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("text, key", [
+    ('{"acquisition": {"target_snr_db": [1]}}', "acquisition.target_snr_db"),
+    ('{"acquisition": {"target_snr_db": "abc"}}',
+     "acquisition.target_snr_db"),
+    ('{"acquisition": {"target_snr_db": true}}', "acquisition.target_snr_db"),
+    ('{"experiment": {"snrs_db": ["abc"]}}', r"experiment.snrs_db\[0\]"),
+    ('{"experiment": {"snrs_db": [3.0, {"x": 1}]}}',
+     r"experiment.snrs_db\[1\]"),
+    ('{"experiment": {"snrs_db": [Infinity]}}', r"experiment.snrs_db\[0\]"),
+    ('{"acquisition": {"target_snr_db": 1%s}}' % ("0" * 400),
+     "acquisition.target_snr_db")],
+    ids=["target-list", "target-string", "target-bool", "snrs-string",
+         "snrs-object", "snrs-infinity", "target-huge-int"])
+def test_snr_targets_must_be_finite_numbers(tmp_path, monkeypatch, capsys,
+                                            command, text, key):
+    """An SNR target that is neither null nor a finite number exits 2 with
+    a message naming its key, before anything is simulated."""
+    monkeypatch.setattr("tiltrec.cli.generate_batch", None)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 command]) == 2
+    assert re.search(rf"config\.{key} must be null or a finite number",
+                     capsys.readouterr().err)
 
 
 # ---------------------------------------------------------- file formats
@@ -250,7 +279,8 @@ def test_simulate_outputs_and_target_snr(tmp_path):
 def test_batch_draws_per_command(tmp_path, monkeypatch):
     """A noisy batch takes two generate_batch calls (the clean one for the
     SNR, then the noisy one), a noiseless batch one, and so does every
-    experiment cell: the traced project_clean counts rely on this."""
+    experiment trial, whatever its number of SNRs: the traced
+    project_clean counts rely on this."""
     seeds = []
 
     def counting(*args, **kwargs):
@@ -265,10 +295,18 @@ def test_batch_draws_per_command(tmp_path, monkeypatch):
                      "simulate"]) == 0
         assert seeds == [TINY["seed"]] * calls
     seeds.clear()
-    cfg = _write_cfg(tmp_path, experiment={"methods": ["admm"]})
+    cfg = _write_cfg(tmp_path, experiment={"methods": ["admm"],
+                                           "snrs_db": [3.0, -1.0]})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "e"),
                  "experiment"]) == 0
-    assert sorted(seeds) == [3, 3, 4, 4]  # seed + trial, two cells
+    # seed + trial: a clean draw and one noisy pass per trial, shared by
+    # its two SNR cells
+    assert sorted(seeds) == [3, 3, 4, 4]
+    seeds.clear()
+    cfg = _write_cfg(tmp_path, experiment={"snrs_db": []})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "none"),
+                 "experiment"]) == 0
+    assert seeds == []   # no SNR, no cell, no draw
 
 
 def test_simulate_deterministic(tmp_path):
@@ -580,45 +618,21 @@ def test_evaluate_missing_input(tmp_path, capsys):
 
 # ----------------------------------------------------------- experiment
 
-def test_experiment_determinism_and_shared_inits(tmp_path):
-    cfg = _write_cfg(tmp_path)
-    outs = []
-    for name, threads in (("e1", "1"), ("e2", "2")):
-        out = tmp_path / name
-        code = main(["--config", str(cfg), "--out", str(out),
-                     "--threads", threads, "experiment"])
-        assert code == 0
-        outs.append(out)
-
-    agg1 = (outs[0] / "aggregate.csv").read_text()
-    assert agg1 == (outs[1] / "aggregate.csv").read_text()
-    header = agg1.splitlines()[0].split(",")
-    assert header[0] == "snr_db"
-    for m in ("admm", "em", "admm_em"):
-        assert f"mean_re_{m}" in header and f"success_rate_{m}" in header
-
-    rows = [r.split(",") for r in
-            (outs[0] / "trial_reports.csv").read_text().splitlines()]
-    rows2 = [r.split(",") for r in
-             (outs[1] / "trial_reports.csv").read_text().splitlines()]
-    assert rows[0] == CSV_HEADER.split(",")
-    assert len(rows) == 1 + 2 * 3  # trials x methods
-    keep = [i for i, name in enumerate(rows[0]) if name != "runtime_s"]
-    for r1, r2 in zip(rows, rows2):
-        assert [r1[i] for i in keep] == [r2[i] for i in keep]
-
-    manifest = json.loads((outs[0] / "manifest_experiment.json").read_text())
-    assert manifest["extra"]["shared_inits"] is True
-
-
 def _separate_runs_cell(cfg, spec, truth, p, snr, trial):
-    """The reports of one experiment cell built from one separate run_admm
-    per ADMM stage, each at its own budget, plus run_em."""
+    """The reports and init hash of one (snr, trial) experiment cell, built
+    from its own two generate_batch calls, one separate run_admm per ADMM
+    stage, each at its own budget, and run_em."""
     acq, sol = cfg["acquisition"], cfg["solver"]
     quad = build_quadrature(spec.c, sol["n_xi"])
     seed, n_theta = cfg["seed"] + trial, p.n_theta
-    batch, clean_var = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
-                                   quad, seed, snr)
+
+    def draw(sigma2):
+        return generate_batch(truth, p, acq["N"], acq["K"],
+                              math.radians(acq["alpha_deg"]), sigma2,
+                              build_line_grid(acq["L"]), quad, seed=seed)
+
+    clean_var = _sample_variance(draw(0.0).samples)
+    batch = draw(variance_for_snr(clean_var, snr))
     feats = empirical_moments(batch, quad, spec)
 
     def admm(key):
@@ -627,8 +641,8 @@ def _separate_runs_cell(cfg, spec, truth, p, snr, trial):
             max_iter=sol[key], seed=seed), spec, n_theta)
 
     def em(a, pd, key):
-        return run_em(transform_batch(batch, quad), a, pd,
-                      EmConfig(max_iter=sol[key]))
+        return run_em(EmWorkspace(transform_batch(batch, quad), spec,
+                                  n_theta), a, pd, EmConfig(max_iter=sol[key]))
 
     a0, _, p0 = random_start(feats.mu_norm, spec.n_a, n_theta, seed)
     hybrid = admm("hybrid_admm_iters")
@@ -646,7 +660,57 @@ def _separate_runs_cell(cfg, spec, truth, p, snr, trial):
             tv=tv, aligned_rotation=gamma, aligned_shift=shift,
             success=re_ <= cfg["experiment"]["success_threshold"],
             seed=seed, runtime=0.0))
-    return reports
+    h = hashlib.sha256(np.ascontiguousarray(a0).tobytes())
+    h.update(np.ascontiguousarray(p0).tobytes())
+    return reports, h.hexdigest()
+
+
+def test_experiment_determinism_and_shared_inits(tmp_path):
+    """2 SNRs x 2 trials: the report rows (runtime aside), the aggregate
+    and the init hashes are the same at 1 and 2 threads, in (snr, trial)
+    order, and equal those of separate draws and runs per cell."""
+    snrs = [3.0, -1.0]
+    cfg = _write_cfg(tmp_path, experiment={"snrs_db": snrs})
+    outs = []
+    for name, threads in (("e1", "1"), ("e2", "2")):
+        out = tmp_path / name
+        code = main(["--config", str(cfg), "--out", str(out),
+                     "--threads", threads, "experiment"])
+        assert code == 0
+        outs.append(out)
+
+    agg1 = (outs[0] / "aggregate.csv").read_text()
+    assert agg1 == (outs[1] / "aggregate.csv").read_text()
+    header = agg1.splitlines()[0].split(",")
+    assert header[0] == "snr_db"
+    for m in ("admm", "em", "admm_em"):
+        assert f"mean_re_{m}" in header and f"success_rate_{m}" in header
+
+    def rows_and_hashes(out):
+        rows = [r.split(",") for r in
+                (out / "trial_reports.csv").read_text().splitlines()]
+        keep = [i for i, name in enumerate(rows[0]) if name != "runtime_s"]
+        manifest = json.loads((out / "manifest_experiment.json").read_text())
+        return ([[r[i] for i in keep] for r in rows],
+                manifest["extra"]["init_hashes"],
+                manifest["extra"]["shared_inits"])
+
+    rows, hashes, shared = rows_and_hashes(outs[0])
+    assert rows_and_hashes(outs[1]) == (rows, hashes, shared)
+    assert rows[0] == CSV_HEADER.split(",")[:-1]
+    assert len(rows) == 1 + 2 * 2 * 3  # snrs x trials x methods
+    assert shared is True
+
+    conf = load_config(str(cfg))
+    spec, truth, p = _build_problem(conf)
+    cells = [_separate_runs_cell(conf, spec, truth, p, snr, trial)
+             for snr in snrs for trial in range(2)]
+    reports_to_csv([r for reports, _ in cells for r in reports],
+                   tmp_path / "oracle.csv")
+    assert [r.split(",")[:-1] for r in
+            (tmp_path / "oracle.csv").read_text().splitlines()] == rows
+    assert hashes == [dict.fromkeys(conf["experiment"]["methods"], h)
+                      for _, h in cells]
 
 
 @pytest.mark.parametrize("admm_iters, hybrid_admm_iters", [(5, 5), (7, 3)])
@@ -663,9 +727,10 @@ def test_experiment_cell_makes_one_admm_run(monkeypatch, admm_iters,
     update_a = tiltrec.admm.update_a
     monkeypatch.setattr(tiltrec.admm, "update_a",
                         lambda *args: steps.append(1) or update_a(*args))
-    reports, hashes = _experiment_trial(cfg, spec, truth, p, 3.0, 1)
+    [(reports, hashes)] = _experiment_trial(cfg, spec, truth, p, 1)
     assert len(steps) == max(admm_iters, hybrid_admm_iters)
     assert len(set(hashes.values())) == 1
-    assert [dataclasses.replace(r, runtime=0.0) for r in reports] == \
-        _separate_runs_cell(cfg, spec, truth, p, 3.0, 1)
+    assert ([dataclasses.replace(r, runtime=0.0) for r in reports],
+            hashes["admm"]) == _separate_runs_cell(cfg, spec, truth, p,
+                                                   3.0, 1)
 

@@ -85,7 +85,7 @@ def em_problem(small_spec, small_phantom, bump12):
     sb, labels = model_batch(small_phantom, bump12, 300, K, alpha, sigma2,
                              grid, quad, seed=7)
     return {"spec": small_spec, "a": small_phantom, "p": bump12, "sb": sb,
-            "labels": labels}
+            "labels": labels, "work": EmWorkspace(sb, small_spec, 12)}
 
 
 def test_config_validation():
@@ -222,7 +222,7 @@ def test_run_em_monotone_and_recovers(em_problem):
     rng = np.random.default_rng(2)
     a0 = FBCoeffs(truth.values * (1 + 0.2 * rng.standard_normal(spec.n_a)),
                   spec, real_symmetric=False)
-    res = run_em(em_problem["sb"], a0, p, EmConfig(max_iter=60))
+    res = run_em(em_problem["work"], a0, p, EmConfig(max_iter=60))
     h = np.asarray(res.history["log_likelihood"])
     assert res.history["iter"] == list(range(res.n_iter + 1))
     assert np.all(np.diff(h) >= -1e-8 * np.maximum(1.0, np.abs(h[:-1])))
@@ -231,8 +231,7 @@ def test_run_em_monotone_and_recovers(em_problem):
     # the refinement should land on the known-label oracle fit
     pi = np.zeros((em_problem["sb"].N, 12))
     pi[np.arange(em_problem["sb"].N), em_problem["labels"]] = 1.0
-    work = EmWorkspace(em_problem["sb"], spec, 12)
-    a_or, _ = m_step(work, pi)
+    a_or, _ = m_step(em_problem["work"], pi)
     re_end, _ = relative_error(truth, res.a, 120)
     re_oracle, _ = relative_error(truth, a_or, 120)
     assert re_end <= re_oracle + 1e-3
@@ -243,12 +242,44 @@ def test_run_em_stop_reason(em_problem):
     """A run whose likelihood gain falls below the tolerance stops on
     "tolerance" and is converged; one cut by max_iter says so."""
     spec, truth, p = em_problem["spec"], em_problem["a"], em_problem["p"]
-    done = run_em(em_problem["sb"], truth, p, EmConfig(max_iter=60))
+    done = run_em(em_problem["work"], truth, p, EmConfig(max_iter=60))
     assert (done.stop_reason, done.converged) == ("tolerance", True)
     assert done.n_iter < 60
-    cut = run_em(em_problem["sb"], truth, p, EmConfig(max_iter=2))
+    cut = run_em(em_problem["work"], truth, p, EmConfig(max_iter=2))
     assert (cut.stop_reason, cut.converged, cut.n_iter) == ("max_iter",
                                                             False, 2)
+
+
+def test_run_em_stops_on_decrease(em_problem, monkeypatch):
+    """A likelihood drop beyond the tolerance band ends the run with stop
+    reason "decrease", not converged, at the visit that dropped; the same
+    drop inside the band is a "tolerance" stop at the same visit."""
+    spec, truth, p = em_problem["spec"], em_problem["a"], em_problem["p"]
+    a0 = FBCoeffs(1.2 * truth.values, spec, real_symmetric=False)
+    calls = []
+
+    def worse_second(work, pi):
+        a, pd = m_step(work, pi)
+        calls.append(1)
+        if len(calls) == 2:   # the second estimate moves off the fit
+            a = FBCoeffs(1.05 * a.values, spec, real_symmetric=False)
+        return a, pd
+
+    monkeypatch.setattr("tiltrec.em.m_step", worse_second)
+    res = run_em(em_problem["work"], a0, p, EmConfig(max_iter=60))
+    ll = res.history["log_likelihood"]
+    assert (res.stop_reason, res.converged, res.n_iter) == ("decrease",
+                                                            False, 2)
+    drop = ll[1] - ll[2]
+    assert drop > 1e-12 * abs(ll[1]) and ll[1] - ll[0] > 4 * drop
+
+    calls.clear()
+    tol = 2 * drop / abs(ll[1])     # the band holds the drop, not the gain
+    wide = run_em(em_problem["work"], a0, p,
+                  EmConfig(max_iter=60, tol_loglik=tol))
+    assert (wide.stop_reason, wide.converged, wide.n_iter) == ("tolerance",
+                                                               True, 2)
+    assert wide.history == res.history
 
 
 def test_non_finite_data_raises(tiny_em):
@@ -256,11 +287,12 @@ def test_non_finite_data_raises(tiny_em):
     bad[0, 0, 0] = np.inf
     sb_bad = replace(tiny_em["sb"], records=bad)
     with pytest.raises(SolverError), np.errstate(invalid="ignore"):
-        run_em(sb_bad, tiny_em["a"], tiny_em["p"], EmConfig(max_iter=5))
+        run_em(EmWorkspace(sb_bad, tiny_em["spec"], 8), tiny_em["a"],
+               tiny_em["p"], EmConfig(max_iter=5))
 
 
 def test_history_csv(em_problem, tmp_path):
-    res = run_em(em_problem["sb"], em_problem["a"], em_problem["p"],
+    res = run_em(em_problem["work"], em_problem["a"], em_problem["p"],
                  EmConfig(max_iter=4))
     path = tmp_path / "em.csv"
     history_to_csv(res.history, str(path))

@@ -126,6 +126,30 @@ def test_generate_batch_shapes_and_determinism(small_phantom, bump12, quad32):
     assert not np.array_equal(b1.samples, b3.samples)
 
 
+def test_generate_batch_several_variances_equal_separate_calls(
+        small_phantom, bump12, quad32, monkeypatch):
+    """One pass over several variances returns, per variance, bitwise the
+    batch of a separate call, and projects each used angle once."""
+    grid = build_line_grid(16)
+    variances = (0.0, 0.5, 3.0)
+    alone = [generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG, s2, grid,
+                            quad32, seed=9) for s2 in variances]
+    calls = []
+    monkeypatch.setattr("tiltrec.sim.project_clean",
+                        lambda *args: calls.append(1) or project_clean(*args))
+    together = generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG,
+                              variances, grid, quad32, seed=9)
+    assert len(together) == 3
+    for one, many in zip(alone, together):
+        assert np.array_equal(one.samples, many.samples)
+        assert np.array_equal(one.hidden_angles, many.hidden_angles)
+        assert one.sigma2 == many.sigma2
+    assert len(calls) == 5 * np.unique(alone[0].hidden_angles).size
+    with pytest.raises(ConfigError):
+        generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG, [0.5, -1.0],
+                       grid, quad32, seed=9)
+
+
 def test_hidden_angle_is_cdf_index_of_first_draw(small_phantom, bump12, quad32):
     """Label i is the first cdf cell above the first uniform of substream
     (seed, i), the last cell if rounding leaves the cdf's end below it."""
