@@ -322,26 +322,20 @@ def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
             + 0.5 * lam2 * work.second_term(RA, RA, p))
 
 
-@dataclass(frozen=True)
-class AdmmResult(SolverResult):
-    """A SolverResult whose a is the consensus and p the simplex projection
-    of the relaxed p iterate, which is kept as a diagnostic."""
-
-    p_relaxed: np.ndarray
-
-
 def run_admm(
     features: MomentFeatures,
     config: AdmmConfig,
     spec: BasisSpec,
     n_theta: int,
     state: AdmmState | None = None,
-) -> AdmmResult:
+) -> SolverResult:
     """Alg.: repeat a-step, z-step, p-step, dual step s += a - z, until the
     primal gap ||a - z|| and the Lagrangian change pass their tolerances
     (stop_reason "tolerance") or max_iter is reached ("max_iter").  The
-    history columns are iter, objective, primal_residual ||a - z||,
-    dual_residual rho ||z_k - z_{k-1}|| and lagrangian.
+    result's a is the consensus and its p the simplex projection of the
+    relaxed p iterate, which stays in state.p.  The history columns are
+    iter, objective, primal_residual ||a - z||, dual_residual
+    rho ||z_k - z_{k-1}|| and lagrangian.
 
     An explicit `state` overrides the seeded random initialization and is
     continued for max_iter more iterations: k iterations and then K - k
@@ -389,10 +383,9 @@ def run_admm(
 
     p_proj = project_simplex(state.p)
     p_proj = p_proj / p_proj.sum()
-    return AdmmResult(
+    return SolverResult(
         a=FBCoeffs(consensus, spec),
         p=ViewDistribution(p_proj, n_theta),
-        p_relaxed=state.p.copy(),
         history={key: list(vals) for key, vals in state.history.items()},
         n_iter=state.iter,
         stop_reason=stop_reason,

@@ -25,9 +25,8 @@ from .basis import (FBCoeffs, build_basis_spec, build_quadrature,
                     synthesize_image)
 from .em import EmConfig, EmWorkspace, run_em
 from .errors import ConfigError, SolverError
-from .metrics import (TrialReport, joint_alignment, relative_error,
-                      reports_to_csv, snr_db, success_rate,
-                      total_variation_dist, variance_for_snr)
+from .metrics import (joint_alignment, reports_to_csv, score, snr_db,
+                      variance_for_snr)
 from .moments import empirical_moments, first_moment
 from .sim import (ViewDistribution, build_line_grid, bump_distribution,
                   check_payload_size, generate_batch, load_batch,
@@ -60,6 +59,9 @@ _STAGES = {"admm": [("admm", "admm_iters")], "em": [("em", "em_iters")],
            "admm+em": [("admm", "hybrid_admm_iters"),
                        ("em", "hybrid_em_iters")]}
 _METHODS = tuple(_STAGES)
+# the largest |SNR target| in dB: 10**(dB/10) leaves the float range past
+# about 3083 dB, and 300 dB already puts the noise 30 orders from the signal
+_SNR_LIMIT_DB = 300
 
 
 def _deep_merge(base, override, where="config"):
@@ -103,9 +105,13 @@ def load_config(path=None, seed=None, out=None, method=None):
                   for i, v in enumerate(cfg["experiment"]["snrs_db"])}}
     for key, v in targets.items():
         if v is not None and (type(v) not in (int, float)
-                              or not abs(v) <= sys.float_info.max):
-            raise ConfigError(f"config.{key} must be null or a finite "
-                              f"number, got {json.dumps(v)}")
+                              or not abs(v) <= _SNR_LIMIT_DB):
+            raise ConfigError(
+                f"config.{key} must be null or a finite number of dB in "
+                f"[-{_SNR_LIMIT_DB}, {_SNR_LIMIT_DB}], got {json.dumps(v)}")
+    if cfg["experiment"]["trials"] < 1:
+        raise ConfigError(f"config.experiment.trials must be >= 1, got "
+                          f"{cfg['experiment']['trials']}")
     return cfg
 
 
@@ -150,6 +156,13 @@ def write_pgm(path, image):
     return lo, hi
 
 
+def _write_image(path, coeffs):
+    """The symmetrized image of coeffs at 2R pixels as a PGM; returns the
+    (lo, hi) normalization."""
+    return write_pgm(path, synthesize_image(coeffs.symmetrized(),
+                                            int(round(2 * coeffs.spec.R))))
+
+
 def save_coeff_file(path, coeffs, p, meta=None):
     """Shared truth/estimate format: one JSON header line, then the complex
     coefficient payload and the distribution, both little-endian."""
@@ -173,11 +186,18 @@ def load_coeff_file(path):
     header, payload, digest = read_header_file(
         path, {"c": float, "R": float, "n_a": 1, "n_theta": 1,
                "real_symmetric": bool})
+    n_a = header["n_a"]
+    check_payload_size(path, payload, 16 * n_a + 8 * header["n_theta"])
+    # k = 0 keeps q_0 > 2cR - 2 functions and, as Bessel zeros interlace,
+    # q_k >= q_0 - k, so n_a >= q_0^2: reject a larger c*R before building
+    if 2 * header["c"] * header["R"] - 2 > math.sqrt(n_a):
+        raise ConfigError(f"{path}: header c*R = "
+                          f"{header['c'] * header['R']:.6g} gives a basis "
+                          f"of more than n_a = {n_a} functions")
     spec = build_basis_spec(header["c"], header["R"])
-    if spec.n_a != header["n_a"]:
+    if spec.n_a != n_a:
         raise ConfigError(f"basis rebuilt from {path} has {spec.n_a} "
-                          f"functions, header says {header['n_a']}")
-    check_payload_size(path, payload, 16 * spec.n_a + 8 * header["n_theta"])
+                          f"functions, header says {n_a}")
     vals = np.frombuffer(payload, dtype="<c16", count=spec.n_a).copy()
     p = np.frombuffer(payload, dtype="<f8", offset=16 * spec.n_a).copy()
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(p))):
@@ -270,27 +290,18 @@ def cmd_simulate(cfg, out_dir):
 
 
 def history_to_csv(columns, path):
-    """One header line of column names, then one row per iteration; columns
-    maps each name to its per-iteration values, written with %.17g."""
+    """One header line of column names, then one row per entry (a solver
+    iteration, an experiment SNR); columns maps each name to its values,
+    written with %.17g."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(columns) + "\n")
         for row in zip(*columns.values()):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _init_hash(a, p):
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(a).tobytes())
-    h.update(np.ascontiguousarray(p).tobytes())
-    return h.hexdigest()
-
-
-def _moments_for(methods, batch, quad, spec):
-    """The full moments if one of methods runs ADMM, the only reader of the
-    second moment; None otherwise."""
-    if all(s != "admm" for m in methods for s, _ in _STAGES[m]):
-        return None
-    return empirical_moments(batch, quad, spec)
+def _uses(methods, solver):
+    """Whether one of methods has a solver stage."""
+    return any(s == solver for m in methods for s, _ in _STAGES[m])
 
 
 def _admm_snapshots(features, budgets, cfg, seed, spec, n_theta):
@@ -315,19 +326,22 @@ def _admm_snapshots(features, budgets, cfg, seed, spec, n_theta):
     return snapshots
 
 
-def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
-                 out_dir=None):
+def _run_methods(methods, batch, quad, spec, n_theta, cfg, seed, out_dir=None):
     """Run each method's solver stages, each from the estimate of the one
     before and the first from the seed's random start, which the methods
-    share.  The start reads only the weighted first moment, so features
-    (the full moments, read by ADMM) may be None when no method runs ADMM.
+    share.  The start reads only the weighted first moment, so the full
+    moments are formed only when a method runs ADMM, their only reader.
     ADMM runs once: a method's ADMM stage is the _admm_snapshots entry at
-    its budget, and its runtime is that entry's time plus its later stages.
+    its budget.  The EM workspace is built once, before the first method,
+    when one runs EM.  A method's runtime is the time of each shared piece
+    it reads, the ADMM snapshot and the EM workspace, plus its own stages.
     With out_dir (one method), every stage that ran, failed ones too,
     writes its history there.  Returns the start's hash and, per method,
     its estimate, runtime and one record per stage: the solver, n_iter,
     converged, stop_reason and the last value of each history column."""
     sol = cfg["solver"]
+    features = (empirical_moments(batch, quad, spec)
+                if _uses(methods, "admm") else None)
     mu_norm = (features.mu_norm if features is not None
                else float(np.linalg.norm(first_moment(batch, quad))))
     a0, _, p0 = random_start(mu_norm, spec.n_a, n_theta, seed)
@@ -335,19 +349,23 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
              ViewDistribution(p=p0, n_theta=n_theta))
     budgets = {sol[key] for m in methods for solver, key in _STAGES[m]
                if solver == "admm"}
-    histories, results, solver, work = [], [], "admm", None
+    histories, results, solver = [], [], "admm"
     try:
         admm = (_admm_snapshots(features, budgets, cfg, seed, spec, n_theta)
                 if budgets else {})
+        t0 = time.perf_counter()
+        work = (EmWorkspace(transform_batch(batch, quad), spec, n_theta)
+                if _uses(methods, "em") else None)
+        work_s = time.perf_counter() - t0
         for method in methods:
-            (a, p), runtime, stages = start, 0.0, []
+            (a, p), stages = start, []
+            runtime = work_s if _uses([method], "em") else 0.0
             t0 = time.perf_counter()
             for solver, key in _STAGES[method]:
                 if solver == "admm":
-                    res, runtime = admm[sol[key]]
+                    res, admm_s = admm[sol[key]]
+                    runtime += admm_s
                 else:
-                    work = work or EmWorkspace(transform_batch(batch, quad),
-                                               spec, n_theta)
                     res = run_em(work, a, p, EmConfig(max_iter=sol[key]))
                 histories.append((solver, res.history))
                 stages.append({"solver": solver, "n_iter": res.n_iter,
@@ -364,7 +382,7 @@ def _run_methods(methods, features, batch, quad, spec, n_theta, cfg, seed,
         if out_dir is not None:
             for solver, history in histories:
                 history_to_csv(history, out_dir / f"{solver}_history.csv")
-    return _init_hash(a0, p0), results
+    return hashlib.sha256(a0.tobytes() + p0.tobytes()).hexdigest(), results
 
 
 def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
@@ -373,18 +391,15 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         raise ConfigError(f"batch file not found: {batch_path}")
     batch = load_batch(batch_path)
     method = cfg["solver"]["method"]
-    if any(s == "em" for s, _ in _STAGES[method]) and batch.sigma2 <= 0:
+    if _uses([method], "em") and batch.sigma2 <= 0:
         raise ConfigError("EM needs a noisy batch; sigma2 = 0 has no "
                           "likelihood model")
     spec = build_basis_spec(cfg["phantom"]["c"], cfg["phantom"]["R"])
     quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
-    n_theta = batch.n_theta
-
-    features = _moments_for([method], batch, quad, spec)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     start_hash, [(a, p, runtime, stages)] = _run_methods(
-        [method], features, batch, quad, spec, n_theta, cfg, cfg["seed"],
+        [method], batch, quad, spec, batch.n_theta, cfg, cfg["seed"],
         out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
@@ -395,9 +410,8 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         "kind": "estimate", "method": method, "seed": cfg["seed"],
         "runtime_s": runtime, "snr_db": achieved, "init_sha256": start_hash})
 
-    img = synthesize_image(a.symmetrized(), int(round(2 * spec.R)))
     pgm_path = out_dir / "reconstruction.pgm"
-    lo, hi = write_pgm(pgm_path, img)
+    lo, hi = _write_image(pgm_path, a)
 
     outputs = sorted(out_dir.glob("*history.csv")) + [est_path, pgm_path]
     extra = {"method": method, "runtime_s": runtime,
@@ -405,11 +419,12 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
              "solver": stages}
     if truth_path is not None:
         truth_a, truth_p, _, _ = load_coeff_file(truth_path)
-        re, gamma = relative_error(truth_a, a, 10 * n_theta)
-        tv, shift = total_variation_dist(truth_p, p)
-        extra.update({"re": re, "tv": tv})
-        print(f"method={method} RE={re:.6g} TV={tv:.6g} "
-              f"(rotation {gamma:.4f} rad, shift {shift})")
+        r = score(truth_a, truth_p, a, p,
+                  cfg["experiment"]["success_threshold"], method=method,
+                  snr_db=achieved, seed=cfg["seed"], runtime=runtime)
+        extra.update({"re": r.re, "tv": r.tv})
+        print(f"method={method} RE={r.re:.6g} TV={r.tv:.6g} (rotation "
+              f"{r.aligned_rotation:.4f} rad, shift {r.aligned_shift})")
     manifest = _write_manifest(out_dir, "reconstruct", cfg,
                                {batch_path: batch.source_sha256}, outputs,
                                extra=extra)
@@ -426,38 +441,29 @@ def cmd_evaluate(truth_path, estimate_path, out_dir, success_threshold):
     meta = _deep_merge(_ESTIMATE_META, {k: v for k, v in meta.items()
                                         if k in _ESTIMATE_META},
                        f"{estimate_path}: meta")
-    n_theta = truth_p.n_theta
-
-    re, gamma = relative_error(truth_a, est_a, 10 * n_theta)
-    tv, shift = total_variation_dist(truth_p, est_p)
+    report = score(truth_a, truth_p, est_a, est_p, success_threshold,
+                   method=meta["method"], snr_db=float(meta["snr_db"]),
+                   seed=meta["seed"], runtime=float(meta["runtime_s"]))
     re_joint, tv_joint, l_joint = joint_alignment(truth_a, est_a,
                                                   truth_p, est_p)
-    report = TrialReport(
-        method=meta["method"], snr_db=float(meta["snr_db"]), re=re, tv=tv,
-        aligned_rotation=gamma, aligned_shift=shift,
-        success=re <= success_threshold, seed=meta["seed"],
-        runtime=float(meta["runtime_s"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     reports_to_csv([report], csv_path)
 
-    size = int(round(2 * truth_a.spec.R))
-    lo_t, hi_t = write_pgm(out_dir / "truth.pgm",
-                           synthesize_image(truth_a.symmetrized(), size))
-    aligned = est_a.rotated(gamma).symmetrized()
-    lo_e, hi_e = write_pgm(out_dir / "estimate_aligned.pgm",
-                           synthesize_image(aligned, size))
+    lo_t, hi_t = _write_image(out_dir / "truth.pgm", truth_a)
+    lo_e, hi_e = _write_image(out_dir / "estimate_aligned.pgm",
+                              est_a.rotated(report.aligned_rotation))
     manifest = _write_manifest(
         out_dir, "evaluate", {},
         {truth_path: truth_digest, estimate_path: est_digest},
         [csv_path, out_dir / "truth.pgm", out_dir / "estimate_aligned.pgm"],
-        extra={"re": re, "tv": tv,
+        extra={"re": report.re, "tv": report.tv,
                "joint_alignment": {"re": re_joint, "tv": tv_joint,
                                    "shift": l_joint},
                "pgm_normalization": {"truth": [lo_t, hi_t],
                                      "estimate": [lo_e, hi_e]}})
-    print(f"RE={re:.6g} TV={tv:.6g} joint(RE={re_joint:.6g}, "
+    print(f"RE={report.re:.6g} TV={report.tv:.6g} joint(RE={re_joint:.6g}, "
           f"TV={tv_joint:.6g}, shift={l_joint})")
     return [csv_path, manifest]
 
@@ -474,31 +480,24 @@ def _experiment_trial(cfg, spec, truth, p, trial):
     seed = cfg["seed"] + trial
     batches, clean_var = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
                                      quad, seed, cfg["experiment"]["snrs_db"])
-    methods = cfg["experiment"]["methods"]
-    n_theta = p.n_theta
+    exp = cfg["experiment"]
     cells = []
     while batches:      # each batch is freed once its cell is done
         batch = batches.pop(0)
-        features = _moments_for(methods, batch, quad, spec)
-        start_hash, results = _run_methods(methods, features, batch, quad,
-                                           spec, n_theta, cfg, seed)
-        reports = []
-        for method, (a, pd, runtime, _) in zip(methods, results):
-            re, gamma = relative_error(truth, a, 10 * n_theta)
-            tv, shift = total_variation_dist(p, pd)
-            reports.append(TrialReport(
-                method=method, snr_db=snr_db(clean_var, batch.sigma2), re=re,
-                tv=tv, aligned_rotation=gamma, aligned_shift=shift,
-                success=re <= cfg["experiment"]["success_threshold"],
-                seed=seed, runtime=runtime))
-        cells.append((reports, dict.fromkeys(methods, start_hash)))
+        start_hash, results = _run_methods(exp["methods"], batch, quad, spec,
+                                           p.n_theta, cfg, seed)
+        reports = [score(truth, p, a, pd, exp["success_threshold"],
+                         method=method, snr_db=snr_db(clean_var, batch.sigma2),
+                         seed=seed, runtime=runtime)
+                   for method, (a, pd, runtime, _) in zip(exp["methods"],
+                                                          results)]
+        cells.append((reports, dict.fromkeys(exp["methods"], start_hash)))
     return cells
 
 
 def cmd_experiment(cfg, out_dir, threads=1):
     spec, truth, p = _build_problem(cfg)
     exp = cfg["experiment"]
-    cells = [(snr, t) for snr in exp["snrs_db"] for t in range(exp["trials"])]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         trials = list(pool.map(
@@ -512,29 +511,21 @@ def cmd_experiment(cfg, out_dir, threads=1):
     trials_path = out_dir / "trial_reports.csv"
     reports_to_csv(all_reports, trials_path)
 
-    methods = list(exp["methods"])
-    agg_rows = []
-    header = ["snr_db"]
-    for m in methods:
+    # one row per SNR, from its slice of results; five columns per method
+    n, columns = exp["trials"], {"snr_db": exp["snrs_db"]}
+    for m in dict.fromkeys(exp["methods"]):
+        slices = [[r for reports, _ in results[i * n:(i + 1) * n]
+                   for r in reports if r.method == m]
+                  for i in range(len(exp["snrs_db"]))]
         key = m.replace("+", "_")
-        header += [f"mean_re_{key}", f"std_re_{key}", f"mean_tv_{key}",
-                   f"std_tv_{key}", f"success_rate_{key}"]
-    agg_rows.append(",".join(header))
-    for i, snr in enumerate(exp["snrs_db"]):
-        cell_reports = [r for (s, _), (reports, _) in zip(cells, results)
-                        if s == snr for r in reports]
-        row = [f"{snr:.17g}"]
-        for m in methods:
-            rs = [r for r in cell_reports if r.method == m]
-            res = np.array([r.re for r in rs])
-            tvs = np.array([r.tv for r in rs])
-            row += [f"{res.mean():.17g}", f"{res.std():.17g}",
-                    f"{tvs.mean():.17g}", f"{tvs.std():.17g}",
-                    f"{success_rate(rs, exp['success_threshold']):.17g}"]
-        agg_rows.append(",".join(row))
+        for stat in ("re", "tv"):
+            vals = [np.array([getattr(r, stat) for r in rs]) for rs in slices]
+            columns[f"mean_{stat}_{key}"] = [v.mean() for v in vals]
+            columns[f"std_{stat}_{key}"] = [v.std() for v in vals]
+        columns[f"success_rate_{key}"] = [np.mean([r.success for r in rs])
+                                          for rs in slices]
     agg_path = out_dir / "aggregate.csv"
-    with open(agg_path, "w") as fh:
-        fh.write("\n".join(agg_rows) + "\n")
+    history_to_csv(columns, agg_path)
 
     init_hashes = [hashes for _, hashes in results]
     shared = all(len(set(h.values())) == 1 for h in init_hashes if h)

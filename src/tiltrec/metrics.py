@@ -1,10 +1,14 @@
 """Evaluation metrics: SNR, rotation-aligned relative error, shift-aligned
-total variation, and success rates.
+total variation, and score, which turns an estimate into its TrialReport.
 
 Recovery is defined modulo the global rotation group, so both metrics
 search over its discrete realization before comparing: relative error over
 a rotation grid (exact in coefficient space thanks to steerability), total
-variation over cyclic shifts of the distribution.
+variation over cyclic shifts of the distribution.  Each reads one table,
+the errors over a rotation grid or the l1 distances over all shifts, and
+the coupled joint_alignment reads both.  score alone fixes the grid
+(10 n_theta rotations) and the success rule (RE <= threshold) that every
+command reports.
 """
 
 import math
@@ -50,30 +54,42 @@ def variance_for_snr(clean_variance, target_db):
     return clean_variance / (10.0 ** (target_db / 10.0))
 
 
-def relative_error(truth, estimate, n_search):
-    """Min over an n_search rotation grid of ||rot(estimate) - truth|| /
-    ||truth|| in coefficient space; returns (re, best rotation in radians)."""
+def _rotation_errors(truth, estimate, gammas):
+    """||rot_gamma(estimate) - truth|| / ||truth|| in coefficient space, per
+    gamma."""
     if (truth.spec.c, truth.spec.R) != (estimate.spec.c, estimate.spec.R):
         raise ConfigError("coefficients live on different bases")
     norm = np.linalg.norm(truth.values)
     if norm == 0:
         raise ConfigError("truth has zero norm; relative error undefined")
-    gammas = np.linspace(0.0, 2.0 * np.pi, int(n_search), endpoint=False)
     steer = np.exp(-1j * np.outer(truth.spec.k_arr, gammas))
-    dist = np.linalg.norm(
-        steer * estimate.values[:, None] - truth.values[:, None], axis=0)
-    best = int(np.argmin(dist))
-    return float(dist[best] / norm), float(gammas[best])
+    return np.linalg.norm(steer * estimate.values[:, None]
+                          - truth.values[:, None], axis=0) / norm
+
+
+def _shift_distances(p, p_est):
+    """l1 distance between p and p_est cyclically shifted by s, per s."""
+    pv, ev = (x.p if isinstance(x, ViewDistribution) else np.asarray(x, float)
+              for x in (p, p_est))
+    if pv.shape != ev.shape:
+        raise ConfigError("distributions have different lengths")
+    n = pv.size
+    shifted = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    return np.abs(ev[shifted] - pv).sum(axis=1)
+
+
+def relative_error(truth, estimate, n_search):
+    """Min over an n_search rotation grid of ||rot(estimate) - truth|| /
+    ||truth|| in coefficient space; returns (re, best rotation in radians)."""
+    gammas = np.linspace(0.0, 2.0 * np.pi, int(n_search), endpoint=False)
+    errors = _rotation_errors(truth, estimate, gammas)
+    best = int(np.argmin(errors))
+    return float(errors[best]), float(gammas[best])
 
 
 def total_variation_dist(p, p_est):
     """Min over cyclic shifts of the l1 distance; returns (tv, best shift)."""
-    pv = p.p if isinstance(p, ViewDistribution) else np.asarray(p, float)
-    ev = p_est.p if isinstance(p_est, ViewDistribution) else np.asarray(p_est, float)
-    if pv.shape != ev.shape:
-        raise ConfigError("distributions have different lengths")
-    n = pv.size
-    dists = [np.abs(np.roll(ev, s) - pv).sum() for s in range(n)]
+    dists = _shift_distances(p, p_est)
     best = int(np.argmin(dists))
     return float(dists[best]), best
 
@@ -82,33 +98,21 @@ def joint_alignment(truth_a, est_a, truth_p, est_p):
     """Couple the two searches: one shift l0 rotates the coefficients by
     2*pi*l0/n_theta AND shifts p, scoring the sum of both normalized
     discrepancies.  Diagnostic only; the reported metrics align separately."""
-    pv = truth_p.p if isinstance(truth_p, ViewDistribution) else np.asarray(truth_p)
-    ev = est_p.p if isinstance(est_p, ViewDistribution) else np.asarray(est_p)
-    if (truth_a.spec.c, truth_a.spec.R) != (est_a.spec.c, est_a.spec.R):
-        raise ConfigError("coefficients live on different bases")
-    n = pv.size
-    norm = np.linalg.norm(truth_a.values)
-    if norm == 0:
-        raise ConfigError("truth has zero norm")
-    best = None
-    for l0 in range(n):
-        gamma = 2.0 * np.pi * l0 / n
-        re = np.linalg.norm(
-            est_a.values * np.exp(-1j * truth_a.spec.k_arr * gamma)
-            - truth_a.values) / norm
-        tv = np.abs(np.roll(ev, l0) - pv).sum()
-        score = re + tv
-        if best is None or score < best[0]:
-            best = (score, float(re), float(tv), l0)
-    return best[1], best[2], best[3]
+    tvs = _shift_distances(truth_p, est_p)
+    res = _rotation_errors(truth_a, est_a,
+                           2.0 * np.pi * np.arange(tvs.size) / tvs.size)
+    best = int(np.argmin(res + tvs))
+    return float(res[best]), float(tvs[best]), best
 
 
-def success_rate(reports, threshold=0.3):
-    """Fraction of trials with re <= threshold."""
-    if not reports:
-        raise ConfigError("no reports to aggregate")
-    hits = sum(1 for r in reports if r.re <= threshold)
-    return hits / len(reports)
+def score(truth_a, truth_p, est_a, est_p, threshold, **fields):
+    """The TrialReport of an estimate against the truth: RE over the
+    10*n_theta rotation grid, TV over cyclic shifts and success = RE <=
+    threshold; fields gives the rest (method, snr_db, seed, runtime)."""
+    re, gamma = relative_error(truth_a, est_a, 10 * truth_p.n_theta)
+    tv, shift = total_variation_dist(truth_p, est_p)
+    return TrialReport(re=re, tv=tv, aligned_rotation=gamma,
+                       aligned_shift=shift, success=re <= threshold, **fields)
 
 
 CSV_HEADER = "method,snr_db,re,tv,success,seed,runtime_s"

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import stat
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -301,12 +301,11 @@ def read_header_file(path, fields):
     (a pipe or other non-regular file is read to its end), so arrays viewing
     it need no copy.  fields maps each required key to its type: bool, float
     (a finite real) or an int giving the least integer the key may hold.
-    Raises ConfigError naming the first key the header lacks or holds with
-    another type.
+    Raises ConfigError when the header line is not an ASCII JSON object, or
+    naming the first key it lacks or holds with another type.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
-        header = json.loads(line.decode("ascii"))
         st = os.fstat(fh.fileno())
         size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else 0
         payload = bytearray(max(size, 0))
@@ -314,6 +313,11 @@ def read_header_file(path, fields):
         payload += fh.read()  # what the size missed: a pipe, a grown file
     digest = hashlib.sha256(line)
     digest.update(payload)
+    try:
+        header = json.loads(line.decode("ascii"))
+    except (ValueError, RecursionError) as err:   # not ASCII, not JSON
+        raise ConfigError(f"{path}: header line is not ASCII JSON: "
+                          f"{err}") from None
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: header is not a JSON object")
     for key, kind in fields.items():
@@ -324,7 +328,9 @@ def read_header_file(path, fields):
         if kind is bool:
             ok, want = isinstance(value, bool), "a boolean"
         elif kind is float:
-            ok, want = number and math.isfinite(value), "a finite real"
+            # also rejects NaN and an int past the float range
+            ok = number and abs(value) <= sys.float_info.max
+            want = "a finite real"
         else:
             ok = number and isinstance(value, int) and value >= kind
             want = f"an integer >= {kind}"
@@ -357,11 +363,14 @@ def load_batch(path: str) -> TiltSeriesBatch:
         raise ConfigError(f"{path}: payload holds non-finite samples or "
                           f"hidden angles")
     samples = data[:n_main].reshape(N, 2 * K + 1, L)   # writable view
-    hidden = data[n_main:].astype(int) if header["hidden_angles"] else None
-    if hidden is not None and not np.isin(data[n_main:],
-                                          np.arange(header["n_theta"])).all():
-        raise ConfigError(f"{path}: payload holds hidden angles that are not "
-                          f"integers in [0, n_theta)")
+    angles, hidden = data[n_main:], None
+    if header["hidden_angles"]:
+        # n_theta bounds no allocation: it may exceed any array size
+        if not (np.array_equal(angles, np.trunc(angles)) and angles.min() >= 0
+                and angles.max() < min(header["n_theta"], 2 ** 63)):
+            raise ConfigError(f"{path}: payload holds hidden angles that are "
+                              f"not integers in [0, n_theta)")
+        hidden = angles.astype(int)
     return TiltSeriesBatch(
         samples=samples,
         K=K,

@@ -20,8 +20,9 @@ The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
 workspace, the distance of coefficients from real-image symmetry, the
 whitened record array, the dense block-diagonal noise covariance, the
-single-line node DFT, the image-domain error, and the polar-quadrature
-image synthesis the closed form is checked against.
+single-line node DFT, the image-domain error, the coupled rotation-and-shift
+search one shift at a time, and the polar-quadrature image synthesis the
+closed form is checked against.
 """
 
 import math
@@ -226,6 +227,25 @@ def pixel_relative_error(truth, estimate, gamma, n_grid):
     img_t = synthesize_image(truth, int(n_grid))
     img_e = synthesize_image(estimate.rotated(gamma), int(n_grid))
     return float(np.linalg.norm(img_e - img_t) / np.linalg.norm(img_t))
+
+
+def joint_alignment_loop(truth_a, est_a, truth_p, est_p):
+    """The coupled rotation-and-shift search one shift at a time: shift l0
+    rotates the coefficients by 2*pi*l0/n_theta and shifts p; returns (re,
+    tv, l0) of the least re + tv, the first on ties."""
+    pv, ev = np.asarray(truth_p.p), np.asarray(est_p.p)
+    n = pv.size
+    norm = np.linalg.norm(truth_a.values)
+    best = None
+    for l0 in range(n):
+        gamma = 2.0 * np.pi * l0 / n
+        re = np.linalg.norm(
+            est_a.values * np.exp(-1j * truth_a.spec.k_arr * gamma)
+            - truth_a.values) / norm
+        tv = np.abs(np.roll(ev, l0) - pv).sum()
+        if best is None or re + tv < best[0]:
+            best = (re + tv, float(re), float(tv), l0)
+    return best[1:]
 
 
 def default_n_xi(grid_size: int) -> int:

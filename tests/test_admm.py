@@ -391,7 +391,8 @@ def test_run_matches_dense_oracle_iteration(prob29):
     for lam1, lam2 in ((1.0, 0.5), (0.0, 0.5), (1.0, 0.0)):
         cfg = AdmmConfig(lam1=lam1, lam2=lam2, rho=1.0, max_iter=20, seed=3,
                          tol_change=0.0)
-        res = run_admm(feats, cfg, spec, 29)
+        run = init_admm_state(feats, cfg, spec, 29)
+        res = run_admm(feats, cfg, spec, 29, state=run)
         st = init_admm_state(feats, cfg, spec, 29)
         lags, objs, primal, dual = [], [], [], []
         for _ in range(20):
@@ -405,7 +406,7 @@ def test_run_matches_dense_oracle_iteration(prob29):
         consensus = 0.5 * (st.a + st.z)
         scale = np.linalg.norm(consensus)
         assert np.linalg.norm(res.a.values - consensus) <= 1e-10 * scale
-        assert (np.linalg.norm(res.p_relaxed - st.p)
+        assert (np.linalg.norm(run.p - st.p)
                 <= 1e-10 * np.linalg.norm(st.p))
         assert np.allclose(res.history["lagrangian"], lags, rtol=1e-10, atol=0)
         assert np.allclose(res.history["objective"], objs, rtol=1e-10, atol=0)
@@ -480,7 +481,6 @@ def test_stop_reason(tiny):
 def _assert_same_result(got, want):
     assert np.array_equal(got.a.values, want.a.values)
     assert np.array_equal(got.p.p, want.p.p)
-    assert np.array_equal(got.p_relaxed, want.p_relaxed)
     assert got.history == want.history
     assert (got.n_iter, got.stop_reason) == (want.n_iter, want.stop_reason)
 
@@ -495,7 +495,8 @@ def test_resumed_run_continues_exactly(tiny, prob29, case):
     else:
         inst, cfg = tiny, AdmmConfig(rho=2.0, seed=1)
     feats, spec, n_theta = inst["features"], inst["spec"], inst["n_theta"]
-    whole = run_admm(feats, cfg, spec, n_theta)
+    whole_state = init_admm_state(feats, cfg, spec, n_theta)
+    whole = run_admm(feats, cfg, spec, n_theta, state=whole_state)
     if case == "tolerance":
         assert whole.stop_reason == "tolerance"
         k, K = whole.n_iter - 1, cfg.max_iter
@@ -506,6 +507,7 @@ def test_resumed_run_continues_exactly(tiny, prob29, case):
     rest = run_admm(feats, replace(cfg, max_iter=K - k), spec, n_theta,
                     state=state)
     _assert_same_result(rest, whole)
+    assert np.array_equal(state.p, whole_state.p)
     assert first.history == kept and first.n_iter == k
 
 
@@ -549,7 +551,7 @@ def test_exact_recovery_up_to_continuous_rotation(tiny):
     st = _state_at(work, a0, a0, p0 / p0.sum())
     res = run_admm(feats, cfg, spec, 5, state=st)
 
-    obj = moment_objective(work, res.a.values, res.p_relaxed, 1.0, 0.5)
+    obj = moment_objective(work, res.a.values, st.p, 1.0, 0.5)
     scale2 = 0.5 * np.vdot(feats.b1, feats.b1).real \
         + 0.25 * np.vdot(feats.B2, feats.B2).real
     assert obj <= 1e-18 * scale2
@@ -566,7 +568,7 @@ def test_exact_recovery_up_to_continuous_rotation(tiny):
     assert best.fun <= 1e-8
 
     phat_t = np.fft.fft(p.p)
-    phat_e = np.fft.fft(res.p_relaxed)
+    phat_e = np.fft.fft(st.p)
     for m in (1, 2):
         assert abs(phat_e[m] - phat_t[m] * np.exp(1j * m * best.x)) <= 1e-8
 

@@ -12,6 +12,8 @@ import hashlib
 import json
 import math
 import re
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +98,11 @@ def test_config_overrides_and_validation(tmp_path):
                  ({"solver": 5}, r"config\.solver must"),
                  ({"acquisition": {"N": "many"}}, r"config\.acquisition\.N"),
                  ({"solver": {"pinv_cutoff": 1e-10}},
-                  r"config\.solver\.pinv_cutoff")]
+                  r"config\.solver\.pinv_cutoff"),
+                 ({"experiment": {"trials": 0}},
+                  r"config\.experiment\.trials must be >= 1, got 0"),
+                 ({"experiment": {"trials": -2}},
+                  r"config\.experiment\.trials must be >= 1, got -2")]
     for content, match in malformed:
         bad.write_text(json.dumps(content))
         with pytest.raises(ConfigError, match=match):
@@ -114,13 +120,21 @@ def test_config_overrides_and_validation(tmp_path):
      r"experiment.snrs_db\[1\]"),
     ('{"experiment": {"snrs_db": [Infinity]}}', r"experiment.snrs_db\[0\]"),
     ('{"acquisition": {"target_snr_db": 1%s}}' % ("0" * 400),
-     "acquisition.target_snr_db")],
+     "acquisition.target_snr_db"),
+    ('{"acquisition": {"target_snr_db": 4000}}', "acquisition.target_snr_db"),
+    ('{"acquisition": {"target_snr_db": -4000}}',
+     "acquisition.target_snr_db"),
+    ('{"experiment": {"snrs_db": [6.6, -300.5]}}',
+     r"experiment.snrs_db\[1\]")],
     ids=["target-list", "target-string", "target-bool", "snrs-string",
-         "snrs-object", "snrs-infinity", "target-huge-int"])
+         "snrs-object", "snrs-infinity", "target-huge-int", "target-4000",
+         "target-minus-4000", "snrs-past-limit"])
 def test_snr_targets_must_be_finite_numbers(tmp_path, monkeypatch, capsys,
                                             command, text, key):
-    """An SNR target that is neither null nor a finite number exits 2 with
-    a message naming its key, before anything is simulated."""
+    """An SNR target that is neither null nor a finite number of dB within
+    the limit exits 2 with a message naming its key, before anything is
+    simulated: past about 3083 dB the noise variance would leave the float
+    range."""
     monkeypatch.setattr("tiltrec.cli.generate_batch", None)
     path = tmp_path / "cfg.json"
     path.write_text(text)
@@ -179,13 +193,18 @@ _BAD_FIELDS = {
     [(kind, defect) for kind in ("coeff", "batch")
      for defect in ("missing_key", "short", "long", "bad_type")]
     + [("coeff", "nan"), ("batch", "nan"), ("batch", "bad_angle"),
-       ("coeff", "unnormalized"), ("coeff", "negative")])
-def test_loaders_reject_bad_files(tmp_path, kind, defect):
+       ("coeff", "unnormalized"), ("coeff", "negative"),
+       ("coeff", "garbled_header"), ("batch", "garbled_header"),
+       ("batch", "huge_n_theta"), ("coeff", "huge_R")])
+def test_loaders_reject_bad_files(tmp_path, monkeypatch, kind, defect):
     """A header without a required key or with a field of the wrong type or
     range, a truncated payload, trailing bytes, a NaN coefficient,
     probability, sample or hidden angle, a hidden angle that is not an
     angle index and probabilities that are negative or do not sum to 1 each
-    raise ConfigError naming the header key or the payload."""
+    raise ConfigError naming the header key or the payload.  So does a
+    header line that is not ASCII JSON, and a c*R whose basis cannot fit in
+    n_a, before any basis is built.  A huge n_theta allocates nothing: its
+    batch loads, and its hidden angles are still checked."""
     path = tmp_path / "good.dat"
     if kind == "coeff":
         spec = build_basis_spec(0.3, 4.0)
@@ -229,13 +248,41 @@ def test_loaders_reject_bad_files(tmp_path, kind, defect):
                                                         "payload")):
             load(bad)
         return
-    if defect == "bad_angle":
-        for value in (99.7, -3.0, 6.0, 0.5):
-            garbled = bytearray(payload)
-            garbled[8 * 37:8 * 38] = np.float64(value).tobytes()
-            bad.write_bytes(head + b"\n" + bytes(garbled))
-            with pytest.raises(ConfigError, match="payload holds hidden "
-                               "angles that are not integers"):
+    if defect in ("bad_angle", "huge_n_theta"):
+        for n_theta in ((6,) if defect == "bad_angle" else (2**62, 10**400)):
+            head = json.dumps({**header, "n_theta": n_theta}).encode()
+            values = (99.7, -3.0, 0.5, np.inf)
+            if n_theta == 6:
+                values += (6.0, 1e19)
+            else:
+                bad.write_bytes(head + b"\n" + payload)
+                loaded = load(bad)
+                assert loaded.n_theta == n_theta
+                assert np.array_equal(loaded.hidden_angles, np.arange(3))
+            for value in values:
+                garbled = bytearray(payload)
+                garbled[8 * 37:8 * 38] = np.float64(value).tobytes()
+                bad.write_bytes(head + b"\n" + bytes(garbled))
+                with pytest.raises(ConfigError, match="payload holds (hidden "
+                                   "angles that are not integers|non-finite)"):
+                    load(bad)
+        return
+    if defect == "garbled_header":
+        for line in (b"\xff\xfe{}", b'{"c": 0.3,', b"", b"[" * 100000):
+            bad.write_bytes(line + b"\n" + payload)
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{bad}: header line is not ASCII JSON")):
+                load(bad)
+        return
+    if defect == "huge_R":
+        def unbuilt(c, R):
+            raise AssertionError(f"basis built for c={c}, R={R}")
+
+        monkeypatch.setattr("tiltrec.cli.build_basis_spec", unbuilt)
+        for R in (400.0, 4e4, 1e308):
+            bad.write_bytes(json.dumps({**header, "R": R}).encode() + b"\n"
+                            + payload)
+            with pytest.raises(ConfigError, match=r"c\*R = .* more than n_a"):
                 load(bad)
         return
     if defect == "missing_key":
@@ -734,3 +781,53 @@ def test_experiment_cell_makes_one_admm_run(monkeypatch, admm_iters,
             hashes["admm"]) == _separate_runs_cell(cfg, spec, truth, p,
                                                    3.0, 1)
 
+
+def test_em_workspace_time_is_charged_to_every_em_method(monkeypatch):
+    """The EM workspace is built once per batch and read by em and admm+em;
+    its build time shows in both their runtimes and not in admm's."""
+    delay, builds = 0.3, []
+
+    def slow(*args):
+        builds.append(1)
+        time.sleep(delay)
+        return EmWorkspace(*args)
+
+    monkeypatch.setattr("tiltrec.cli.EmWorkspace", slow)
+    cfg = _deep_merge(DEFAULT_CONFIG, TINY)
+    spec, truth, p = _build_problem(cfg)
+    [(reports, _)] = _experiment_trial(cfg, spec, truth, p, 0)
+    runtime = {r.method: r.runtime for r in reports}
+    assert len(builds) == 1
+    assert runtime["em"] >= delay and runtime["admm+em"] >= delay
+    assert runtime["admm"] < delay
+
+
+def test_aggregate_matches_trial_reports(tmp_path):
+    """Each aggregate.csv row holds, per method, the mean and population
+    standard deviation of RE and TV and the success rate over the
+    trial_reports.csv rows of its SNR (the achieved SNR, which meets the
+    target to rounding)."""
+    snrs = [3.0, -1.0]
+    cfg = _write_cfg(tmp_path, experiment={"snrs_db": snrs, "trials": 3})
+    out = tmp_path / "e"
+    assert main(["--config", str(cfg), "--out", str(out),
+                 "experiment"]) == 0
+    with open(out / "trial_reports.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "aggregate.csv") as fh:
+        agg = list(csv.DictReader(fh))
+    assert [float(a["snr_db"]) for a in agg] == snrs
+    for a in agg:
+        for m in TINY["experiment"]["methods"]:
+            mine = [r for r in rows if r["method"] == m and abs(
+                float(r["snr_db"]) - float(a["snr_db"])) <= 1e-9]
+            assert len(mine) == 3
+            key = m.replace("+", "_")
+            for col in ("re", "tv"):
+                vals = [float(r[col]) for r in mine]
+                assert float(a[f"mean_{col}_{key}"]) == pytest.approx(
+                    statistics.fmean(vals), rel=1e-14)
+                assert float(a[f"std_{col}_{key}"]) == pytest.approx(
+                    statistics.pstdev(vals), rel=1e-12, abs=1e-15)
+            assert float(a[f"success_rate_{key}"]) == pytest.approx(
+                statistics.fmean(int(r["success"]) for r in mine))

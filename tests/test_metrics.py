@@ -6,13 +6,12 @@ import pytest
 from tiltrec.basis import FBCoeffs, build_basis_spec
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import (CSV_HEADER, TrialReport, joint_alignment,
-                             relative_error, reports_to_csv, snr_db,
-                             success_rate, total_variation_dist,
-                             variance_for_snr)
+                             relative_error, reports_to_csv, score, snr_db,
+                             total_variation_dist, variance_for_snr)
 from tiltrec.sim import (ViewDistribution, bump_distribution, random_phantom,
                          uniform_distribution)
 
-from oracles import pixel_relative_error
+from oracles import joint_alignment_loop, pixel_relative_error
 
 
 def _report(re=0.1, method="admm", seed=0, tv=0.05):
@@ -162,6 +161,48 @@ def test_joint_alignment_consistent_with_separate(small_phantom, bump30):
     assert gap <= 2.0 * np.pi / 30 + 1e-12
 
 
+def test_joint_alignment_matches_per_shift_loop(small_phantom, bump30):
+    """The coupled search read off the shared rotation and shift tables
+    picks the per-shift loop's shift and TV, and its RE to 1e-15 (in units
+    of the truth norm; the two sum the squares in different orders), for
+    random estimates and for exactly rotated and shifted ones."""
+    rng = np.random.default_rng(5)
+    spec = small_phantom.spec
+    for case in range(40):
+        n = int(rng.integers(1, 40))
+        truth_p = ViewDistribution(rng.dirichlet(np.ones(n)), n)
+        if case % 4 == 0:
+            l0 = int(rng.integers(n))
+            est_a = small_phantom.rotated(2.0 * np.pi * l0 / n)
+            est_p = ViewDistribution(np.roll(truth_p.p, l0), n)
+        else:
+            est_a = FBCoeffs(rng.standard_normal(spec.n_a)
+                             + 1j * rng.standard_normal(spec.n_a), spec)
+            est_p = ViewDistribution(rng.dirichlet(np.ones(n)), n)
+        re, tv, shift = joint_alignment(small_phantom, est_a, truth_p, est_p)
+        re_o, tv_o, shift_o = joint_alignment_loop(small_phantom, est_a,
+                                                   truth_p, est_p)
+        assert (tv, shift) == (tv_o, shift_o)
+        assert abs(re - re_o) <= 1e-15 * max(re_o, 1.0)
+
+
+def test_score_is_the_reported_alignment(small_phantom, bump30):
+    """score reports RE over the 10*n_theta grid, TV over shifts and
+    success against the threshold, with the caller's fields."""
+    est_a = small_phantom.rotated(2.0 * np.pi * 7 / 300)
+    est_p = ViewDistribution(np.roll(bump30.p, 4), 30)
+    fields = dict(method="em", snr_db=1.5, seed=9, runtime=0.25)
+    for threshold, success in ((0.3, True), (-1.0, False)):
+        report = score(small_phantom, bump30, est_a, est_p, threshold,
+                       **fields)
+        re, gamma = relative_error(small_phantom, est_a, 300)
+        tv, shift = total_variation_dist(bump30, est_p)
+        assert report == TrialReport(re=re, tv=tv, aligned_rotation=gamma,
+                                     aligned_shift=shift, success=success,
+                                     **fields)
+    assert report.re <= 1e-12 and shift == 26
+
+
 # ------------------------------------------------------------- reports
 
 def test_trial_report_validation():
@@ -169,14 +210,6 @@ def test_trial_report_validation():
         _report(re=-0.1)
     with pytest.raises(ConfigError):
         _report(tv=2.5)
-
-
-def test_success_rate():
-    reports = [_report(re=r) for r in (0.05, 0.2, 0.31, 1.0)]
-    assert success_rate(reports) == pytest.approx(0.5)
-    assert success_rate(reports, threshold=0.35) == pytest.approx(0.75)
-    with pytest.raises(ConfigError):
-        success_rate([])
 
 
 def test_reports_csv_golden(tmp_path):
