@@ -108,7 +108,9 @@ def joint_alignment(truth_a, est_a, truth_p, est_p):
 def score(truth_a, truth_p, est_a, est_p, threshold, **fields):
     """The TrialReport of an estimate against the truth: RE over the
     10*n_theta rotation grid, TV over cyclic shifts and success = RE <=
-    threshold; fields gives the rest (method, snr_db, seed, runtime)."""
+    threshold; fields gives the rest (method, snr_db, seed, runtime).
+    reconstruct --truth reads only RE, TV and the alignment, so the grid and
+    shift search stay in one place; its success flag is not used."""
     re, gamma = relative_error(truth_a, est_a, 10 * truth_p.n_theta)
     tv, shift = total_variation_dist(truth_p, est_p)
     return TrialReport(re=re, tv=tv, aligned_rotation=gamma,
