@@ -109,6 +109,11 @@ def load_config(path=None, seed=None, out=None, method=None):
             raise ConfigError(
                 f"config.{key} must be null or a finite number of dB in "
                 f"[-{_SNR_LIMIT_DB}, {_SNR_LIMIT_DB}], got {json.dumps(v)}")
+    for key, v in {"seed": cfg["seed"],
+                   "phantom.seed": cfg["phantom"]["seed"]}.items():
+        if v < 0:   # SeedSequence takes no negative entropy
+            raise ConfigError(f"config.{key} must be a non-negative integer, "
+                              f"got {v}")
     if cfg["experiment"]["trials"] < 1:
         raise ConfigError(f"config.experiment.trials must be >= 1, got "
                           f"{cfg['experiment']['trials']}")

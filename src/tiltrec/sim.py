@@ -7,14 +7,18 @@ the same object at angles theta_i + kappa*alpha, kappa = -K..K, sampled on L
 equispaced points and corrupted by i.i.d. Gaussian noise of variance sigma2.
 
 Batches are reproducible: record i consumes only the substream spawned from
-(seed, i), so generation order (or parallel generation) cannot change the
-output.
+(seed, i), that is default_rng(SeedSequence(entropy=seed, spawn_key=(i,))),
+so generation order (or parallel generation) cannot change the output.  The
+start states of all N substreams are computed at once from SeedSequence's
+hash and PCG64's seeding, both fixed algorithms whose streams NumPy keeps
+stable (NEP 19); they are bitwise the states numpy's own objects reach.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import stat
 import sys
@@ -33,6 +37,14 @@ from .basis import (
 from .errors import ConfigError
 
 _SUM_TOL = 1e-12
+
+# SeedSequence's uint32 hash constants and PCG64's 128-bit LCG multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,14 @@ class LineGrid:
             raise ConfigError(f"L must be >= 1, got {self.L}")
         if self.dx <= 0:
             raise ConfigError(f"dx must be positive, got {self.dx}")
+        if not np.all(np.isfinite(self.positions)):
+            raise ConfigError(f"dx = {self.dx} puts line positions past the "
+                              f"float range")
 
 
 def build_line_grid(L: int, dx: float = 1.0) -> LineGrid:
-    positions = (np.arange(L) - (L - 1) / 2.0) * dx
+    with np.errstate(over="ignore"):   # LineGrid rejects what overflows
+        positions = (np.arange(L) - (L - 1) / 2.0) * dx
     return LineGrid(L=int(L), dx=float(dx), positions=positions)
 
 
@@ -199,6 +215,70 @@ def project_clean(
     return line.real
 
 
+def _hasher(init, mult):
+    """SeedSequence's hashmix over uint32 arrays: each call XORs in the
+    hash constant, advances it by mult, multiplies and folds the high half
+    down."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _substream_starts(seed: int, N: int):
+    """(u, states): for each i < N, the first random() of
+    default_rng(SeedSequence(entropy=seed, spawn_key=(i,))) and that
+    generator's bit_generator.state right after it, bitwise numpy's.
+
+    SeedSequence's entropy assembly, mix_entropy and generate_state(4,
+    uint64) run as uint32 columns over all records, then PCG64's set_seed
+    (inc = 2*initseq + 1, step, add initstate, step) and one more step with
+    its XSL-RR output run on 128-bit Python ints per record.
+    """
+    seed = operator.index(seed)
+    if seed < 0:   # the word split below would never end
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed >> 32 * k & _MASK32
+             for k in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (4 - len(words))   # the pool is padded before a spawn key
+    entropy = [np.full(N, w, np.uint32) for w in words]
+    entropy.append(np.arange(N, dtype=np.uint32))
+    hash_a, hash_b = _hasher(_INIT_A, _MULT_A), _hasher(_INIT_B, _MULT_B)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ r >> 16
+
+    with np.errstate(over="ignore"):
+        pool = [hash_a(w) for w in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hash_a(pool[src]))
+        for w in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hash_a(w))
+        half = [hash_b(pool[j % 4]).astype(np.uint64) for j in range(8)]
+    s0, s1, q0, q1 = [(half[2 * j] | half[2 * j + 1] << np.uint64(32)).tolist()
+                      for j in range(4)]
+    bits, states = np.empty(N), []
+    for i in range(N):
+        inc = ((q0[i] << 64 | q1[i]) << 1 | 1) & _MASK128
+        state = ((inc + (s0[i] << 64 | s1[i])) * _PCG_MULT + inc) & _MASK128
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        bits[i] = ((x >> rot | x << (64 - rot)) & _MASK64) >> 11
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return bits * 2.0**-53, states
+
+
 def generate_batch(
     coeffs: FBCoeffs,
     p: ViewDistribution,
@@ -215,11 +295,14 @@ def generate_batch(
 
     Record i consumes only the substream spawned from (seed, i): first one
     uniform draw for l_i, then the unit-normal noise block z_i, so batches
-    are deterministic in seed regardless of generation order.  sigma2 may
-    also be a sequence of variances: one pass then returns one batch per
-    variance, whose record i is clean_i + sqrt(sigma2_j) * z_i from the one
-    label, clean lines and z_i, so each batch is bitwise that of a separate
-    call with its variance.
+    are deterministic in seed regardless of generation order.  The uniforms
+    and the states after them come from _substream_starts for all records
+    at once; one Generator, set to each record's state in turn, draws the
+    z_i.  sigma2 may also be a sequence of variances: one pass then returns
+    one batch per variance, whose record i is clean_i + sqrt(sigma2_j) * z_i
+    from the one label, clean lines and z_i, so each batch is bitwise that
+    of a separate call with its variance.  A negative seed raises
+    ConfigError.
     """
     variances = np.atleast_1d(sigma2).astype(float)
     if N < 1:
@@ -236,11 +319,7 @@ def generate_batch(
     sigmas = np.sqrt(variances)
     n_tilt = 2 * K + 1
 
-    streams = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        for i in range(N)
-    ]
-    u = np.array([rng.random() for rng in streams])
+    u, states = _substream_starts(seed, N)
     labels = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
     # clean lines depend on i only through l_i: tabulate the used angles once
@@ -256,9 +335,12 @@ def generate_batch(
 
     samples = [np.empty((N, n_tilt, grid.L)) for _ in sigmas]
     noisy = bool(np.any(sigmas > 0.0))
-    for i, (rng, l) in enumerate(zip(streams, labels)):
+    rng = np.random.Generator(np.random.PCG64(0))   # one per call: no sharing
+    for i, (state, l) in enumerate(zip(states, labels)):
         clean = table[int(l)]
-        z = rng.standard_normal((n_tilt, grid.L)) if noisy else None
+        if noisy:
+            rng.bit_generator.state = state
+            z = rng.standard_normal((n_tilt, grid.L))
         for out, sigma in zip(samples, sigmas):
             out[i] = clean + sigma * z if sigma > 0.0 else clean
 

@@ -21,8 +21,10 @@ need: the EM E-step and log marginal likelihood on a freshly built
 workspace, the distance of coefficients from real-image symmetry, the
 whitened record array, the dense block-diagonal noise covariance, the
 single-line node DFT, the image-domain error, the coupled rotation-and-shift
-search one shift at a time, and the polar-quadrature image synthesis the
-closed form is checked against.
+search one shift at a time, the polar-quadrature image synthesis the
+closed form is checked against, and the batch simulator that builds one
+numpy Generator per record, against which the package's substream starts
+are checked.
 """
 
 import math
@@ -35,6 +37,7 @@ from tiltrec.basis import _radial_matrix, build_quadrature, synthesize_image
 from tiltrec.em import EmWorkspace
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
+from tiltrec.sim import TiltSeriesBatch, project_clean
 from tiltrec.spectral import dft_matrix
 
 
@@ -304,3 +307,33 @@ def quadrature_image(coeffs, grid_size):
     if coeffs.real_symmetric and resid > 1e-10 * scale:
         raise ValueError(f"imaginary residue {resid:.3e} on symmetric coefficients")
     return image.real
+
+
+def generate_batch_reference(coeffs, p, N, K, alpha, sigma2, grid, quad,
+                             seed=0):
+    """generate_batch with one default_rng(SeedSequence(entropy=seed,
+    spawn_key=(i,))) per record: its first random() picks the label, then
+    standard_normal((2K+1, L)) is the noise block.  Same return shape: one
+    batch per variance when sigma2 is a sequence."""
+    variances = np.atleast_1d(sigma2).astype(float)
+    sigmas = np.sqrt(variances)
+    streams = [np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in range(N)]
+    cdf = np.cumsum(p.p)
+    u = np.array([rng.random() for rng in streams])
+    labels = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    table = {int(l): np.array([
+        project_clean(coeffs, (2.0 * np.pi * l / p.n_theta + k * alpha)
+                      % (2.0 * np.pi), grid, quad) for k in range(-K, K + 1)])
+        for l in np.unique(labels)}
+    samples = [np.empty((N, 2 * K + 1, grid.L)) for _ in sigmas]
+    noisy = bool(np.any(sigmas > 0.0))
+    for i, (rng, l) in enumerate(zip(streams, labels)):
+        z = rng.standard_normal((2 * K + 1, grid.L)) if noisy else None
+        for out, sigma in zip(samples, sigmas):
+            out[i] = table[int(l)] + sigma * z if sigma > 0.0 else table[int(l)]
+    batches = [TiltSeriesBatch(samples=out, K=K, alpha=float(alpha),
+                               sigma2=float(s2), grid=grid, seed=int(seed),
+                               n_theta=p.n_theta, hidden_angles=labels)
+               for out, s2 in zip(samples, variances)]
+    return batches if np.ndim(sigma2) else batches[0]

@@ -144,6 +144,24 @@ def test_snr_targets_must_be_finite_numbers(tmp_path, monkeypatch, capsys,
                      capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("text, flags, key, value", [
+    ("{}", ["--seed", "-1"], "seed", -1),
+    ('{"seed": -2}', [], "seed", -2),
+    ('{"phantom": {"seed": -3}}', [], "phantom.seed", -3)],
+    ids=["flag", "config", "phantom"])
+def test_negative_seeds_are_rejected_by_name(tmp_path, capsys, text, flags,
+                                             key, value):
+    """A negative seed exits 2 with a message naming its key before
+    anything is simulated or written."""
+    path, out = tmp_path / "cfg.json", tmp_path / "o"
+    path.write_text(text)
+    assert main(["--config", str(path), "--out", str(out), *flags,
+                 "simulate"]) == 2
+    assert (f"error: config.{key} must be a non-negative integer, got "
+            f"{value}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------- file formats
 
 def test_coeff_file_roundtrip(tmp_path):

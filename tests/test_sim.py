@@ -1,17 +1,21 @@
+import json
 import os
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
 from tiltrec.errors import ConfigError
-from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
-                         generate_batch, load_batch, project_clean,
-                         random_phantom, save_batch, two_bump_distribution,
-                         uniform_distribution)
+from tiltrec.sim import (ViewDistribution, _substream_starts, build_line_grid,
+                         bump_distribution, generate_batch, load_batch,
+                         project_clean, random_phantom, save_batch,
+                         two_bump_distribution, uniform_distribution)
 
-from oracles import default_n_xi, dft_at_nodes, symmetry_residual
+from oracles import (default_n_xi, dft_at_nodes, generate_batch_reference,
+                     symmetry_residual)
 
 DEG = np.pi / 180.0
 
@@ -163,6 +167,52 @@ def test_hidden_angle_is_cdf_index_of_first_draw(small_phantom, bump12, quad32):
         assert label == (above[0] if above else bump12.n_theta - 1)
 
 
+def _numpy_starts(seed, N):
+    """(u, states) of N substreams from numpy's own objects."""
+    rngs = [np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,))) for i in range(N)]
+    u = [rng.random() for rng in rngs]
+    return u, [rng.bit_generator.state for rng in rngs]
+
+
+# 2**160 + 1 has six entropy words, past the four-word pool
+@pytest.mark.parametrize("seed", [0, 9, 2**32 + 5, 2**64 + 3, 2**160 + 1])
+def test_generate_batch_bitwise_equals_per_record_reference(
+        small_phantom, bump12, quad32, seed):
+    """Batches from the all-records-at-once substream starts are bitwise
+    those of one numpy Generator per record, for one and several
+    variances."""
+    grid = build_line_grid(16)
+    for N in (1, 37, 300):
+        for sigma2 in (0.0, 0.5, [0.0, 0.5, 3.0]):
+            args = (small_phantom, bump12, N, 1, 3.8 * DEG, sigma2, grid,
+                    quad32, seed)
+            got, want = generate_batch(*args), generate_batch_reference(*args)
+            for g, w in zip(np.atleast_1d(got), np.atleast_1d(want)):
+                assert np.array_equal(g.samples, w.samples)
+                assert np.array_equal(g.hidden_angles, w.hidden_angles)
+                assert g.sigma2 == w.sigma2 and g.seed == w.seed
+    u, states = _substream_starts(seed, 300)
+    assert (u.tolist(), states) == _numpy_starts(seed, 300)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=2000)
+@given(seed=st.integers(0, 2**256 - 1), N=st.integers(1, 64))
+def test_substream_starts_match_numpy(seed, N):
+    """The first uniform and the PCG64 state after it agree with numpy's
+    SeedSequence and PCG64 for any seed: this breaks if a numpy release
+    changes the streams NEP 19 keeps stable."""
+    u, states = _substream_starts(seed, N)
+    assert (u.tolist(), states) == _numpy_starts(seed, N)
+
+
+def test_negative_seed_is_rejected_by_name(small_phantom, bump12, quad32):
+    with pytest.raises(ConfigError, match="seed must be a non-negative "
+                                          "integer, got -1"):
+        generate_batch(small_phantom, bump12, 5, 1, 3.8 * DEG, 0.5,
+                       build_line_grid(16), quad32, seed=-1)
+
+
 def test_noise_variance_matches(small_phantom, bump12, quad32):
     grid = build_line_grid(16)
     sigma2 = 4.0
@@ -212,6 +262,22 @@ def test_batch_loads_through_a_pipe(tmp_path, small_batch):
     writer.join()
     assert np.array_equal(back.samples, batch.samples)
     assert np.array_equal(back.hidden_angles, batch.hidden_angles)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dx_past_the_float_range_is_rejected(tmp_path, small_batch):
+    """A header dx whose line positions overflow raises a ConfigError
+    naming dx, with no numpy overflow warning on the way."""
+    batch, _ = small_batch
+    path = tmp_path / "b.dat"
+    save_batch(batch, path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["dx"] = 1e308
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ConfigError, match="dx = 1e[+]?308 puts line "
+                                          "positions past the float range"):
+        load_batch(path)
 
 
 def test_narrow_window_warns(small_spec, quad32):
