@@ -22,7 +22,7 @@ from tiltrec.moments import (empirical_moments, population_features,
                              weight_diagonal, weighted_qr)
 from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                         generate_batch, random_phantom)
-from tiltrec.spectral import transform_batch
+from tiltrec.spectral import dft_matrix
 
 DEG = math.pi / 180.0
 
@@ -44,7 +44,8 @@ def batch_population_moments(truth, p, K, alpha, grid, quad, Q_w):
         onehot[l] = 1.0
         one = generate_batch(truth, ViewDistribution(onehot, p.n_theta), 1,
                              K, alpha, 0.0, grid, quad, seed=0)
-        z = Q_w.conj().T @ transform_batch(one, quad).yhat[0].ravel()
+        yhat = one.samples @ dft_matrix(one.grid, quad).T
+        z = Q_w.conj().T @ yhat.ravel()
         b1 = b1 + p.p[l] * z
         B2 = B2 + p.p[l] * z[:, None] * z.conj()[None, :]
     return b1, B2

@@ -48,14 +48,16 @@ def bessel_roots(k: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BasisSpec:
-    """Index tables for the truncated dictionary.
+    """Layout of the truncated dictionary as per-column index arrays.
+
+    Columns run over k ascending from -k_max to k_max, then q ascending from
+    1 to q_|k|; column i holds the pair (k_arr[i], q_arr[i]).
 
     Attributes
     ----------
     c, R : bandlimit (cycles/pixel) and support radius (pixels).
     k_max : largest retained angular frequency.
     q_counts : q_k for k = 0..k_max; counts for negative k mirror these.
-    index_map : (k, q) -> flat column index, k in [-k_max, k_max], q in [1, q_k].
     n_a : total number of coefficients.
     k_arr, q_arr : per-column angular frequency and radial index.
     roots : per-column Bessel root R_{|k|, q}.
@@ -66,7 +68,6 @@ class BasisSpec:
     R: float
     k_max: int
     q_counts: tuple
-    index_map: dict = field(repr=False)
     n_a: int
     k_arr: np.ndarray = field(repr=False)
     q_arr: np.ndarray = field(repr=False)
@@ -89,7 +90,7 @@ def build_basis_spec(c: float, R: float) -> BasisSpec:
         raise ConfigError(f"c and R must be positive, got c={c}, R={R}")
     bound = 2.0 * np.pi * c * R
 
-    q_counts = []
+    q_counts, order_roots = [], []
     k = 0
     while True:
         # need roots up to the first one beyond `bound`
@@ -102,6 +103,7 @@ def build_basis_spec(c: float, R: float) -> BasisSpec:
         if q_k < 1:
             break
         q_counts.append(q_k)
+        order_roots.append(roots[:q_k])
         k += 1
     if not q_counts:
         raise ConfigError(
@@ -110,17 +112,10 @@ def build_basis_spec(c: float, R: float) -> BasisSpec:
         )
     k_max = len(q_counts) - 1
 
-    ks, qs = [], []
-    for k in range(-k_max, k_max + 1):
-        for q in range(1, q_counts[abs(k)] + 1):
-            ks.append(k)
-            qs.append(q)
-    k_arr = np.array(ks, dtype=int)
-    q_arr = np.array(qs, dtype=int)
-    index_map = {(int(k), int(q)): i for i, (k, q) in enumerate(zip(k_arr, q_arr))}
-
-    root_table = {k: bessel_roots(k, q_counts[k]) for k in range(k_max + 1)}
-    roots = np.array([root_table[abs(k)][q - 1] for k, q in zip(k_arr, q_arr)])
+    orders = np.abs(np.arange(-k_max, k_max + 1))
+    k_arr = np.repeat(np.arange(-k_max, k_max + 1), np.take(q_counts, orders))
+    q_arr = np.concatenate([np.arange(1, q_counts[m] + 1) for m in orders])
+    roots = np.concatenate([order_roots[m] for m in orders])
     norms = 1.0 / (c * math.sqrt(math.pi) * np.abs(special.jv(np.abs(k_arr) + 1, roots)))
 
     return BasisSpec(
@@ -128,7 +123,6 @@ def build_basis_spec(c: float, R: float) -> BasisSpec:
         R=float(R),
         k_max=k_max,
         q_counts=tuple(q_counts),
-        index_map=index_map,
         n_a=len(k_arr),
         k_arr=k_arr,
         q_arr=q_arr,
@@ -186,12 +180,11 @@ class FBCoeffs:
 
     def symmetrized(self) -> "FBCoeffs":
         """Nearest vector with the real-image symmetry."""
-        spec = self.spec
-        sym = np.empty_like(self.values)
-        for (k, q), i in spec.index_map.items():
-            j = spec.index_map[(-k, q)]
-            sym[i] = 0.5 * (self.values[i] + (-1.0) ** k * np.conj(self.values[j]))
-        return FBCoeffs(sym, spec, real_symmetric=True)
+        k, v = self.spec.k_arr, self.values
+        # sorting columns by (-k, q) lists the mirror of each (k, q) column
+        mirror = np.lexsort((self.spec.q_arr, -k))
+        sym = 0.5 * (v + (-1.0) ** k * np.conj(v[mirror]))
+        return FBCoeffs(sym, self.spec, real_symmetric=True)
 
 
 @functools.lru_cache(maxsize=8)

@@ -114,9 +114,12 @@ def load_config(path=None, seed=None, out=None, method=None):
         if v < 0:   # SeedSequence takes no negative entropy
             raise ConfigError(f"config.{key} must be a non-negative integer, "
                               f"got {v}")
-    if cfg["experiment"]["trials"] < 1:
-        raise ConfigError(f"config.experiment.trials must be >= 1, got "
-                          f"{cfg['experiment']['trials']}")
+    for key, low in {"experiment.trials": 1, "acquisition.K": 0,
+                     "distribution.n_theta": 1}.items():
+        section, name = key.split(".")
+        if cfg[section][name] < low:
+            raise ConfigError(f"config.{key} must be >= {low}, got "
+                              f"{cfg[section][name]}")
     return cfg
 
 
@@ -408,9 +411,10 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
-    debiased = max(_sample_variance(batch.samples) - batch.sigma2,
-                   np.finfo(float).tiny)
-    achieved = snr_db(debiased, batch.sigma2) if batch.sigma2 > 0 else math.inf
+    debiased = _sample_variance(batch.samples) - batch.sigma2
+    # -inf: no signal above the stated noise, as inf is no noise at all
+    achieved = (math.inf if batch.sigma2 <= 0 else -math.inf if debiased <= 0
+                else snr_db(debiased, batch.sigma2))
     save_coeff_file(est_path, a, p, meta={
         "kind": "estimate", "method": method, "seed": cfg["seed"],
         "runtime_s": runtime, "snr_db": achieved, "init_sha256": start_hash})

@@ -96,10 +96,6 @@ class EmWorkspace:
         self.E = angle_phase_matrix(spec, n_theta)          # e^{i k phi_l}
         self.G_B = self.B.conj().T @ self.B
 
-    @property
-    def N(self):
-        return self.Y.shape[0]
-
     def normal_matrix(self, mass):
         """sum_l mass[l] diag(conj e_l) G_B diag(e_l), formed as the single
         Schur product G_B o conj(E diag(mass) E^H)."""

@@ -62,13 +62,6 @@ class SpectralBatch:
     def N(self) -> int:
         return self.records.shape[0]
 
-    @property
-    def yhat(self) -> np.ndarray:
-        """Node spectra, shape (N, (2K+1)*n_xi): each record's tilt rows
-        mapped to the nodes and concatenated."""
-        return (self.records @ self.to_nodes.T).reshape(
-            self.N, (2 * self.K + 1) * self.quad.n_xi)
-
 
 def transform_batch(batch: TiltSeriesBatch, quad: QuadratureGrid) -> SpectralBatch:
     """The line samples as records, with the node DFT as their map."""

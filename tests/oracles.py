@@ -24,7 +24,9 @@ single-line node DFT, the image-domain error, the coupled rotation-and-shift
 search one shift at a time, the polar-quadrature image synthesis the
 closed form is checked against, and the batch simulator that builds one
 numpy Generator per record, against which the package's substream starts
-are checked.
+are checked.  The basis layout's reference is the (k, q) -> column dict with
+the symmetrization walked over it one pair at a time, and the node spectra
+of a spectral batch are its records mapped through the node DFT.
 """
 
 import math
@@ -33,7 +35,8 @@ import numpy as np
 from scipy import linalg
 from scipy.special import logsumexp
 
-from tiltrec.basis import _radial_matrix, build_quadrature, synthesize_image
+from tiltrec.basis import (FBCoeffs, _radial_matrix, build_quadrature,
+                           synthesize_image)
 from tiltrec.em import EmWorkspace
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
@@ -193,6 +196,30 @@ def e_step(spec_batch, a, p):
     """Posterior responsibilities over the candidate angles, N x n_theta."""
     logits = _em_logits(spec_batch, a, p)
     return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+
+
+def column_index(spec):
+    """(k, q) -> flat column index over the spec's layout."""
+    return {(int(k), int(q)): i
+            for i, (k, q) in enumerate(zip(spec.k_arr, spec.q_arr))}
+
+
+def symmetrized_reference(coeffs):
+    """FBCoeffs.symmetrized one (k, q) pair at a time through the dict:
+    0.5 * (a[k,q] + (-1)**k conj a[-k,q])."""
+    index = column_index(coeffs.spec)
+    v = coeffs.values
+    sym = np.empty_like(v)
+    for (k, q), i in index.items():
+        sym[i] = 0.5 * (v[i] + (-1.0) ** k * np.conj(v[index[(-k, q)]]))
+    return FBCoeffs(sym, coeffs.spec, real_symmetric=True)
+
+
+def node_spectra(sb):
+    """Node spectra of a SpectralBatch, shape (N, (2K+1)*n_xi): each
+    record's tilt rows mapped to the nodes and concatenated."""
+    return (sb.records @ sb.to_nodes.T).reshape(
+        sb.N, (2 * sb.K + 1) * sb.quad.n_xi)
 
 
 def symmetry_residual(coeffs):

@@ -35,7 +35,8 @@ from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          generate_batch, random_phantom)
 from tiltrec.spectral import noise_covariance, transform_batch
 
-from oracles import full_noise_covariance, log_marginal_likelihood, to_q
+from oracles import (full_noise_covariance, log_marginal_likelihood,
+                     node_spectra, to_q)
 
 DEG = math.pi / 180.0
 
@@ -177,7 +178,7 @@ def test_3_debiasing_statistics():
     feats = empirical_moments(batch, quad, spec)
     c_norm = np.linalg.norm(feats.B2)
     noise_q = Q_w.conj().T @ full_noise_covariance(noise, K) @ Q_w
-    _, c_se = _blockwise_se(sb.yhat, Q_w, noise_q)
+    _, c_se = _blockwise_se(node_spectra(sb), Q_w, noise_q)
     pure_ratio = c_norm / np.linalg.norm(c_se)
 
     # mixed batch vs the exact population moments of the generating process
@@ -197,11 +198,11 @@ def test_3_debiasing_statistics():
         onehot[l] = 1.0
         one = generate_batch(truth, ViewDistribution(onehot, p.n_theta), 1, K,
                              alpha, 0.0, grid, quad, seed=1)
-        z = Q_w.conj().T @ transform_batch(one, quad).yhat[0].ravel()
+        z = Q_w.conj().T @ node_spectra(transform_batch(one, quad))[0]
         mu0 += p.p[l] * z
         c0 += p.p[l] * z[:, None] * z.conj()[None, :]
     noise_q = Q_w.conj().T @ full_noise_covariance(noise, K) @ Q_w
-    mu_se, c_se = _blockwise_se(sb.yhat, Q_w, noise_q)
+    mu_se, c_se = _blockwise_se(node_spectra(sb), Q_w, noise_q)
     mixed_mu = np.linalg.norm(feats.b1 - mu0) / np.linalg.norm(mu_se)
     mixed_c = np.linalg.norm(feats.B2 - c0) / np.linalg.norm(c_se)
 

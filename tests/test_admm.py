@@ -28,7 +28,7 @@ from tiltrec.spectral import dft_matrix, transform_batch
 
 from oracles import (brute_force_moments, build_a2_matrix,
                      dense_admm_iteration, dense_residuals, dense_second_term,
-                     node_moments, wide_data_pieces)
+                     node_moments, node_spectra, wide_data_pieces)
 
 DEG = np.pi / 180.0
 
@@ -158,8 +158,8 @@ def test_workspace_matches_wide_route_empirical(small_batch, small_spec,
     batch, grid = small_batch
     feats = empirical_moments(batch, quad32, small_spec)
     work = AdmmWorkspace(feats, small_spec, 12)
-    mu, C = node_moments(transform_batch(batch, quad32).yhat, batch.sigma2,
-                         dft_matrix(grid, quad32))
+    mu, C = node_moments(node_spectra(transform_batch(batch, quad32)),
+                         batch.sigma2, dft_matrix(grid, quad32))
     d = weight_diagonal(quad32, batch.K)
     psi = eval_tilt_matrix(small_spec, quad32, batch.K, batch.alpha)
     _assert_matches_wide(work, d[:, None] * psi, d * mu,

@@ -7,7 +7,8 @@ from tiltrec.basis import (FBCoeffs, _radial_matrix, bessel_roots,
                            eval_basis_matrix, synthesize_image)
 from tiltrec.sim import random_phantom
 
-from oracles import default_n_xi, quadrature_image, symmetry_residual
+from oracles import (column_index, default_n_xi, quadrature_image,
+                     symmetrized_reference, symmetry_residual)
 
 # first positive roots of J_0 and J_1, standard reference constants
 J0_ROOT_1 = 2.404825557695773
@@ -48,23 +49,49 @@ def test_truncation_rule(med_spec):
 
 def test_negative_orders_mirror(med_spec):
     # (-k, q) is retained exactly when (k, q) is
+    index = column_index(med_spec)
     for k in range(1, med_spec.k_max + 1):
         for q in range(1, med_spec.q_counts[k] + 1):
-            assert (-k, q) in med_spec.index_map
-    count_neg = sum(1 for (k, _) in med_spec.index_map if k < 0)
-    count_pos = sum(1 for (k, _) in med_spec.index_map if k > 0)
+            assert (-k, q) in index
+    count_neg = sum(1 for (k, _) in index if k < 0)
+    count_pos = sum(1 for (k, _) in index if k > 0)
     assert count_neg == count_pos
     # index map is a bijection onto 0..n_a-1
-    idx = sorted(med_spec.index_map.values())
+    idx = sorted(index.values())
     assert idx == list(range(med_spec.n_a))
     assert med_spec.n_a == med_spec.q_counts[0] + 2 * sum(med_spec.q_counts[1:])
 
 
 def test_normalization_even_in_k(med_spec, quad32):
     psi = eval_basis_matrix(med_spec, quad32, 0.0)
-    for (k, q), i in med_spec.index_map.items():
-        j = med_spec.index_map[(-k, q)]
+    index = column_index(med_spec)
+    for (k, q), i in index.items():
+        j = index[(-k, q)]
         assert np.allclose(np.abs(psi[:, i]), np.abs(psi[:, j]), atol=1e-14)
+
+
+@pytest.mark.parametrize("c, R", [(0.3, 4.0), (0.3, 8.0), (0.3, 16.0),
+                                  (0.25, 11.3), (0.5, 20.0)])
+def test_layout_matches_per_order_reference(c, R):
+    """The index arrays lay out every order's roots from bessel_roots, and
+    symmetrizing through the mirror permutation equals the per-pair dict
+    walk, both bitwise."""
+    spec = build_basis_spec(c, R)
+    index = column_index(spec)
+    assert len(index) == spec.n_a
+    for k in range(-spec.k_max, spec.k_max + 1):
+        q_k = spec.q_counts[abs(k)]
+        cols = [index[(k, q)] for q in range(1, q_k + 1)]
+        assert cols == list(range(cols[0], cols[0] + q_k))
+        np.testing.assert_array_equal(spec.roots[cols], bessel_roots(k, q_k))
+    for seed in range(3):
+        for realize in (True, False):
+            a = random_phantom(spec, 1.0, realize=realize, seed=seed)
+            if not realize:   # exact zeros exercise the signs of zero
+                a.values[::5] = 0.0
+            got, want = a.symmetrized(), symmetrized_reference(a)
+            assert got.real_symmetric and want.real_symmetric
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_quadrature_basics():

@@ -102,7 +102,11 @@ def test_config_overrides_and_validation(tmp_path):
                  ({"experiment": {"trials": 0}},
                   r"config\.experiment\.trials must be >= 1, got 0"),
                  ({"experiment": {"trials": -2}},
-                  r"config\.experiment\.trials must be >= 1, got -2")]
+                  r"config\.experiment\.trials must be >= 1, got -2"),
+                 ({"acquisition": {"K": -1}},
+                  r"config\.acquisition\.K must be >= 0, got -1"),
+                 ({"distribution": {"n_theta": 0}},
+                  r"config\.distribution\.n_theta must be >= 1, got 0")]
     for content, match in malformed:
         bad.write_text(json.dumps(content))
         with pytest.raises(ConfigError, match=match):
@@ -513,7 +517,9 @@ def test_em_runs_form_no_node_spectra(sim_run, tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError("node spectra formed on an EM run")
 
-    monkeypatch.setattr(SpectralBatch, "yhat", property(refuse))
+    # SpectralBatch has no node-spectra property; one added back is refused
+    monkeypatch.setattr(SpectralBatch, "yhat", property(refuse),
+                        raising=False)
     for method in ("em", "admm+em"):
         assert main(["--config", str(cfg), "--out",
                      str(tmp_path / method.replace("+", "_")), "--method",
@@ -616,6 +622,28 @@ def test_evaluate_reconstruction(sim_run, tmp_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[1].startswith("admm,")
     assert (out / "manifest_evaluate.json").exists()
+
+
+def test_snr_below_stated_noise_reads_minus_inf(sim_run, tmp_path):
+    """A batch whose header sigma2 exceeds its sample variance has no signal
+    above the stated noise: reconstruct reports -inf dB, and evaluate
+    carries it into report.csv, where a clamp would show a huge finite
+    negative."""
+    cfg, sim_out = sim_run
+    batch = load_batch(sim_out / "batch.dat")
+    assert _sample_variance(batch.samples) < 1e3
+    loud = tmp_path / "loud.dat"
+    save_batch(dataclasses.replace(batch, sigma2=1e3), loud)
+    rec = tmp_path / "rec"
+    assert main(["--config", str(cfg), "--out", str(rec), "--method", "admm",
+                 "reconstruct", str(loud)]) == 0
+    _, _, meta, _ = load_coeff_file(rec / "estimate.dat")
+    assert meta["snr_db"] == -math.inf
+    out = tmp_path / "ev"
+    assert main(["--out", str(out), "evaluate", str(sim_out / "truth.dat"),
+                 str(rec / "estimate.dat")]) == 0
+    row = (out / "report.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == "-inf"
 
 
 def test_evaluate_manifest_hashes_the_files_it_read(sim_run, tmp_path,

@@ -33,7 +33,8 @@ from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
 from tiltrec.spectral import (SpectralBatch, dft_matrix, noise_covariance,
                               transform_batch)
 
-from oracles import e_step, log_marginal_likelihood, whitened_records
+from oracles import (e_step, log_marginal_likelihood, node_spectra,
+                     whitened_records)
 
 DEG = np.pi / 180.0
 
@@ -193,11 +194,12 @@ def test_log_likelihood_dense_oracle(tiny_em):
     W = (U[:, keep] / np.sqrt(lam[keep])).conj().T
     n_xi = quad.n_xi
     total = 0.0
+    yhat = node_spectra(sb)
     for i in range(sb.N):
         terms = []
         for l in range(8):
             ph = np.exp(1j * spec.k_arr * (2.0 * np.pi * l / 8))
-            resid = (sb.yhat[i] - psi @ (a_try * ph)).reshape(3, n_xi)
+            resid = (yhat[i] - psi @ (a_try * ph)).reshape(3, n_xi)
             d2 = sum(np.linalg.norm(W @ resid[t]) ** 2 for t in range(3))
             terms.append(np.log(p.p[l]) - 0.5 * d2)
         total += logsumexp(terms)

@@ -11,7 +11,7 @@ from tiltrec.metrics import (CSV_HEADER, TrialReport, joint_alignment,
 from tiltrec.sim import (ViewDistribution, bump_distribution, random_phantom,
                          uniform_distribution)
 
-from oracles import joint_alignment_loop, pixel_relative_error
+from oracles import column_index, joint_alignment_loop, pixel_relative_error
 
 
 def _report(re=0.1, method="admm", seed=0, tv=0.05):
@@ -59,7 +59,7 @@ def test_relative_error_grid_rotation(small_phantom):
 def test_relative_error_scale():
     spec = build_basis_spec(0.3, 4.0)
     vals = np.zeros(spec.n_a, dtype=complex)
-    vals[spec.index_map[(0, 1)]] = 2.0
+    vals[column_index(spec)[(0, 1)]] = 2.0
     a = FBCoeffs(vals, spec)
     b = FBCoeffs(-vals, spec)
     # purely radial content is rotation invariant: flipping the sign costs 2

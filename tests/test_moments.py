@@ -13,7 +13,7 @@ from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
 from tiltrec.spectral import dft_matrix, noise_covariance, transform_batch
 
 from oracles import (brute_force_moments, dense_residuals,
-                     full_noise_covariance, node_moments, to_q)
+                     full_noise_covariance, node_moments, node_spectra, to_q)
 
 DEG = np.pi / 180.0
 
@@ -139,8 +139,8 @@ def test_empirical_equals_population_on_model_rows(small_problem, quad32):
 def _assert_matches_node_moments(feats, batch, quad, spec):
     """Line-domain moments equal the node-domain accumulation of the
     transformed records, projected onto Q, to 1e-13 relative."""
-    mu, C = node_moments(transform_batch(batch, quad).yhat, batch.sigma2,
-                         dft_matrix(batch.grid, quad))
+    mu, C = node_moments(node_spectra(transform_batch(batch, quad)),
+                         batch.sigma2, dft_matrix(batch.grid, quad))
     psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
     b1, B2 = to_q(*_q_basis(psi, quad, batch.K), mu, C)
     assert np.linalg.norm(feats.b1 - b1) <= 1e-13 * np.linalg.norm(b1)
@@ -170,7 +170,8 @@ def test_debias_pure_noise(small_spec, quad32):
     # the records and the noise model in the Q coordinates of B2
     Q, d = _q_basis(eval_tilt_matrix(small_spec, quad32, 1, 0.05), quad32, 1)
     noise_full = full_noise_covariance(noise_covariance(2.0, grid, quad32), 1)
-    z = transform_batch(batch, quad32).yhat @ (d[:, None] * Q).conj()
+    yhat = node_spectra(transform_batch(batch, quad32))
+    z = yhat @ (d[:, None] * Q).conj()
     noise_q = to_q(Q, d, np.zeros(len(d)), noise_full)[1]
     absZ2 = np.abs(z) ** 2
     second = (absZ2.T @ absZ2) / 20000

@@ -14,8 +14,8 @@ from tiltrec.sim import (ViewDistribution, _substream_starts, build_line_grid,
                          project_clean, random_phantom, save_batch,
                          two_bump_distribution, uniform_distribution)
 
-from oracles import (default_n_xi, dft_at_nodes, generate_batch_reference,
-                     symmetry_residual)
+from oracles import (column_index, default_n_xi, dft_at_nodes,
+                     generate_batch_reference, symmetry_residual)
 
 DEG = np.pi / 180.0
 
@@ -75,7 +75,7 @@ def test_projection_periodic(small_phantom, quad32):
 
 def test_radial_object_angle_free(small_spec, quad32):
     vals = np.zeros(small_spec.n_a, dtype=complex)
-    vals[small_spec.index_map[(0, 1)]] = 1.0
+    vals[column_index(small_spec)[(0, 1)]] = 1.0
     radial = FBCoeffs(vals, small_spec, real_symmetric=True)
     grid = build_line_grid(32)
     l0 = project_clean(radial, 0.0, grid, quad32)
