@@ -38,9 +38,13 @@ carries both terms into every block step: the a- and z-steps solve
 the p-step's normal system is Re(N_a o conj(M_z)) p = Re sum_i
 (conj(A_a) o D_z)[i, :].  Each iterate's pieces A_y, R A_y, N_y =
 (R A_y)^H (R A_y) and T_C A_y are formed once for every step that reads
-them, the consensus c's by linearity (R A_c = (R A_a + R A_z)/2).  An
-iteration costs four products of an n_a x n_a matrix with an n_a x n_theta
-one (R A_y and T_C A_y of the new a and z) and the two n_a x n_a solves.
+them, the consensus c's by linearity (R A_c = (R A_a + R A_z)/2), and z's
+pair (M_z, D_z) once for the p-step and the next a-step.  An iteration
+costs four products of an n_a x n_a matrix with an n_a x n_theta one
+(R A_y and T_C A_y of the new a and z), the two n_a x n_a solves, and for
+p one symmetric eigenvalue pass and one LU solve of size n_theta - 1; the
+SVD least squares runs only when that system is numerically
+rank-deficient.
 """
 
 from __future__ import annotations
@@ -70,12 +74,12 @@ class AdmmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam1 < 0 or self.lam2 < 0:
-            raise ConfigError(
-                f"lam1/lam2 must be >= 0, got {self.lam1}, {self.lam2}"
-            )
-        if self.rho <= 0:
-            raise ConfigError(f"rho must be positive, got {self.rho}")
+        for name, positive in (("lam1", False), ("lam2", False),
+                               ("rho", True), ("tol_change", False)):
+            val = getattr(self, name)
+            if not (np.isfinite(val) and (val > 0 if positive else val >= 0)):
+                raise ConfigError(f"{name} must be a finite number "
+                                  f"{'> 0' if positive else '>= 0'}, got {val}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -110,6 +114,7 @@ class AdmmWorkspace:
         TC = R_h @ self.B2 @ self.R
         self.T_C = 0.5 * (TC + TC.conj().T)
         self.E = angle_phase_matrix(spec, n_theta)
+        self.E_conj = self.E.conj()
         # orthonormal basis of {x : sum(x) = 0}, fixed and deterministic
         q, _ = np.linalg.qr(
             np.vstack([np.ones(n_theta), np.eye(n_theta)[: n_theta - 1]]).T
@@ -117,6 +122,7 @@ class AdmmWorkspace:
         self.null_basis = q[:, 1:]
         self.p_rank_warned = False
         self._kept = []     # (bytes of y, pieces of y), the last three
+        self._pair = (None, None)   # ((bytes of y, lam1, lam2), its pair)
 
     def form_pieces(self, y: np.ndarray) -> tuple:
         """(A_y, R A_y, N_y, T_C A_y): A_y = diag(y) E and its angle Gram
@@ -151,13 +157,23 @@ class AdmmWorkspace:
         r = self.R @ v - self.b1
         return float(np.vdot(r, r).real)
 
-    def schur_pair(self, y: np.ndarray, lam1: float,
-                   lam2: float) -> tuple[np.ndarray, np.ndarray]:
+    def form_pair(self, y: np.ndarray, lam1: float,
+                  lam2: float) -> tuple[np.ndarray, np.ndarray]:
         """(M_y, D_y) = (lam1 11^T + lam2 N_y, lam1 t_mu 1^T + lam2 T_C A_y),
         the normal-equation pieces of both moment terms against the fixed
         partner y (the first moment's partner is the constant 1)."""
         _, _, N, TA = self.pieces(y)
         return lam2 * N + lam1, lam2 * TA + lam1 * self.t_mu[:, None]
+
+    def schur_pair(self, y: np.ndarray, lam1: float,
+                   lam2: float) -> tuple[np.ndarray, np.ndarray]:
+        """form_pair(y, lam1, lam2), kept for the last vector and weights
+        and keyed by the vector's bytes: the p-step's pair of z is the next
+        a-step's, and a replaced or changed z never reads a stale one."""
+        key = (y.tobytes(), lam1, lam2)
+        if self._pair[0] != key:
+            self._pair = (key, self.form_pair(y, lam1, lam2))
+        return self._pair[1]
 
     def second_term(self, RA_x: np.ndarray, RA_y: np.ndarray,
                     p: np.ndarray) -> float:
@@ -219,6 +235,15 @@ def init_admm_state(
     )
 
 
+def _check_finite(state: AdmmState, name: str, *arrays: np.ndarray) -> None:
+    """Raise SolverError (history attached) if any entry is not finite."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise SolverError(
+            f"{name}-update produced non-finite values at iteration {state.iter}",
+            history=state.history,
+        )
+
+
 def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
                      center: np.ndarray, fixed: np.ndarray,
                      lam1: float) -> np.ndarray:
@@ -232,13 +257,9 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
     Ep = work.E * state.p[None, :]
     lhs = work.G * (Ep.conj() @ M.conj() @ Ep.T)
     lhs.flat[:: lhs.shape[0] + 1] += config.rho
-    rhs = config.rho * center + (D * work.E.conj()) @ state.p
+    rhs = config.rho * center + (D * work.E_conj) @ state.p
     x_new = np.linalg.solve(lhs, rhs)
-    if not np.all(np.isfinite(x_new)):
-        raise SolverError(
-            f"{name}-update produced non-finite values at iteration {state.iter}",
-            history=state.history,
-        )
+    _check_finite(state, name, x_new)
     return x_new
 
 
@@ -266,11 +287,16 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     schur_pair(z) the normal system is Re(N_a o conj(M_z)) p =
     Re sum_i (conj(A_a) o D_z)[i, :]; the first moment enters as the cross
     term with the constant partner 1.  sum(p) = 1 is eliminated with the
-    orthonormal basis of the zero-sum subspace.  The reduced system is
-    solved by lstsq: when some of p is unobservable (fewer than n_theta - 1
-    moment harmonics) the system is consistent but rank-deficient, and the
-    minimum-norm solution keeps the unobservable component at zero instead
-    of amplifying noise into it; the first such solve logs a warning.
+    orthonormal basis of the zero-sum subspace.  The reduced symmetric
+    system is solved by np.linalg.solve when it passes lstsq's own rank
+    test: every |eigenvalue| above eps (n_theta - 1) max|eigenvalue|,
+    lstsq's default rcond on the singular values of a symmetric matrix.
+    Otherwise some of p is unobservable (fewer than n_theta - 1 moment
+    harmonics, lam2 = 0, a radial a): the system is consistent but
+    rank-deficient, lstsq's minimum-norm solution keeps the unobservable
+    component at zero instead of amplifying noise into it, and the first
+    such solve logs a warning.  A non-finite reduced system raises before
+    either route (LAPACK's SVD does not return on NaN).
     """
     work = state.work
     n_t = work.n_theta
@@ -282,21 +308,22 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     p_part = np.full(n_t, 1.0 / n_t)
     red_lhs = B.T @ lhs @ B
     red_rhs = B.T @ (rhs - lhs @ p_part)
-    q, _, rank, _ = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)
-    if rank < n_t - 1 and not work.p_rank_warned:
-        logger.warning(
-            "p-update normal system rank-deficient (rank %d of %d); "
-            "using the minimum-norm solution",
-            rank,
-            n_t - 1,
-        )
-        work.p_rank_warned = True
+    _check_finite(state, "p", red_lhs, red_rhs)
+    ev = np.abs(np.linalg.eigvalsh(red_lhs))
+    if np.all(ev > np.finfo(float).eps * (n_t - 1) * ev.max(initial=0.0)):
+        q = np.linalg.solve(red_lhs, red_rhs)
+    else:
+        q, _, rank, _ = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)
+        if rank < n_t - 1 and not work.p_rank_warned:
+            logger.warning(
+                "p-update normal system rank-deficient (rank %d of %d); "
+                "using the minimum-norm solution",
+                rank,
+                n_t - 1,
+            )
+            work.p_rank_warned = True
     p_new = p_part + B @ q
-    if not np.all(np.isfinite(p_new)):
-        raise SolverError(
-            f"p-update produced non-finite values at iteration {state.iter}",
-            history=state.history,
-        )
+    _check_finite(state, "p", p_new)
     return p_new
 
 

@@ -66,8 +66,9 @@ _SNR_LIMIT_DB = 300
 
 def _deep_merge(base, override, where="config"):
     """base updated from override, which may only hold keys that base has,
-    each of base's JSON type (an int passes for a float; a None default
-    takes any value); anything else raises a ConfigError naming the key."""
+    each of base's JSON type (an int passes for a float; a number under a
+    finite float default must be finite; a None default takes any value);
+    anything else raises a ConfigError naming the key."""
     if not isinstance(override, dict):
         raise ConfigError(f"{where} must be a JSON object")
     out = copy.deepcopy(base)
@@ -81,6 +82,12 @@ def _deep_merge(base, override, where="config"):
             val = _deep_merge(default, val, name)
         elif default is not None and type(val) not in types:
             raise ConfigError(f"{name} must be {type(default).__name__}, "
+                              f"got {json.dumps(val)}")
+        elif (type(default) is float and math.isfinite(default)
+              and not abs(val) <= sys.float_info.max):
+            # json reads NaN, Infinity, 1e400 (inf) and ints past the float
+            # range; each of these comparisons is false
+            raise ConfigError(f"{name} must be a finite number, "
                               f"got {json.dumps(val)}")
         out[key] = val
     return out

@@ -103,6 +103,17 @@ def test_config_validation():
         AdmmConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam1", np.nan), ("lam2", np.nan), ("rho", np.nan), ("lam1", np.inf),
+    ("lam2", -0.5), ("rho", np.inf), ("tol_change", np.nan),
+    ("tol_change", -1e-10)])
+def test_config_rejects_non_finite_by_name(field, value):
+    """NaN fails every comparison, so each weight is checked as finite and
+    in range, and the message names the field."""
+    with pytest.raises(ConfigError, match=rf"^{field} must be a finite number"):
+        AdmmConfig(**{field: value})
+
+
 def test_init_deterministic_and_feasible(tiny):
     cfg = AdmmConfig(seed=5)
     s1 = init_admm_state(tiny["features"], cfg, tiny["spec"], 5)
@@ -313,6 +324,102 @@ def test_update_p_rank_deficient_falls_back(tiny, caplog):
     assert abs(p_new.sum() - 1.0) < 1e-10
 
 
+def _reduced_p_system(work, a, z, lam1, lam2):
+    """update_p's reduced system (lhs, rhs) on the zero-sum subspace, from
+    the workspace pieces, with the null basis and the uniform particular
+    solution."""
+    A_a, _, N_a, _ = work.form_pieces(a)
+    M, D = work.form_pair(z, lam1, lam2)
+    lhs = (N_a * M.conj()).real
+    rhs = (A_a.conj() * D).sum(axis=0).real
+    B = work.null_basis
+    p_part = np.full(work.n_theta, 1.0 / work.n_theta)
+    return B.T @ lhs @ B, B.T @ (rhs - lhs @ p_part), B, p_part
+
+
+def _p_step_routes(monkeypatch, inst, a, z, lam1=1.0, lam2=0.5):
+    """(update_p's p, lstsq's minimum-norm p of the same reduced system,
+    that system's singular values, update_p's lstsq call count) on
+    a fresh workspace, so its rank warning can fire."""
+    work = AdmmWorkspace(inst["features"], inst["spec"], inst["n_theta"])
+    red_lhs, red_rhs, B, p_part = _reduced_p_system(work, a, z, lam1, lam2)
+    q, _, _, sv = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    got = update_p(_state_at(work, a, z, p_part),
+                   AdmmConfig(lam1=lam1, lam2=lam2))
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    return got, p_part + B @ q, sv, len(calls)
+
+
+def test_update_p_solve_route_matches_lstsq(tiny, prob29, monkeypatch,
+                                           caplog):
+    """A reduced p-system of full numerical rank is solved without lstsq,
+    at the truth and at seeded starts, and its p equals lstsq's to the
+    system's conditioning: 1e-12 relative on tiny, and eps times the
+    condition number on prob29, where the condition number reaches 5e5
+    and the two routes differ by up to 3e-12."""
+    eps = np.finfo(float).eps
+    for inst, bound in ((tiny, lambda cond: 1e-12),
+                        (prob29, lambda cond: eps * cond)):
+        truth = inst["a"].values.astype(complex)
+        starts = [random_start(inst["features"].mu_norm, inst["spec"].n_a,
+                               inst["n_theta"], seed)[:2] for seed in range(3)]
+        for a, z in [(truth, truth), *starts]:
+            with caplog.at_level("WARNING", logger="tiltrec.admm"):
+                got, want, sv, calls = _p_step_routes(monkeypatch, inst, a, z)
+            assert calls == 0 and not caplog.records
+            assert (np.linalg.norm(got - want)
+                    <= bound(sv[0] / sv[-1]) * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("case", ["zero_a", "radial_a", "first_moment_only"])
+def test_update_p_rank_deficient_is_lstsq_minimum_norm(prob29, monkeypatch,
+                                                      caplog, case):
+    """Where the reduced p-system fails lstsq's rank test, update_p returns
+    lstsq's minimum-norm p and warns: at a = 0 (no data on p), at a radial
+    a (only k = 0 coefficients, every angle alike) against a random z, and
+    at lam2 = 0 with n_theta = 29 > 2 k_max + 1 = 15 angle harmonics that
+    the first moment sees."""
+    spec = prob29["spec"]
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
+    z = rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
+    lam2 = 0.5
+    if case == "zero_a":
+        a[:] = 0.0
+    elif case == "radial_a":
+        a[spec.k_arr != 0] = 0.0
+    else:
+        lam2 = 0.0
+    with caplog.at_level("WARNING", logger="tiltrec.admm"):
+        got, want, _, calls = _p_step_routes(monkeypatch, prob29, a, z,
+                                             lam2=lam2)
+    assert calls == 1
+    assert [r.message for r in caplog.records if "rank-deficient" in r.message]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert abs(got.sum() - 1.0) < 1e-12
+
+
+def test_update_p_refuses_a_non_finite_system(prob29, monkeypatch):
+    """An a whose angle Gram overflows raises SolverError before the
+    eigenvalue test or lstsq sees the system (LAPACK's SVD does not return
+    on NaN input)."""
+    work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
+
+    def refuse(*args, **kw):
+        raise AssertionError("a non-finite system reached LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    huge = np.full(prob29["spec"].n_a, 1e200, dtype=complex)
+    st = _state_at(work, huge, huge, np.full(29, 1 / 29))
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(SolverError, match="p-update produced non-finite")):
+        update_p(st, AdmmConfig())
+
+
 def _step_system(work, fixed, p, lam1, lam2):
     """The a/z-step Gram G o conj(E_p M E_p^H) and right-hand side
     (D o conj(E)) p from (M, D) = schur_pair(fixed), without the ridge."""
@@ -431,11 +538,32 @@ def test_pieces_formed_once_per_iterate(tiny, monkeypatch):
         assert len(calls) == 2 * k + 1
 
 
+def test_schur_pair_formed_once_per_iterate(tiny, monkeypatch):
+    """k iterations form z's Schur pair k + 1 times, once per z: the
+    start's in the first a-step, then each new z's in the p-step, which
+    the next a-step reads again.  The z-step's pair of each new a, with
+    lam1 = 0, is formed once more per iteration."""
+    calls = []
+    form = AdmmWorkspace.form_pair
+    monkeypatch.setattr(
+        AdmmWorkspace, "form_pair",
+        lambda work, y, lam1, lam2: (calls.append((y.tobytes(), lam1))
+                                     or form(work, y, lam1, lam2)))
+    for k in (1, 2, 7):
+        calls.clear()
+        cfg = AdmmConfig(max_iter=k, tol_change=0.0, seed=1)
+        assert run_admm(tiny["features"], cfg, tiny["spec"], 5).n_iter == k
+        z_pairs = [y for y, lam1 in calls if lam1 == cfg.lam1]
+        assert len(z_pairs) == k + 1 == len(set(z_pairs))
+        assert len(calls) == 2 * k + 1
+
+
 def test_pieces_follow_replaced_iterates(prob29):
     """After a or z is replaced, by a new array or in place, every step
     equals the one of a freshly built state to 1e-13: the kept pieces are
-    keyed by the vector's bytes and never stale.  The pieces of a mean, taken by
-    linearity, equal the formed ones to rounding."""
+    keyed by the vector's bytes and never stale, and so is the kept Schur
+    pair.  The pieces of a mean, taken by linearity, equal the formed ones
+    to rounding."""
     feats, spec = prob29["features"], prob29["spec"]
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
     rng = np.random.default_rng(31)
@@ -461,6 +589,13 @@ def test_pieces_follow_replaced_iterates(prob29):
     st.a[:] = draw()
     check()
     st.z[:] = draw()
+    check()
+    # the p-step above kept z's pair; change z in place once more
+    st.z[:] = draw()
+    fresh = AdmmWorkspace(feats, spec, 29)
+    for got, want in zip(st.work.schur_pair(st.z, cfg.lam1, cfg.lam2),
+                         fresh.form_pair(st.z, cfg.lam1, cfg.lam2)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     check()
     c = st.work.mean(st.a, st.z)
     for got, want in zip(st.work.pieces(c), st.work.form_pieces(c)):

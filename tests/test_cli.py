@@ -106,7 +106,23 @@ def test_config_overrides_and_validation(tmp_path):
                  ({"acquisition": {"K": -1}},
                   r"config\.acquisition\.K must be >= 0, got -1"),
                  ({"distribution": {"n_theta": 0}},
-                  r"config\.distribution\.n_theta must be >= 1, got 0")]
+                  r"config\.distribution\.n_theta must be >= 1, got 0"),
+                 # json reads NaN and Infinity; no float key takes them
+                 ({"phantom": {"c": math.inf}},
+                  r"config\.phantom\.c must be a finite number, got Infinity"),
+                 ({"acquisition": {"sigma2": math.nan}},
+                  r"config\.acquisition\.sigma2 must be a finite number, "
+                  r"got NaN"),
+                 ({"phantom": {"decay": math.nan}},
+                  r"config\.phantom\.decay must be a finite number"),
+                 ({"acquisition": {"alpha_deg": math.nan}},
+                  r"config\.acquisition\.alpha_deg must be a finite number"),
+                 ({"solver": {"rho": math.nan}},
+                  r"config\.solver\.rho must be a finite number"),
+                 ({"solver": {"lambda2": -math.inf}},
+                  r"config\.solver\.lambda2 must be a finite number"),
+                 ({"phantom": {"scale": 10 ** 400}},
+                  r"config\.phantom\.scale must be a finite number")]
     for content, match in malformed:
         bad.write_text(json.dumps(content))
         with pytest.raises(ConfigError, match=match):
