@@ -36,15 +36,15 @@ pair against a fixed partner y,
 carries both terms into every block step: the a- and z-steps solve
 (rho I + G o conj(E_p M_y E_p^H)) x = rho center + (D_y o conj(E)) p, and
 the p-step's normal system is Re(N_a o conj(M_z)) p = Re sum_i
-(conj(A_a) o D_z)[i, :].  Each iterate's pieces A_y, R A_y, N_y =
-(R A_y)^H (R A_y) and T_C A_y are formed once for every step that reads
-them, the consensus c's by linearity (R A_c = (R A_a + R A_z)/2), and z's
-pair (M_z, D_z) once for the p-step and the next a-step.  An iteration
-costs four products of an n_a x n_a matrix with an n_a x n_theta one
-(R A_y and T_C A_y of the new a and z), the two n_a x n_a solves, and for
-p one symmetric eigenvalue pass and one LU solve of size n_theta - 1; the
-SVD least squares runs only when that system is numerically
-rank-deficient.
+(conj(A_a) o D_z)[i, :].  The workspace keeps one memo, the pieces A_y,
+R A_y, N_y = (R A_y)^H (R A_y) and T_C A_y of the last two vectors, the
+live a and z, so each iterate's are formed once; the consensus c takes
+R A_c = (R A_a + R A_z)/2 by linearity, and each step forms its pair
+(O(n_a n_theta)) from kept pieces.  An iteration costs four products of
+an n_a x n_a matrix with an n_a x n_theta one (R A_y and T_C A_y of the
+new a and z), the two n_a x n_a solves, and for p one symmetric
+eigenvalue pass and one LU solve of size n_theta - 1; the SVD least
+squares runs only when that system is numerically rank-deficient.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ class AdmmWorkspace:
         )
         self.null_basis = q[:, 1:]
         self.p_rank_warned = False
-        self._kept = []     # (bytes of y, pieces of y), the last three
-        self._pair = (None, None)   # ((bytes of y, lam1, lam2), its pair)
+        self._kept = []     # (bytes of y, pieces of y), the last two
 
     def form_pieces(self, y: np.ndarray) -> tuple:
         """(A_y, R A_y, N_y, T_C A_y): A_y = diag(y) E and its angle Gram
@@ -132,25 +131,15 @@ class AdmmWorkspace:
         return A, RA, RA.conj().T @ RA, self.T_C @ A
 
     def pieces(self, y: np.ndarray) -> tuple:
-        """form_pieces(y), kept for the last three vectors and keyed by
-        their bytes, so each iterate's are formed once and a replaced or
-        changed vector never reads stale ones."""
+        """form_pieces(y), kept for the last two vectors (the live a and
+        z) and keyed by their bytes, so each iterate's are formed once and
+        a replaced or changed vector never reads stale ones."""
         key = y.tobytes()
         for kept_key, kept in self._kept:
             if kept_key == key:
                 return kept
-        self._kept = self._kept[-2:] + [(key, self.form_pieces(y))]
+        self._kept = self._kept[-1:] + [(key, self.form_pieces(y))]
         return self._kept[-1][1]
-
-    def mean(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(x + y)/2, its pieces kept as the means of those of x and y
-        (all linear in the vector but N): no n_a^2 n_theta product."""
-        A, RA, _, TA = (0.5 * (u + v)
-                        for u, v in zip(self.pieces(x), self.pieces(y)))
-        c = 0.5 * (x + y)
-        self._kept = self._kept[-2:] + [(c.tobytes(),
-                                         (A, RA, RA.conj().T @ RA, TA))]
-        return c
 
     def first_term(self, v: np.ndarray) -> float:
         """||R v - b1||^2; v = a o g."""
@@ -164,16 +153,6 @@ class AdmmWorkspace:
         partner y (the first moment's partner is the constant 1)."""
         _, _, N, TA = self.pieces(y)
         return lam2 * N + lam1, lam2 * TA + lam1 * self.t_mu[:, None]
-
-    def schur_pair(self, y: np.ndarray, lam1: float,
-                   lam2: float) -> tuple[np.ndarray, np.ndarray]:
-        """form_pair(y, lam1, lam2), kept for the last vector and weights
-        and keyed by the vector's bytes: the p-step's pair of z is the next
-        a-step's, and a replaced or changed z never reads a stale one."""
-        key = (y.tobytes(), lam1, lam2)
-        if self._pair[0] != key:
-            self._pair = (key, self.form_pair(y, lam1, lam2))
-        return self._pair[1]
 
     def second_term(self, RA_x: np.ndarray, RA_y: np.ndarray,
                     p: np.ndarray) -> float:
@@ -251,9 +230,9 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
     + lam2/2 ||R ((x fixed^H) o H) R^H - B2||_F^2
     + rho/2 ||x - center||^2 over one consensus copy x: the system
     (rho I + G o conj(E_p M E_p^H)) x = rho center + (D o conj(E)) p with
-    (M, D) = schur_pair(fixed) and E_p = E diag(p)."""
+    (M, D) = form_pair(fixed) and E_p = E diag(p)."""
     work = state.work
-    M, D = work.schur_pair(fixed, lam1, config.lam2)
+    M, D = work.form_pair(fixed, lam1, config.lam2)
     Ep = work.E * state.p[None, :]
     lhs = work.G * (Ep.conj() @ M.conj() @ Ep.T)
     lhs.flat[:: lhs.shape[0] + 1] += config.rho
@@ -284,7 +263,7 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
       b1-model  = R diag(a) E p,
       B2-model  = sum_l p[l] (R (a o e_l)) (R (z o e_l))^H,
     so with A_a = diag(a) E, its angle Gram N_a and (M_z, D_z) =
-    schur_pair(z) the normal system is Re(N_a o conj(M_z)) p =
+    form_pair(z) the normal system is Re(N_a o conj(M_z)) p =
     Re sum_i (conj(A_a) o D_z)[i, :]; the first moment enters as the cross
     term with the constant partner 1.  sum(p) = 1 is eliminated with the
     orthonormal basis of the zero-sum subspace.  The reduced symmetric
@@ -301,7 +280,7 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     work = state.work
     n_t = work.n_theta
     A_a, _, N_a, _ = work.pieces(state.a)
-    M_z, D_z = work.schur_pair(state.z, config.lam1, config.lam2)
+    M_z, D_z = work.form_pair(state.z, config.lam1, config.lam2)
     lhs = (N_a * M_z.conj()).real
     rhs = (A_a.conj() * D_z).sum(axis=0).real
     B = work.null_basis
@@ -341,10 +320,10 @@ def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
     return val
 
 
-def moment_objective(work: AdmmWorkspace, a: np.ndarray, p: np.ndarray,
-                     lam1: float, lam2: float) -> float:
-    """Unsplit data-fit objective at consensus (z = a)."""
-    RA = work.pieces(a)[1]
+def moment_objective(work: AdmmWorkspace, a: np.ndarray, RA: np.ndarray,
+                     p: np.ndarray, lam1: float, lam2: float) -> float:
+    """Unsplit data-fit objective at consensus (z = a), from a and its
+    R A_a."""
     return (0.5 * lam1 * work.first_term(a * (work.E @ p))
             + 0.5 * lam2 * work.second_term(RA, RA, p))
 
@@ -389,8 +368,10 @@ def run_admm(
         lag = augmented_lagrangian(state, config)
         primal = float(np.linalg.norm(state.a - state.z))
         dual = config.rho * float(np.linalg.norm(state.z - z_prev))
-        consensus = work.mean(state.a, state.z)
-        obj = moment_objective(work, consensus, state.p, config.lam1, config.lam2)
+        consensus = 0.5 * (state.a + state.z)
+        RA_c = 0.5 * (work.pieces(state.a)[1] + work.pieces(state.z)[1])
+        obj = moment_objective(work, consensus, RA_c, state.p, config.lam1,
+                               config.lam2)
         for key, val in (("iter", state.iter), ("objective", obj),
                          ("primal_residual", primal), ("dual_residual", dual),
                          ("lagrangian", lag)):

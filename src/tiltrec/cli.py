@@ -122,11 +122,16 @@ def load_config(path=None, seed=None, out=None, method=None):
             raise ConfigError(f"config.{key} must be a non-negative integer, "
                               f"got {v}")
     for key, low in {"experiment.trials": 1, "acquisition.K": 0,
-                     "distribution.n_theta": 1}.items():
+                     "acquisition.N": 1, "acquisition.L": 1,
+                     "distribution.n_theta": 1, "solver.n_xi": 1,
+                     **{f"solver.{budget}": 1 for stages in _STAGES.values()
+                        for _, budget in stages}}.items():
         section, name = key.split(".")
         if cfg[section][name] < low:
             raise ConfigError(f"config.{key} must be >= {low}, got "
                               f"{cfg[section][name]}")
+    if cfg["phantom"]["scale"] == 0:   # a zero object has no SNR
+        raise ConfigError("config.phantom.scale must be nonzero, got 0")
     return cfg
 
 

@@ -186,7 +186,8 @@ def _check_support(spec: BasisSpec, grid: LineGrid):
 
 
 def project_clean(
-    coeffs: FBCoeffs, theta: float, grid: LineGrid, quad: QuadratureGrid
+    coeffs: FBCoeffs, theta: float, grid: LineGrid, quad: QuadratureGrid,
+    check_window: bool = True,
 ) -> np.ndarray:
     """Clean projection line at view angle theta, sampled on grid.positions.
 
@@ -196,10 +197,12 @@ def project_clean(
     negative-frequency half-slice at theta equals the positive half at
     theta + pi.  Real-symmetric coefficients give a real line (residue
     checked at 1e-10 relative); without the flag the real part is returned
-    as-is.
+    as-is.  A line window shorter than the object warns unless check_window
+    is False, as in generate_batch, which warns once per draw.
     """
     spec = coeffs.spec
-    _check_support(spec, grid)
+    if check_window:
+        _check_support(spec, grid)
     fwd = eval_basis_matrix(spec, quad, theta) @ coeffs.values
     rev = eval_basis_matrix(spec, quad, theta + np.pi) @ coeffs.values
     phase = np.exp(2j * np.pi * np.outer(grid.positions, quad.nodes))
@@ -328,7 +331,8 @@ def generate_batch(
     for l in np.unique(labels):
         theta = 2.0 * np.pi * l / p.n_theta
         rows = [
-            project_clean(coeffs, (theta + k * alpha) % (2.0 * np.pi), grid, quad)
+            project_clean(coeffs, (theta + k * alpha) % (2.0 * np.pi), grid,
+                          quad, False)   # the window was checked above
             for k in kappas
         ]
         table[int(l)] = np.array(rows)

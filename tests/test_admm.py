@@ -201,7 +201,7 @@ def test_workspace_compressed_terms_match_raw(prob29):
         assert (work.second_term(RA_x, work.pieces(y)[1], p)
                 == pytest.approx(direct2, rel=1e-10))
         assert dense_second_term(work, M) == pytest.approx(direct2, rel=1e-10)
-        M_y, D_y = work.schur_pair(y, 0.0, 1.0)
+        M_y, D_y = work.form_pair(y, 0.0, 1.0)
         Q2 = (N_x * M_y.conj()).real
         c2 = (A_x.conj() * D_y).sum(axis=0).real
         expanded = p @ Q2 @ p - 2.0 * c2 @ p + np.vdot(work.B2, work.B2).real
@@ -223,7 +223,8 @@ def test_objective_vanishes_at_truth_on_narrow_wedge():
     psi = eval_tilt_matrix(spec, quad, 6, alpha)
     feats = population_features(truth, p, psi, quad, 6, alpha)
     work = AdmmWorkspace(feats, spec, 24)
-    obj = moment_objective(work, truth.values, p.p, 1.0, 0.5)
+    obj = moment_objective(work, truth.values,
+                           work.form_pieces(truth.values)[1], p.p, 1.0, 0.5)
     assert obj <= 1e-24 * np.vdot(feats.B2, feats.B2).real
 
 
@@ -422,8 +423,8 @@ def test_update_p_refuses_a_non_finite_system(prob29, monkeypatch):
 
 def _step_system(work, fixed, p, lam1, lam2):
     """The a/z-step Gram G o conj(E_p M E_p^H) and right-hand side
-    (D o conj(E)) p from (M, D) = schur_pair(fixed), without the ridge."""
-    M, D = work.schur_pair(fixed, lam1, lam2)
+    (D o conj(E)) p from (M, D) = form_pair(fixed), without the ridge."""
+    M, D = work.form_pair(fixed, lam1, lam2)
     Ep = work.E * p[None, :]
     return work.G * (Ep @ M @ Ep.conj().T).conj(), (D * work.E.conj()) @ p
 
@@ -481,7 +482,8 @@ def test_objective_routes_agree(prob29):
     st = _state_at(work, vals, vals, p)
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
     lag = augmented_lagrangian(st, cfg)
-    obj = moment_objective(work, vals, p, 1.0, 0.5)
+    obj = moment_objective(work, vals, work.form_pieces(vals)[1], p, 1.0,
+                           0.5)
     _, _, raw = dense_residuals(FBCoeffs(vals, spec), p, feats.R, feats,
                                 1.0, 0.5)
     assert lag == pytest.approx(raw, rel=1e-12)
@@ -538,32 +540,10 @@ def test_pieces_formed_once_per_iterate(tiny, monkeypatch):
         assert len(calls) == 2 * k + 1
 
 
-def test_schur_pair_formed_once_per_iterate(tiny, monkeypatch):
-    """k iterations form z's Schur pair k + 1 times, once per z: the
-    start's in the first a-step, then each new z's in the p-step, which
-    the next a-step reads again.  The z-step's pair of each new a, with
-    lam1 = 0, is formed once more per iteration."""
-    calls = []
-    form = AdmmWorkspace.form_pair
-    monkeypatch.setattr(
-        AdmmWorkspace, "form_pair",
-        lambda work, y, lam1, lam2: (calls.append((y.tobytes(), lam1))
-                                     or form(work, y, lam1, lam2)))
-    for k in (1, 2, 7):
-        calls.clear()
-        cfg = AdmmConfig(max_iter=k, tol_change=0.0, seed=1)
-        assert run_admm(tiny["features"], cfg, tiny["spec"], 5).n_iter == k
-        z_pairs = [y for y, lam1 in calls if lam1 == cfg.lam1]
-        assert len(z_pairs) == k + 1 == len(set(z_pairs))
-        assert len(calls) == 2 * k + 1
-
-
 def test_pieces_follow_replaced_iterates(prob29):
     """After a or z is replaced, by a new array or in place, every step
     equals the one of a freshly built state to 1e-13: the kept pieces are
-    keyed by the vector's bytes and never stale, and so is the kept Schur
-    pair.  The pieces of a mean, taken by linearity, equal the formed ones
-    to rounding."""
+    keyed by the vector's bytes and never stale."""
     feats, spec = prob29["features"], prob29["spec"]
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
     rng = np.random.default_rng(31)
@@ -590,16 +570,37 @@ def test_pieces_follow_replaced_iterates(prob29):
     check()
     st.z[:] = draw()
     check()
-    # the p-step above kept z's pair; change z in place once more
-    st.z[:] = draw()
-    fresh = AdmmWorkspace(feats, spec, 29)
-    for got, want in zip(st.work.schur_pair(st.z, cfg.lam1, cfg.lam2),
-                         fresh.form_pair(st.z, cfg.lam1, cfg.lam2)):
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    check()
-    c = st.work.mean(st.a, st.z)
-    for got, want in zip(st.work.pieces(c), st.work.form_pieces(c)):
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_kept_pieces_equal_fresh_workspaces_bitwise(prob29):
+    """k iterations of run_admm are bitwise a replay of the block steps in
+    which every step, the Lagrangian and the objective get a fresh
+    workspace: the kept pieces of a and z are exactly the ones formed anew,
+    and the consensus objective reads R A_c = (R A_a + R A_z)/2."""
+    feats, spec = prob29["features"], prob29["spec"]
+    k = 10
+    cfg = AdmmConfig(max_iter=k, tol_change=0.0, seed=2)
+    run = init_admm_state(feats, cfg, spec, 29)
+    res = run_admm(feats, cfg, spec, 29, state=run)
+    st = init_admm_state(feats, cfg, spec, 29)
+    fresh = lambda: AdmmWorkspace(feats, spec, 29)
+    lags, objs = [], []
+    for _ in range(k):
+        for name, step in (("a", update_a), ("z", update_z), ("p", update_p)):
+            st.work = fresh()
+            setattr(st, name, step(st, cfg))
+        st.s = st.s + st.a - st.z
+        st.work = fresh()
+        lags.append(augmented_lagrangian(st, cfg))
+        work = fresh()
+        RA_c = 0.5 * (work.form_pieces(st.a)[1] + work.form_pieces(st.z)[1])
+        objs.append(moment_objective(work, 0.5 * (st.a + st.z), RA_c, st.p,
+                                     cfg.lam1, cfg.lam2))
+    for name in ("a", "z", "p", "s"):
+        assert np.array_equal(getattr(run, name), getattr(st, name)), name
+    assert np.array_equal(res.a.values, 0.5 * (st.a + st.z))
+    assert res.history["lagrangian"] == lags
+    assert res.history["objective"] == objs
 
 
 def test_stop_reason(tiny):
@@ -686,7 +687,8 @@ def test_exact_recovery_up_to_continuous_rotation(tiny):
     st = _state_at(work, a0, a0, p0 / p0.sum())
     res = run_admm(feats, cfg, spec, 5, state=st)
 
-    obj = moment_objective(work, res.a.values, st.p, 1.0, 0.5)
+    obj = moment_objective(work, res.a.values,
+                           work.form_pieces(res.a.values)[1], st.p, 1.0, 0.5)
     scale2 = 0.5 * np.vdot(feats.b1, feats.b1).real \
         + 0.25 * np.vdot(feats.B2, feats.B2).real
     assert obj <= 1e-18 * scale2

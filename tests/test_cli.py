@@ -107,6 +107,20 @@ def test_config_overrides_and_validation(tmp_path):
                   r"config\.acquisition\.K must be >= 0, got -1"),
                  ({"distribution": {"n_theta": 0}},
                   r"config\.distribution\.n_theta must be >= 1, got 0"),
+                 ({"acquisition": {"N": 0}},
+                  r"config\.acquisition\.N must be >= 1, got 0"),
+                 ({"acquisition": {"L": 0}},
+                  r"config\.acquisition\.L must be >= 1, got 0"),
+                 ({"solver": {"n_xi": 0}},
+                  r"config\.solver\.n_xi must be >= 1, got 0"),
+                 ({"solver": {"admm_iters": 0}},
+                  r"config\.solver\.admm_iters must be >= 1, got 0"),
+                 ({"solver": {"em_iters": 0}},
+                  r"config\.solver\.em_iters must be >= 1, got 0"),
+                 ({"solver": {"hybrid_admm_iters": -1}},
+                  r"config\.solver\.hybrid_admm_iters must be >= 1, got -1"),
+                 ({"solver": {"hybrid_em_iters": 0}},
+                  r"config\.solver\.hybrid_em_iters must be >= 1, got 0"),
                  # json reads NaN and Infinity; no float key takes them
                  ({"phantom": {"c": math.inf}},
                   r"config\.phantom\.c must be a finite number, got Infinity"),
@@ -162,6 +176,24 @@ def test_snr_targets_must_be_finite_numbers(tmp_path, monkeypatch, capsys,
                  command]) == 2
     assert re.search(rf"config\.{key} must be null or a finite number",
                      capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("acquisition", [{"sigma2": 0.5},
+                                         {"target_snr_db": 3.0}],
+                         ids=["sigma2", "target"])
+def test_zero_phantom_scale_is_rejected_by_name(tmp_path, monkeypatch, capsys,
+                                                acquisition):
+    """phantom.scale = 0 makes a zero object, whose clean variance of 0 has
+    no SNR: simulate exits 2 naming the key before anything is simulated,
+    instead of a math domain error (sigma2 > 0) or a noiseless batch that
+    misses its SNR target."""
+    monkeypatch.setattr("tiltrec.cli.generate_batch", None)
+    path = _write_cfg(tmp_path, phantom={"scale": 0.0},
+                      acquisition=acquisition)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), "simulate"]) == 2
+    assert "config.phantom.scale must be nonzero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, flags, key, value", [

@@ -287,6 +287,17 @@ def test_narrow_window_warns(small_spec, quad32):
         project_clean(phantom, 0.0, grid, quad32)
 
 
+def test_narrow_window_warns_once_per_draw(small_phantom, bump12, quad32):
+    """One draw on a short window warns once, at generate_batch's caller,
+    not once more per tabulated line."""
+    with pytest.warns(UserWarning) as caught:   # records with "always"
+        generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG, 0.5,
+                       build_line_grid(8), quad32, seed=9)  # 8 < 2R = 16
+    short = [w for w in caught if "shorter than" in str(w.message)]
+    assert len(short) == 1
+    assert short[0].filename == __file__
+
+
 def test_small_support_spec_fails():
     with pytest.raises(ConfigError):
         build_basis_spec(0.3, 0.5)  # retains nothing
