@@ -208,6 +208,13 @@ def eval_basis_matrix(spec: BasisSpec, grid: QuadratureGrid, theta: float) -> np
     return _radial_matrix(spec, grid) * spec.angular_phases(theta)[None, :]
 
 
+def warn_tilt_span(K: int, alpha: float):
+    """Warn at the caller's caller when K*alpha exceeds MAX_TILT_SPAN."""
+    if K * alpha > MAX_TILT_SPAN + 1e-12:
+        warnings.warn(f"tilt span K*alpha = {K * alpha:.4f} rad exceeds "
+                      f"pi/3", stacklevel=3)
+
+
 def eval_tilt_matrix(
     spec: BasisSpec, grid: QuadratureGrid, K: int, alpha: float
 ) -> np.ndarray:
@@ -218,10 +225,7 @@ def eval_tilt_matrix(
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    if K * alpha > MAX_TILT_SPAN + 1e-12:
-        warnings.warn(
-            f"tilt span K*alpha = {K * alpha:.4f} rad exceeds pi/3", stacklevel=2
-        )
+    warn_tilt_span(K, alpha)
     radial = _radial_matrix(spec, grid)
     blocks = [
         radial * spec.angular_phases(kappa * alpha)[None, :]

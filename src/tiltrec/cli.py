@@ -124,14 +124,21 @@ def load_config(path=None, seed=None, out=None, method=None):
     for key, low in {"experiment.trials": 1, "acquisition.K": 0,
                      "acquisition.N": 1, "acquisition.L": 1,
                      "distribution.n_theta": 1, "solver.n_xi": 1,
+                     "solver.lambda1": 0, "solver.lambda2": 0,
                      **{f"solver.{budget}": 1 for stages in _STAGES.values()
                         for _, budget in stages}}.items():
         section, name = key.split(".")
         if cfg[section][name] < low:
             raise ConfigError(f"config.{key} must be >= {low}, got "
                               f"{cfg[section][name]}")
+    for key in ("methods", "snrs_db"):   # an empty list writes no rows
+        if not cfg["experiment"][key]:
+            raise ConfigError(f"config.experiment.{key} must not be empty")
     if cfg["phantom"]["scale"] == 0:   # a zero object has no SNR
         raise ConfigError("config.phantom.scale must be nonzero, got 0")
+    if not cfg["solver"]["rho"] > 0:
+        raise ConfigError(f"config.solver.rho must be > 0, got "
+                          f"{cfg['solver']['rho']}")
     return cfg
 
 
@@ -258,10 +265,12 @@ def _build_problem(cfg):
 
 
 def _sample_variance(samples):
-    """Variance of all samples as E[y^2] - E[y]^2 from one dot product;
-    np.var would allocate a batch-sized temporary."""
+    """E[y^2] - E[y]^2 over all n samples from one dot product (np.var would
+    copy the batch); 0 within the n*eps rounding of its sums: flat lines."""
     flat = samples.reshape(-1)
-    return float(np.dot(flat, flat)) / flat.size - float(flat.mean()) ** 2
+    mean_sq = float(np.dot(flat, flat)) / flat.size
+    var = mean_sq - float(flat.mean()) ** 2
+    return var if var > flat.size * np.finfo(float).eps * mean_sq else 0.0
 
 
 def _draw_batch(acq, truth, p, grid, quad, seed, targets_db):
@@ -279,6 +288,9 @@ def _draw_batch(acq, truth, p, grid, quad, seed, targets_db):
         batch = draw(0.0)
         return [batch], _sample_variance(batch.samples)
     clean_var = _sample_variance(draw(0.0).samples)
+    if clean_var == 0 and set(targets_db) != {None}:
+        raise ConfigError(f"flat clean lines at config.acquisition.L = "
+                          f"{acq['L']} meet no SNR target {targets_db} dB")
     return draw([float(acq["sigma2"]) if t is None
                  else variance_for_snr(clean_var, t)
                  for t in targets_db]), clean_var
@@ -423,10 +435,8 @@ def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
         out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
-    debiased = _sample_variance(batch.samples) - batch.sigma2
-    # -inf: no signal above the stated noise, as inf is no noise at all
-    achieved = (math.inf if batch.sigma2 <= 0 else -math.inf if debiased <= 0
-                else snr_db(debiased, batch.sigma2))
+    achieved = snr_db(_sample_variance(batch.samples) - batch.sigma2,
+                      batch.sigma2)
     save_coeff_file(est_path, a, p, meta={
         "kind": "estimate", "method": method, "seed": cfg["seed"],
         "runtime_s": runtime, "snr_db": achieved, "init_sha256": start_hash})
@@ -523,7 +533,7 @@ def cmd_experiment(cfg, out_dir, threads=1):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         trials = list(pool.map(
             lambda t: _experiment_trial(cfg, spec, truth, p, t),
-            range(exp["trials"] if exp["snrs_db"] else 0)))
+            range(exp["trials"])))
     results = [trial[i] for i in range(len(exp["snrs_db"]))
                for trial in trials]
 
@@ -532,11 +542,10 @@ def cmd_experiment(cfg, out_dir, threads=1):
     trials_path = out_dir / "trial_reports.csv"
     reports_to_csv(all_reports, trials_path)
 
-    # one row per SNR, from its slice of results; five columns per method
-    n, columns = exp["trials"], {"snr_db": exp["snrs_db"]}
+    # one row per SNR, from every trial's cell at it; five columns per method
+    columns = {"snr_db": exp["snrs_db"]}
     for m in dict.fromkeys(exp["methods"]):
-        slices = [[r for reports, _ in results[i * n:(i + 1) * n]
-                   for r in reports if r.method == m]
+        slices = [[r for t in trials for r in t[i][0] if r.method == m]
                   for i in range(len(exp["snrs_db"]))]
         key = m.replace("+", "_")
         for stat in ("re", "tv"):
@@ -549,7 +558,7 @@ def cmd_experiment(cfg, out_dir, threads=1):
     history_to_csv(columns, agg_path)
 
     init_hashes = [hashes for _, hashes in results]
-    shared = all(len(set(h.values())) == 1 for h in init_hashes if h)
+    shared = all(len(set(h.values())) == 1 for h in init_hashes)
     manifest = _write_manifest(
         out_dir, "experiment", cfg, {}, [trials_path, agg_path],
         extra={"init_hashes": init_hashes, "shared_inits": shared})

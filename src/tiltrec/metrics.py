@@ -40,13 +40,12 @@ class TrialReport:
 
 
 def snr_db(clean, sigma2):
-    """10 log10(Var / sigma2) for the clean-signal variance Var."""
-    var = float(clean)
+    """10 log10(clean / sigma2): inf if sigma2 = 0, else -inf if clean <= 0."""
     if sigma2 < 0:
         raise ConfigError("noise variance cannot be negative")
     if sigma2 == 0:
         return math.inf
-    return 10.0 * math.log10(var / sigma2)
+    return 10.0 * math.log10(clean / sigma2) if clean > 0 else -math.inf
 
 
 def variance_for_snr(clean_variance, target_db):

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    MAX_TILT_SPAN,
     BasisSpec,
     FBCoeffs,
     QuadratureGrid,
     eval_basis_matrix,
+    warn_tilt_span,
 )
 from .errors import ConfigError
 
@@ -300,53 +300,41 @@ def generate_batch(
     uniform draw for l_i, then the unit-normal noise block z_i, so batches
     are deterministic in seed regardless of generation order.  The uniforms
     and the states after them come from _substream_starts for all records
-    at once; one Generator, set to each record's state in turn, draws the
-    z_i.  sigma2 may also be a sequence of variances: one pass then returns
-    one batch per variance, whose record i is clean_i + sqrt(sigma2_j) * z_i
-    from the one label, clean lines and z_i, so each batch is bitwise that
-    of a separate call with its variance.  A negative seed raises
-    ConfigError.
+    at once.  Each batch starts as one gather from the table of each drawn
+    angle's 2K+1 clean lines; only if some variance is positive does one
+    Generator, set to each record's state in turn, draw z_i and add
+    sqrt(sigma2_j) * z_i in each batch j.  sigma2 may be a sequence of
+    variances: one batch each, bitwise that of a separate call.  A
+    negative seed raises ConfigError.
     """
     variances = np.atleast_1d(sigma2).astype(float)
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     if np.any(variances < 0):
         raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
-    if K * alpha > MAX_TILT_SPAN + 1e-12:
-        warnings.warn(
-            f"tilt span K*alpha = {K * alpha:.4f} rad exceeds pi/3", stacklevel=2
-        )
+    warn_tilt_span(K, alpha)
     _check_support(coeffs.spec, grid)
 
-    cdf = np.cumsum(p.p)
-    sigmas = np.sqrt(variances)
-    n_tilt = 2 * K + 1
-
     u, states = _substream_starts(seed, N)
+    cdf = np.cumsum(p.p)
     labels = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
-    # clean lines depend on i only through l_i: tabulate the used angles once
-    kappas = np.arange(-K, K + 1)
-    table = {}
-    for l in np.unique(labels):
-        theta = 2.0 * np.pi * l / p.n_theta
-        rows = [
-            project_clean(coeffs, (theta + k * alpha) % (2.0 * np.pi), grid,
-                          quad, False)   # the window was checked above
-            for k in kappas
-        ]
-        table[int(l)] = np.array(rows)
+    drawn, row = np.unique(labels, return_inverse=True)
+    table = np.array([
+        [project_clean(coeffs, (2.0 * np.pi * l / p.n_theta + k * alpha)
+                       % (2.0 * np.pi), grid, quad, False)   # checked above
+         for k in range(-K, K + 1)]
+        for l in drawn])
+    samples = [table[row] for _ in variances]
 
-    samples = [np.empty((N, n_tilt, grid.L)) for _ in sigmas]
-    noisy = bool(np.any(sigmas > 0.0))
-    rng = np.random.Generator(np.random.PCG64(0))   # one per call: no sharing
-    for i, (state, l) in enumerate(zip(states, labels)):
-        clean = table[int(l)]
-        if noisy:
+    noise = [(o, np.sqrt(s2)) for o, s2 in zip(samples, variances) if s2 > 0]
+    if noise:
+        rng = np.random.Generator(np.random.PCG64(0))   # one per call
+        for i, state in enumerate(states):
             rng.bit_generator.state = state
-            z = rng.standard_normal((n_tilt, grid.L))
-        for out, sigma in zip(samples, sigmas):
-            out[i] = clean + sigma * z if sigma > 0.0 else clean
+            z = rng.standard_normal(table.shape[1:])
+            for out, sigma in noise:
+                out[i] += sigma * z
 
     batches = [TiltSeriesBatch(samples=out, K=K, alpha=float(alpha),
                                sigma2=float(s2), grid=grid, seed=int(seed),

@@ -136,7 +136,19 @@ def test_config_overrides_and_validation(tmp_path):
                  ({"solver": {"lambda2": -math.inf}},
                   r"config\.solver\.lambda2 must be a finite number"),
                  ({"phantom": {"scale": 10 ** 400}},
-                  r"config\.phantom\.scale must be a finite number")]
+                  r"config\.phantom\.scale must be a finite number"),
+                 ({"experiment": {"methods": []}},
+                  r"config\.experiment\.methods must not be empty"),
+                 ({"experiment": {"snrs_db": []}},
+                  r"config\.experiment\.snrs_db must not be empty"),
+                 ({"solver": {"lambda1": -1.0}},
+                  r"config\.solver\.lambda1 must be >= 0, got -1\.0"),
+                 ({"solver": {"lambda2": -0.5}},
+                  r"config\.solver\.lambda2 must be >= 0, got -0\.5"),
+                 ({"solver": {"rho": 0.0}},
+                  r"config\.solver\.rho must be > 0, got 0\.0"),
+                 ({"solver": {"rho": -2}},
+                  r"config\.solver\.rho must be > 0, got -2")]
     for content, match in malformed:
         bad.write_text(json.dumps(content))
         with pytest.raises(ConfigError, match=match):
@@ -193,6 +205,44 @@ def test_zero_phantom_scale_is_rejected_by_name(tmp_path, monkeypatch, capsys,
     out = tmp_path / "o"
     assert main(["--config", str(path), "--out", str(out), "simulate"]) == 2
     assert "config.phantom.scale must be nonzero" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# at R = 4 the basis keeps orders |k| <= 1 only, and at L = 1 the one line
+# sample sits at x = 0, where the odd orders cancel: every view and tilt
+# reads the same value, up to a rounding residue of either sign
+FLAT = {"phantom": {"R": 4.0}, "acquisition": {"L": 1}}
+
+
+def test_one_line_sample_under_noise_reads_minus_inf(tmp_path):
+    """A noisy draw whose clean lines are flat reports a clean variance of
+    0 and -inf dB, instead of failing in log10 or reporting the residue's
+    SNR."""
+    path = _write_cfg(tmp_path, phantom=FLAT["phantom"],
+                      acquisition={**FLAT["acquisition"], "sigma2": 0.1})
+    out = tmp_path / "run"
+    assert main(["--config", str(path), "--out", str(out), "simulate"]) == 0
+    extra = json.loads((out / "manifest_simulate.json").read_text())["extra"]
+    assert extra["clean_variance"] == 0.0
+    assert extra["snr_db"] == -math.inf and extra["sigma2"] == 0.1
+    assert load_batch(out / "batch.dat").sigma2 == 0.1
+
+
+@pytest.mark.parametrize("command, target", [
+    ("simulate", {"target_snr_db": 3.0}), ("experiment", {})],
+    ids=["simulate", "experiment"])
+def test_one_line_sample_meets_no_snr_target(tmp_path, capsys, command,
+                                             target):
+    """No noise variance meets an SNR target on flat clean lines: simulate
+    and experiment exit 2 naming acquisition.L and the target, where
+    simulate used to fail on a negative sigma2 that named neither."""
+    path = _write_cfg(tmp_path, phantom=FLAT["phantom"],
+                      acquisition={**FLAT["acquisition"], **target})
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out), command]) == 2
+    err = capsys.readouterr().err
+    assert "config.acquisition.L = 1" in err
+    assert "meet no SNR target [3.0] dB" in err
     assert not out.exists()
 
 
@@ -421,11 +471,6 @@ def test_batch_draws_per_command(tmp_path, monkeypatch):
     # seed + trial: a clean draw and one noisy pass per trial, shared by
     # its two SNR cells
     assert sorted(seeds) == [3, 3, 4, 4]
-    seeds.clear()
-    cfg = _write_cfg(tmp_path, experiment={"snrs_db": []})
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "none"),
-                 "experiment"]) == 0
-    assert seeds == []   # no SNR, no cell, no draw
 
 
 def test_simulate_deterministic(tmp_path):

@@ -33,6 +33,14 @@ def test_snr_hand_values():
         snr_db(1.0, -1.0)
 
 
+def test_snr_without_signal_above_the_noise():
+    """A clean variance <= 0 under noise reads -inf (no signal above it),
+    not a math domain error; without noise it still reads inf."""
+    for var in (0.0, -2.2e-16, -1.0):
+        assert snr_db(var, 0.1) == -np.inf
+        assert snr_db(var, 0.0) == np.inf
+
+
 def test_variance_for_snr_inverts():
     for var, target in ((3.7, 6.6), (120.0, -4.4), (557.19, 17.46)):
         s2 = variance_for_snr(var, target)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import threading
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
+from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
+                           eval_tilt_matrix)
 from tiltrec.errors import ConfigError
 from tiltrec.sim import (ViewDistribution, _substream_starts, build_line_grid,
                          bump_distribution, generate_batch, load_batch,
@@ -179,19 +181,19 @@ def _numpy_starts(seed, N):
 @pytest.mark.parametrize("seed", [0, 9, 2**32 + 5, 2**64 + 3, 2**160 + 1])
 def test_generate_batch_bitwise_equals_per_record_reference(
         small_phantom, bump12, quad32, seed):
-    """Batches from the all-records-at-once substream starts are bitwise
-    those of one numpy Generator per record, for one and several
-    variances."""
-    grid = build_line_grid(16)
-    for N in (1, 37, 300):
-        for sigma2 in (0.0, 0.5, [0.0, 0.5, 3.0]):
-            args = (small_phantom, bump12, N, 1, 3.8 * DEG, sigma2, grid,
-                    quad32, seed)
-            got, want = generate_batch(*args), generate_batch_reference(*args)
-            for g, w in zip(np.atleast_1d(got), np.atleast_1d(want)):
-                assert np.array_equal(g.samples, w.samples)
-                assert np.array_equal(g.hidden_angles, w.hidden_angles)
-                assert g.sigma2 == w.sigma2 and g.seed == w.seed
+    """Batches from the all-records-at-once substream starts and the
+    gathered clean table are bitwise those of one numpy Generator per
+    record, for one and several variances, at K = 1 and at the 13 tilts
+    (K = 6, L = 32) of the pipeline's default geometry."""
+    for (K, L), N, sigma2 in itertools.product(
+            [(1, 16), (6, 32)], (1, 37, 300), (0.0, 0.5, [0.0, 0.5, 3.0])):
+        args = (small_phantom, bump12, N, K, 3.8 * DEG, sigma2,
+                build_line_grid(L), quad32, seed)
+        got, want = generate_batch(*args), generate_batch_reference(*args)
+        for g, w in zip(np.atleast_1d(got), np.atleast_1d(want)):
+            assert np.array_equal(g.samples, w.samples)
+            assert np.array_equal(g.hidden_angles, w.hidden_angles)
+            assert g.sigma2 == w.sigma2 and g.seed == w.seed
     u, states = _substream_starts(seed, 300)
     assert (u.tolist(), states) == _numpy_starts(seed, 300)
 
@@ -296,6 +298,21 @@ def test_narrow_window_warns_once_per_draw(small_phantom, bump12, quad32):
     short = [w for w in caught if "shorter than" in str(w.message)]
     assert len(short) == 1
     assert short[0].filename == __file__
+
+
+def test_wide_tilt_span_warns_once_at_each_caller(small_phantom, bump12,
+                                                 quad32, small_spec):
+    """A tilt span K*alpha past pi/3 warns once per generate_batch draw and
+    once per eval_tilt_matrix call, each attributed to its caller."""
+    for call in (lambda: generate_batch(small_phantom, bump12, 50, 2,
+                                        40 * DEG, 0.5, build_line_grid(16),
+                                        quad32, seed=9),
+                 lambda: eval_tilt_matrix(small_spec, quad32, 2, 40 * DEG)):
+        with pytest.warns(UserWarning) as caught:
+            call()
+        wide = [w for w in caught if "tilt span" in str(w.message)]
+        assert len(wide) == 1
+        assert wide[0].filename == __file__
 
 
 def test_small_support_spec_fails():
