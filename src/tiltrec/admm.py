@@ -42,9 +42,10 @@ live a and z, so each iterate's are formed once; the consensus c takes
 R A_c = (R A_a + R A_z)/2 by linearity, and each step forms its pair
 (O(n_a n_theta)) from kept pieces.  An iteration costs four products of
 an n_a x n_a matrix with an n_a x n_theta one (R A_y and T_C A_y of the
-new a and z), the two n_a x n_a solves, and for p one symmetric
-eigenvalue pass and one LU solve of size n_theta - 1; the SVD least
-squares runs only when that system is numerically rank-deficient.
+new a and z), the two n_a x n_a solves, and for p one Cholesky
+certificate and one LU solve of size n_theta - 1; the symmetric
+eigenvalue pass runs only when the certificate fails, and the SVD least
+squares only when that system is numerically rank-deficient.
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class AdmmWorkspace:
             np.vstack([np.ones(n_theta), np.eye(n_theta)[: n_theta - 1]]).T
         )
         self.null_basis = q[:, 1:]
+        self.eye_reduced = np.eye(n_theta - 1)   # the p-step's shift
         self.p_rank_warned = False
         self._kept = []     # (bytes of y, pieces of y), the last two
 
@@ -256,6 +258,22 @@ def update_z(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     return _consensus_solve(state, config, "z", state.a + state.s, state.a, 0.0)
 
 
+def _rank_certified(S: np.ndarray, eye: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves that the symmetric PSD S
+    passes lstsq's rank test (every |eigenvalue| above eps n max|eigenvalue|,
+    n = len(S)): S - 2 eps n trace(S) I factors, and trace(S) > 0 bounds
+    max|eigenvalue| from above.  False says nothing; the caller then runs
+    the eigenvalue test itself."""
+    shift = 2.0 * np.finfo(float).eps * len(S) * np.trace(S)
+    if shift <= 0:
+        return False
+    try:
+        np.linalg.cholesky(S - shift * eye)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact equality-constrained least squares over the real vector p.
 
@@ -270,12 +288,16 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     system is solved by np.linalg.solve when it passes lstsq's own rank
     test: every |eigenvalue| above eps (n_theta - 1) max|eigenvalue|,
     lstsq's default rcond on the singular values of a symmetric matrix.
-    Otherwise some of p is unobservable (fewer than n_theta - 1 moment
-    harmonics, lam2 = 0, a radial a): the system is consistent but
-    rank-deficient, lstsq's minimum-norm solution keeps the unobservable
-    component at zero instead of amplifying noise into it, and the first
-    such solve logs a warning.  A non-finite reduced system raises before
-    either route (LAPACK's SVD does not return on NaN).
+    The system is PSD (the real part of a Schur product of PSD matrices),
+    so a Cholesky factorization shifted by twice that threshold, with the
+    trace for max|eigenvalue|, certifies the common full-rank case; only
+    when it fails does the eigenvalue test run.  Otherwise some of p is
+    unobservable (fewer than n_theta - 1 moment harmonics, lam2 = 0, a
+    radial a): the system is consistent but rank-deficient, lstsq's
+    minimum-norm solution keeps the unobservable component at zero instead
+    of amplifying noise into it, and the first such solve logs a warning.
+    A non-finite reduced system raises before any route (LAPACK's SVD does
+    not return on NaN).
     """
     work = state.work
     n_t = work.n_theta
@@ -288,8 +310,12 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     red_lhs = B.T @ lhs @ B
     red_rhs = B.T @ (rhs - lhs @ p_part)
     _check_finite(state, "p", red_lhs, red_rhs)
-    ev = np.abs(np.linalg.eigvalsh(red_lhs))
-    if np.all(ev > np.finfo(float).eps * (n_t - 1) * ev.max(initial=0.0)):
+    full = _rank_certified(red_lhs, work.eye_reduced)
+    if not full:
+        ev = np.abs(np.linalg.eigvalsh(red_lhs))
+        full = np.all(ev > np.finfo(float).eps * (n_t - 1)
+                      * ev.max(initial=0.0))
+    if full:
         q = np.linalg.solve(red_lhs, red_rhs)
     else:
         q, _, rank, _ = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)

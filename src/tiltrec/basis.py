@@ -209,10 +209,12 @@ def eval_basis_matrix(spec: BasisSpec, grid: QuadratureGrid, theta: float) -> np
 
 
 def warn_tilt_span(K: int, alpha: float):
-    """Warn at the caller's caller when K*alpha exceeds MAX_TILT_SPAN."""
-    if K * alpha > MAX_TILT_SPAN + 1e-12:
-        warnings.warn(f"tilt span K*alpha = {K * alpha:.4f} rad exceeds "
-                      f"pi/3", stacklevel=3)
+    """Warn at the caller's caller when |K*alpha| exceeds MAX_TILT_SPAN:
+    a negative step spans the same tilts in the other order."""
+    span = abs(K * alpha)
+    if span > MAX_TILT_SPAN + 1e-12:
+        warnings.warn(f"tilt span |K*alpha| = {span:.4f} rad exceeds pi/3",
+                      stacklevel=3)
 
 
 def eval_tilt_matrix(

@@ -16,6 +16,7 @@ stable (NEP 19); they are bitwise the states numpy's own objects reach.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import operator
@@ -102,11 +103,13 @@ def two_bump_distribution(
     return ViewDistribution(p, n_theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineGrid:
     """Equispaced sample positions along a projection line.
 
-    positions x_l = (l - (L-1)/2) * dx, symmetric about 0.
+    positions x_l = (l - (L-1)/2) * dx, symmetric about 0.  Hashed by
+    identity, like BasisSpec and QuadratureGrid: an immutable value whose
+    array is never written after construction.
     """
 
     L: int
@@ -185,6 +188,21 @@ def _check_support(spec: BasisSpec, grid: LineGrid):
         )
 
 
+@functools.lru_cache(maxsize=8)
+def _line_phases(grid: LineGrid, quad: QuadratureGrid):
+    """(phase, conj(phase)) with phase = exp(2 pi i x_l xi_j), shape
+    (L, n_xi): the inverse transform from the quadrature nodes to the line.
+
+    Memoized by the identity of grid and quad, as basis._radial_matrix is;
+    both shared results are read-only.
+    """
+    phase = np.exp(2j * np.pi * np.outer(grid.positions, quad.nodes))
+    phase_conj = np.conj(phase)
+    phase.setflags(write=False)
+    phase_conj.setflags(write=False)
+    return phase, phase_conj
+
+
 def project_clean(
     coeffs: FBCoeffs, theta: float, grid: LineGrid, quad: QuadratureGrid,
     check_window: bool = True,
@@ -198,15 +216,17 @@ def project_clean(
     theta + pi.  Real-symmetric coefficients give a real line (residue
     checked at 1e-10 relative); without the flag the real part is returned
     as-is.  A line window shorter than the object warns unless check_window
-    is False, as in generate_batch, which warns once per draw.
+    is False, as in generate_batch, which warns once per draw.  The line
+    phases are shared per (grid, quad) pair, like the radial factor per
+    (spec, quad) pair, so a call forms no exponential of its own.
     """
     spec = coeffs.spec
     if check_window:
         _check_support(spec, grid)
     fwd = eval_basis_matrix(spec, quad, theta) @ coeffs.values
     rev = eval_basis_matrix(spec, quad, theta + np.pi) @ coeffs.values
-    phase = np.exp(2j * np.pi * np.outer(grid.positions, quad.nodes))
-    line = phase @ (quad.weights * fwd) + np.conj(phase) @ (quad.weights * rev)
+    phase, phase_conj = _line_phases(grid, quad)
+    line = phase @ (quad.weights * fwd) + phase_conj @ (quad.weights * rev)
 
     if coeffs.real_symmetric:
         scale = max(float(np.max(np.abs(line.real))), 1e-300)

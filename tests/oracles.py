@@ -23,10 +23,12 @@ whitened record array, the dense block-diagonal noise covariance, the
 single-line node DFT, the image-domain error, the coupled rotation-and-shift
 search one shift at a time, the polar-quadrature image synthesis the
 closed form is checked against, and the batch simulator that builds one
-numpy Generator per record, against which the package's substream starts
-are checked.  The basis layout's reference is the (k, q) -> column dict with
-the symmetrization walked over it one pair at a time, and the node spectra
-of a spectral batch are its records mapped through the node DFT.
+numpy Generator per record and forms each clean line's phase matrix
+inline, against which the package's substream starts and its memoized
+line phases are checked.  The basis layout's reference is the (k, q) ->
+column dict with the symmetrization walked over it one pair at a time,
+and the node spectra of a spectral batch are its records mapped through
+the node DFT.
 """
 
 import math
@@ -36,11 +38,11 @@ from scipy import linalg
 from scipy.special import logsumexp
 
 from tiltrec.basis import (FBCoeffs, _radial_matrix, build_quadrature,
-                           synthesize_image)
+                           eval_basis_matrix, synthesize_image)
 from tiltrec.em import EmWorkspace
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
-from tiltrec.sim import TiltSeriesBatch, project_clean
+from tiltrec.sim import TiltSeriesBatch
 from tiltrec.spectral import dft_matrix
 
 
@@ -336,6 +338,20 @@ def quadrature_image(coeffs, grid_size):
     return image.real
 
 
+def project_clean_reference(coeffs, theta, grid, quad):
+    """project_clean with its line phase matrix formed inline, per call,
+    so it shares no memo with the package; the same residue check."""
+    spec = coeffs.spec
+    fwd = eval_basis_matrix(spec, quad, theta) @ coeffs.values
+    rev = eval_basis_matrix(spec, quad, theta + np.pi) @ coeffs.values
+    phase = np.exp(2j * np.pi * np.outer(grid.positions, quad.nodes))
+    line = phase @ (quad.weights * fwd) + np.conj(phase) @ (quad.weights * rev)
+    scale = max(float(np.max(np.abs(line.real))), 1e-300)
+    if coeffs.real_symmetric and np.max(np.abs(line.imag)) > 1e-10 * scale:
+        raise ValueError("imaginary residue on a symmetric projection")
+    return line.real
+
+
 def generate_batch_reference(coeffs, p, N, K, alpha, sigma2, grid, quad,
                              seed=0):
     """generate_batch with one default_rng(SeedSequence(entropy=seed,
@@ -350,8 +366,9 @@ def generate_batch_reference(coeffs, p, N, K, alpha, sigma2, grid, quad,
     u = np.array([rng.random() for rng in streams])
     labels = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     table = {int(l): np.array([
-        project_clean(coeffs, (2.0 * np.pi * l / p.n_theta + k * alpha)
-                      % (2.0 * np.pi), grid, quad) for k in range(-K, K + 1)])
+        project_clean_reference(coeffs, (2.0 * np.pi * l / p.n_theta
+                                         + k * alpha) % (2.0 * np.pi),
+                                grid, quad) for k in range(-K, K + 1)])
         for l in np.unique(labels)}
     samples = [np.empty((N, 2 * K + 1, grid.L)) for _ in sigmas]
     noisy = bool(np.any(sigmas > 0.0))

@@ -6,6 +6,7 @@ while counter-shifting the (relaxed, possibly signed) distribution, so the
 recovery test aligns continuously instead of on the angle grid.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
-                          augmented_lagrangian, init_admm_state,
-                          moment_objective, project_simplex, random_start,
-                          run_admm, update_a, update_p, update_z)
+                          _rank_certified, augmented_lagrangian,
+                          init_admm_state, moment_objective, project_simplex,
+                          random_start, run_admm, update_a, update_p,
+                          update_z)
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _admm_snapshots, history_to_csv
@@ -401,6 +403,41 @@ def test_update_p_rank_deficient_is_lstsq_minimum_norm(prob29, monkeypatch,
     assert [r.message for r in caplog.records if "rank-deficient" in r.message]
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert abs(got.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bulk", [1.0, 0.0])
+def test_p_rank_certificate_never_passes_where_eigvalsh_fails(bulk):
+    """The Cholesky certificate passes only systems that pass lstsq's rank
+    test by eigvalsh, and passes every system whose smallest eigenvalue is
+    10 % above its shift 2 eps n trace.  The systems are rotated SPD
+    matrices of size n = 23 with largest eigenvalue 1 and smallest just
+    below and just above both edges, eps n and the shift, beside n - 2
+    eigenvalues at 1 (trace near n) or at the smallest one (trace near 1,
+    where the two edges are closest)."""
+    eps, n = np.finfo(float).eps, 23
+    rng = np.random.default_rng(0)
+    eye = np.eye(n)
+    outcomes = {}
+    for edge, factor in itertools.product(
+            ("rank", "shift"), (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)):
+        for _ in range(10):
+            trace = 1.0 + (n - 2) * bulk
+            small = factor * eps * n * (1.0 if edge == "rank" else 2 * trace)
+            lam = np.full(n, bulk if bulk else small)
+            lam[0], lam[-1] = 1.0, small
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            S = (Q * lam) @ Q.T
+            S = 0.5 * (S + S.T)
+            ev = np.abs(np.linalg.eigvalsh(S))
+            passes = bool(np.all(ev > eps * n * ev.max()))
+            certified = _rank_certified(S, eye)
+            assert passes or not certified, (edge, factor)
+            outcomes.setdefault((edge, factor), set()).add(
+                (passes, certified))
+    assert outcomes[("rank", 0.5)] == {(False, False)}
+    for factor in (1.1, 2.0):
+        assert {c for _, c in outcomes[("shift", factor)]} == {True}
+    assert not _rank_certified(np.zeros((n, n)), eye)
 
 
 def test_update_p_refuses_a_non_finite_system(prob29, monkeypatch):

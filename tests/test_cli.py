@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 
 import tiltrec.admm
+import tiltrec.sim
 from tiltrec.admm import AdmmConfig, random_start, run_admm
 from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
 from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
-                         _experiment_trial, _sample_variance, load_config,
-                         load_coeff_file, main, save_coeff_file, write_pgm)
+                         _draw_batch, _experiment_trial, _sample_variance,
+                         load_config, load_coeff_file, main, save_coeff_file,
+                         write_pgm)
 from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import (CSV_HEADER, TrialReport, relative_error,
@@ -471,6 +473,27 @@ def test_batch_draws_per_command(tmp_path, monkeypatch):
     # seed + trial: a clean draw and one noisy pass per trial, shared by
     # its two SNR cells
     assert sorted(seeds) == [3, 3, 4, 4]
+
+
+def test_noisy_draw_forms_line_phases_once(tmp_path, monkeypatch):
+    """One draw with an SNR target (its noiseless probe, then the noisy
+    pass) forms the line phases of its (grid, quadrature) pair once, and
+    projects 2 x (distinct drawn angles) x (2K+1) clean lines: the count
+    the traced benchmark check pins per simulate."""
+    cfg = load_config(str(_write_cfg(tmp_path)))
+    spec, truth, p = _build_problem(cfg)
+    acq = cfg["acquisition"]
+    calls = []
+    project = tiltrec.sim.project_clean
+    monkeypatch.setattr(tiltrec.sim, "project_clean",
+                        lambda *args: calls.append(1) or project(*args))
+    misses = tiltrec.sim._line_phases.cache_info().misses
+    [batch], _ = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
+                             build_quadrature(spec.c, 24), cfg["seed"], [3.0])
+    assert tiltrec.sim._line_phases.cache_info().misses == misses + 1
+    assert batch.sigma2 > 0
+    assert len(calls) == (2 * np.unique(batch.hidden_angles).size
+                          * (2 * acq["K"] + 1))
 
 
 def test_simulate_deterministic(tmp_path):

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
-                           eval_tilt_matrix)
+from tiltrec.basis import (FBCoeffs, QuadratureGrid, build_basis_spec,
+                           build_quadrature, eval_tilt_matrix)
 from tiltrec.errors import ConfigError
-from tiltrec.sim import (ViewDistribution, _substream_starts, build_line_grid,
-                         bump_distribution, generate_batch, load_batch,
-                         project_clean, random_phantom, save_batch,
-                         two_bump_distribution, uniform_distribution)
+from tiltrec.sim import (ViewDistribution, _line_phases, _substream_starts,
+                         build_line_grid, bump_distribution, generate_batch,
+                         load_batch, project_clean, random_phantom,
+                         save_batch, two_bump_distribution,
+                         uniform_distribution)
 
 from oracles import (column_index, default_n_xi, dft_at_nodes,
-                     generate_batch_reference, symmetry_residual)
+                     generate_batch_reference, project_clean_reference,
+                     symmetry_residual)
 
 DEG = np.pi / 180.0
 
@@ -130,6 +132,29 @@ def test_generate_batch_shapes_and_determinism(small_phantom, bump12, quad32):
     b3 = generate_batch(small_phantom, bump12, 50, 2, 3.8 * DEG, 0.5, grid,
                         quad32, seed=10)
     assert not np.array_equal(b1.samples, b3.samples)
+
+
+def test_project_clean_line_phases_keyed_by_grid_and_quadrature(
+        small_phantom, quad32):
+    """Lines read through the shared phases are bitwise the reference's,
+    which forms its phases per call, for two grids of equal L and different
+    dx and two quadratures of equal size and different nodes, called
+    interleaved: a memo that ignored either key would hand one pair's
+    phases to the other."""
+    grids = [build_line_grid(16, 1.0), build_line_grid(16, 1.25)]
+    mid = (np.arange(32) + 0.5) * 0.3 / 32   # midpoint rule on [0, c]
+    quads = [quad32, QuadratureGrid(nodes=mid, weights=np.full(32, 0.3 / 32),
+                                    n_xi=32, c=0.3)]
+    for _ in range(2):
+        for theta, (grid, quad) in zip(
+                (0.3, 1.1, 2.9, 4.4), itertools.product(grids, quads)):
+            assert np.array_equal(
+                project_clean(small_phantom, theta, grid, quad),
+                project_clean_reference(small_phantom, theta, grid, quad))
+    phase, phase_conj = _line_phases(grids[0], quads[0])
+    for shared in (phase, phase_conj):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 0.0
 
 
 def test_generate_batch_several_variances_equal_separate_calls(
@@ -302,17 +327,19 @@ def test_narrow_window_warns_once_per_draw(small_phantom, bump12, quad32):
 
 def test_wide_tilt_span_warns_once_at_each_caller(small_phantom, bump12,
                                                  quad32, small_spec):
-    """A tilt span K*alpha past pi/3 warns once per generate_batch draw and
-    once per eval_tilt_matrix call, each attributed to its caller."""
-    for call in (lambda: generate_batch(small_phantom, bump12, 50, 2,
-                                        40 * DEG, 0.5, build_line_grid(16),
-                                        quad32, seed=9),
-                 lambda: eval_tilt_matrix(small_spec, quad32, 2, 40 * DEG)):
-        with pytest.warns(UserWarning) as caught:
-            call()
-        wide = [w for w in caught if "tilt span" in str(w.message)]
-        assert len(wide) == 1
-        assert wide[0].filename == __file__
+    """A tilt span |K*alpha| past pi/3 warns once per generate_batch draw
+    and once per eval_tilt_matrix call, each attributed to its caller; a
+    negative alpha spans the same tilts in the other order."""
+    for alpha in (40 * DEG, -40 * DEG):
+        for call in (lambda: generate_batch(small_phantom, bump12, 50, 2,
+                                            alpha, 0.5, build_line_grid(16),
+                                            quad32, seed=9),
+                     lambda: eval_tilt_matrix(small_spec, quad32, 2, alpha)):
+            with pytest.warns(UserWarning) as caught:
+                call()
+            wide = [w for w in caught if "tilt span" in str(w.message)]
+            assert len(wide) == 1
+            assert wide[0].filename == __file__
 
 
 def test_small_support_spec_fails():
