@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from tiltrec.basis import (FBCoeffs, _radial_matrix, bessel_roots,
-                           build_basis_spec, build_quadrature,
+from tiltrec.basis import (_ROOT_CELL, FBCoeffs, _radial_matrix, bessel_j,
+                           bessel_roots, build_basis_spec, build_quadrature,
                            eval_basis_matrix, synthesize_image)
+from tiltrec.errors import ConfigError
 from tiltrec.sim import random_phantom
 
 from oracles import (column_index, default_n_xi, quadrature_image,
@@ -25,6 +26,87 @@ def test_roots_interlace_and_annihilate():
         roots = bessel_roots(k, 6)
         assert np.all(np.diff(roots) > 0)
         assert np.max(np.abs(special.jv(k, roots))) <= 1e-10
+
+
+BESSEL_X = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.0, 150.0, 1501)[1:]])
+
+
+def test_bessel_j_matches_scipy():
+    """Orders 0..80 from tiny arguments to 150: within 1e-14 absolute of
+    scipy's jv, one order per element and all orders in one pass."""
+    n, x = np.meshgrid(np.arange(81), BESSEL_X, indexing="ij")
+    want = special.jv(n, x)
+    assert np.max(np.abs(bessel_j(n, x)[0] - want)) <= 1e-14
+    assert np.max(np.abs(bessel_j(0, BESSEL_X, 81) - want)) <= 1e-14
+
+
+def test_bessel_j_at_zero_is_exact():
+    orders = np.arange(81)
+    unit = (orders == 0).astype(float)
+    assert np.array_equal(bessel_j(orders, 0.0)[0], unit)
+    assert np.array_equal(bessel_j(0, np.zeros(3), 81), np.tile(unit[:, None], 3))
+
+
+def test_bessel_j_element_depends_only_on_its_own_arguments():
+    """A value's bits do not depend on the other elements of the call."""
+    rng = np.random.default_rng(5)
+    n = rng.integers(0, 40, 60)
+    x = np.concatenate([[0.0, 1e-8], rng.uniform(0.0, 120.0, 58)])
+    together = bessel_j(n, x, 2)
+    alone = np.stack([bessel_j(m, v, 2) for m, v in zip(n, x)], axis=1)
+    assert together.tobytes() == alone.tobytes()
+    together = bessel_j(0, x, 30)
+    alone = np.stack([bessel_j(0, v, 30) for v in x], axis=1)
+    assert together.tobytes() == alone.tobytes()
+
+
+def test_bessel_j_rejects_its_domain_edges():
+    for n, x in ((-1, 1.0), (0, -1.0), (1.5, 1.0), (0, np.nan), (2, np.inf)):
+        with pytest.raises(ValueError):
+            bessel_j(n, x)
+
+
+def test_roots_match_scipy():
+    """Orders 0..80, first 50 roots each: within 1e-14 relative of
+    scipy's jn_zeros."""
+    orders = np.arange(81)
+    got = bessel_roots(orders, 50).reshape(81, 50)
+    want = np.stack([special.jn_zeros(k, 50) for k in orders])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_root_grid_cells_hold_one_root():
+    """No cell of the bracketing grid holds two roots of one order."""
+    for k in range(81):
+        cells = np.floor((special.jn_zeros(k, 50) - k) / _ROOT_CELL)
+        assert np.all(np.diff(cells) >= 1), k
+
+
+def test_roots_are_prefixes_and_independent_of_other_orders():
+    orders = np.array([0, 3, 9, 20])
+    many = [bessel_roots(k, 30) for k in orders]
+    for k, roots in zip(orders, many):
+        for m in (1, 7, 29):
+            assert bessel_roots(k, m).tobytes() == roots[:m].tobytes()
+    counts = np.array([2, 5, 1, 30])
+    joint = bessel_roots(orders, counts)
+    alone = np.concatenate([r[:m] for r, m in zip(many, counts)])
+    assert joint.tobytes() == alone.tobytes()
+
+
+def test_roots_reject_bad_counts():
+    for count in (0, -2, 2.5, 3.0):
+        with pytest.raises(ValueError):
+            bessel_roots(1, count)
+
+
+@pytest.mark.parametrize("c, R", [(float("nan"), 8.0), (0.3, float("nan")),
+                                  (float("inf"), 8.0), (0.3, float("inf")),
+                                  (0.3, -float("inf"))])
+def test_spec_rejects_non_finite_sizes(c, R):
+    bad = c if not np.isfinite(c) else R
+    with pytest.raises(ConfigError, match=f"={bad}"):
+        build_basis_spec(c, R)
 
 
 def test_spec_sizes_frozen():
@@ -138,9 +220,12 @@ def test_radial_matrix_memoized(small_spec, quad32):
 
 
 def test_basis_matrix_matches_direct_bessel(small_spec, quad32):
+    """The shared radial factor times the steering phase is the direct
+    formula, bit for bit, with the package's own J (its agreement with
+    scipy is test_bessel_j_matches_scipy's)."""
     theta = 0.37
-    direct = (special.jv(np.abs(small_spec.k_arr),
-                         np.outer(quad32.nodes / 0.3, small_spec.roots))
+    direct = (bessel_j(np.abs(small_spec.k_arr),
+                       np.outer(quad32.nodes / 0.3, small_spec.roots))[0]
               * small_spec.norms * np.exp(1j * small_spec.k_arr * theta))
     assert np.array_equal(eval_basis_matrix(small_spec, quad32, theta), direct)
 

@@ -1,12 +1,19 @@
 """Every name a package module imports is used in that module, every
 top-level definition of the package has a caller outside the tests, and
-every parameter of a package function is read by its body.
+every parameter of a package function is read by its body.  The package
+imports only the standard library, numpy and itself, and the commands run
+without loading scipy.
 
-`__init__.py` is skipped because its imports are the public API, and
-`from __future__` imports are compiler directives, not names.
+`__init__.py` is skipped by the unused-import check because its imports are
+the public API, and `from __future__` imports are compiler directives, not
+names.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,3 +145,70 @@ def test_every_parameter_is_read():
               for name, param in _unread_parameters(
                   ast.parse(path.read_text(), filename=str(path)))]
     assert not unread, f"parameters never read: {unread}"
+
+
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def _foreign_imports(tree):
+    """Top-level names of absolute imports outside the standard library
+    and numpy; relative imports are the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in ALLOWED_IMPORTS:
+                yield f"line {node.lineno}: {name}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_the_package(path):
+    foreign = list(_foreign_imports(ast.parse(path.read_text(),
+                                              filename=str(path))))
+    assert not foreign, f"{path.name} imports {foreign}"
+
+
+PIPELINE = """
+import json, sys
+from pathlib import Path
+from tiltrec.cli import main
+
+out = Path(sys.argv[1])
+cfg = out / "cfg.json"
+cfg.write_text(json.dumps({
+    "seed": 3,
+    "phantom": {"R": 8.0, "seed": 11},
+    "distribution": {"n_theta": 8},
+    "acquisition": {"N": 60, "K": 2, "alpha_deg": 3.8, "L": 16, "sigma2": 0.5},
+    "solver": {"admm_iters": 5, "em_iters": 3, "hybrid_admm_iters": 3,
+               "hybrid_em_iters": 2, "n_xi": 24},
+    "experiment": {"snrs_db": [3.0], "trials": 1, "methods": ["admm", "em"]},
+}))
+def run(*argv):
+    assert main(["--config", str(cfg), *argv]) == 0, argv
+sim = out / "sim"
+run("--out", str(sim), "simulate")
+for method in ("admm", "em"):
+    run("--out", str(out / method), "--method", method, "reconstruct",
+        str(sim / "batch.dat"))
+    run("--out", str(out / ("ev_" + method)), "evaluate",
+        str(sim / "truth.dat"), str(out / method / "estimate.dat"))
+run("--out", str(out / "exp"), "experiment")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """simulate, reconstruct (admm and em), evaluate and experiment, in one
+    fresh interpreter, import no scipy module."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PIPELINE, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
