@@ -1,51 +1,24 @@
-"""Consensus ADMM for the weighted moment-matching least squares.
+"""Consensus ADMM on the moment model (see moments.MomentModel).
 
-The data are the moment features in the QR coordinates of Psi_w = Q R,
-b1 = Q^H mu_w and B2 = Q^H C_w Q, and the data-fit objective couples the
-object coefficients a and the angle distribution p through the residuals
-
-    lam1/2 ||R (a o g(p)) - b1||^2
-  + lam2/2 ||(R A_a) diag(p) (R A_a)^H - B2||_F^2 ,   A_a = diag(a) E.
-
-These are the wide residuals in mu_w and C_w less the data outside the
-range of Q, a constant; formed as norms, they vanish at an exact fit.  The
-objective is nonconvex (quartic in a).  Splitting the two copies of a into
-consensus variables (a, z) with a scaled dual s makes every block update an
-exact linear solve:
+The model's cost is nonconvex (quartic in a).  Splitting the two copies
+of a in its second-moment term into consensus variables (a, z) with a
+scaled dual s makes every block update an exact linear solve on the
+model's Schur pair against the block's fixed partner:
 
   - a-step: both terms are linear in a for fixed (z, p); ridge rho.
   - z-step: the second term is anti-linear in z; conjugating the residual
-    (H and B2 are Hermitian) turns it into the same structure as the a-step.
-  - p-step: both moment models are linear in p; the single constraint
-    sum(p) = 1 is eliminated through an orthonormal null-space basis.
-    Nonnegativity is NOT enforced during iterations; the reported p is the
-    simplex projection of the relaxed iterate (both are returned).
+    (H and B2 are Hermitian) gives the a-step's structure with partner a
+    and no first-moment term.
+  - p-step: both terms are linear in p; sum(p) = 1 is eliminated through
+    the model's null basis.  Nonnegativity is NOT enforced during
+    iterations; the reported p is the simplex projection of the relaxed
+    iterate (both are returned).
 
-The normal equations read the data as G = R^H R, t_mu = R^H b1 and
-T_C = R^H B2 R.  For rank-one blocks <psi_i u_i^H, psi_j u_j^H>_F =
-(psi_j^H psi_i) (u_i^H u_j), so Grams of sums of rank-one terms are Schur
-products of small Grams, and every second-moment quantity factors through
-A_x = diag(x) E, since (x y^H) o H(p) = A_x diag(p) A_y^H, and the angle
-Gram N_x = A_x^H G A_x.  The first moment is the second moment's cross
-term with the constant partner 1: g g^H = E_p 11^T E_p^H and
-conj(g) o t_mu = ((t_mu 1^T) o conj(E)) p, with E_p = E diag(p).  So one
-pair against a fixed partner y,
-
-    M_y = lam1 11^T + lam2 N_y ,   D_y = lam1 t_mu 1^T + lam2 T_C A_y ,
-
-carries both terms into every block step: the a- and z-steps solve
-(rho I + G o conj(E_p M_y E_p^H)) x = rho center + (D_y o conj(E)) p, and
-the p-step's normal system is Re(N_a o conj(M_z)) p = Re sum_i
-(conj(A_a) o D_z)[i, :].  The workspace keeps one memo, the pieces A_y,
-R A_y, N_y = (R A_y)^H (R A_y) and T_C A_y of the last two vectors, the
-live a and z, so each iterate's are formed once; the consensus c takes
-R A_c = (R A_a + R A_z)/2 by linearity, and each step forms its pair
-(O(n_a n_theta)) from kept pieces.  An iteration costs four products of
-an n_a x n_a matrix with an n_a x n_theta one (R A_y and T_C A_y of the
-new a and z), the two n_a x n_a solves, and for p one Cholesky
-certificate and one LU solve of size n_theta - 1; the symmetric
-eigenvalue pass runs only when the certificate fails, and the SVD least
-squares only when that system is numerically rank-deficient.
+The model keeps the pieces of the live a and z, and the consensus c takes
+R A_c = (R A_a + R A_z)/2 by linearity, so an iteration costs four
+products of an n_a x n_a matrix with an n_a x n_theta one (R A_y and
+T_C A_y of the new a and z), the two n_a x n_a solves, and for p one
+Cholesky certificate and one LU solve of size n_theta - 1.
 """
 
 from __future__ import annotations
@@ -57,7 +30,7 @@ import numpy as np
 
 from .basis import BasisSpec, FBCoeffs
 from .errors import ConfigError, SolverError, SolverResult
-from .moments import MomentFeatures, angle_phase_matrix
+from .moments import MomentFeatures, MomentModel
 from .sim import ViewDistribution
 
 logger = logging.getLogger(__name__)
@@ -96,90 +69,24 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-class AdmmWorkspace:
-    """Precomputed operator pieces shared by every iteration.
-
-    All data enter at size n_a x n_a or smaller: the features' R, b1 and
-    B2, the normal-equation pieces G = R^H R, t_mu = R^H b1 and
-    T_C = R^H B2 R, and the angle phase matrix E.
-    """
-
-    def __init__(self, features: MomentFeatures, spec: BasisSpec, n_theta: int):
-        self.spec = spec
-        self.n_theta = int(n_theta)
-        self.R, self.b1, self.B2 = features.R, features.b1, features.B2
-        R_h = self.R.conj().T
-        G = R_h @ self.R
-        self.G = 0.5 * (G + G.conj().T)
-        self.t_mu = R_h @ self.b1
-        TC = R_h @ self.B2 @ self.R
-        self.T_C = 0.5 * (TC + TC.conj().T)
-        self.E = angle_phase_matrix(spec, n_theta)
-        self.E_conj = self.E.conj()
-        # orthonormal basis of {x : sum(x) = 0}, fixed and deterministic
-        q, _ = np.linalg.qr(
-            np.vstack([np.ones(n_theta), np.eye(n_theta)[: n_theta - 1]]).T
-        )
-        self.null_basis = q[:, 1:]
-        self.eye_reduced = np.eye(n_theta - 1)   # the p-step's shift
-        self.p_rank_warned = False
-        self._kept = []     # (bytes of y, pieces of y), the last two
-
-    def form_pieces(self, y: np.ndarray) -> tuple:
-        """(A_y, R A_y, N_y, T_C A_y): A_y = diag(y) E and its angle Gram
-        N_y = (R A_y)^H (R A_y) = A_y^H G A_y."""
-        A = y[:, None] * self.E
-        RA = self.R @ A
-        return A, RA, RA.conj().T @ RA, self.T_C @ A
-
-    def pieces(self, y: np.ndarray) -> tuple:
-        """form_pieces(y), kept for the last two vectors (the live a and
-        z) and keyed by their bytes, so each iterate's are formed once and
-        a replaced or changed vector never reads stale ones."""
-        key = y.tobytes()
-        for kept_key, kept in self._kept:
-            if kept_key == key:
-                return kept
-        self._kept = self._kept[-1:] + [(key, self.form_pieces(y))]
-        return self._kept[-1][1]
-
-    def first_term(self, v: np.ndarray) -> float:
-        """||R v - b1||^2; v = a o g."""
-        r = self.R @ v - self.b1
-        return float(np.vdot(r, r).real)
-
-    def form_pair(self, y: np.ndarray, lam1: float,
-                  lam2: float) -> tuple[np.ndarray, np.ndarray]:
-        """(M_y, D_y) = (lam1 11^T + lam2 N_y, lam1 t_mu 1^T + lam2 T_C A_y),
-        the normal-equation pieces of both moment terms against the fixed
-        partner y (the first moment's partner is the constant 1)."""
-        _, _, N, TA = self.pieces(y)
-        return lam2 * N + lam1, lam2 * TA + lam1 * self.t_mu[:, None]
-
-    def second_term(self, RA_x: np.ndarray, RA_y: np.ndarray,
-                    p: np.ndarray) -> float:
-        """||(R A_x) diag(p) (R A_y)^H - B2||_F^2, the second-moment residual
-        of ((x y^H) o H(p)) in Q coordinates, from R A_x and R A_y."""
-        r = (RA_x * p[None, :]) @ RA_y.conj().T - self.B2
-        return float(np.vdot(r, r).real)
-
-
 @dataclass
 class AdmmState:
     """Mutable iterate of the splitting: primal blocks a, z, the relaxed
-    distribution p, scaled dual s, iteration counter, the workspace the
-    steps read, and history lists."""
+    distribution p, scaled dual s, iteration counter, the moment model the
+    steps read, history lists, and whether the p-step has warned of a
+    rank-deficient system."""
 
     a: np.ndarray
     z: np.ndarray
     p: np.ndarray
     s: np.ndarray
     iter: int
-    work: AdmmWorkspace
+    model: MomentModel
     history: dict = field(default_factory=lambda: {
         "iter": [], "objective": [], "primal_residual": [], "dual_residual": [],
         "lagrangian": [],
     })
+    p_rank_warned: bool = False
 
 
 def random_start(
@@ -207,13 +114,11 @@ def random_start(
 def init_admm_state(
     features: MomentFeatures, config: AdmmConfig, spec: BasisSpec, n_theta: int
 ) -> AdmmState:
-    """The workspace of features plus random_start(features.mu_norm, ...) at
-    config.seed; s = 0."""
-    work = AdmmWorkspace(features, spec, n_theta)
+    """The moment model of features plus random_start(features.mu_norm, ...)
+    at config.seed; s = 0."""
     a0, z0, p0 = random_start(features.mu_norm, spec.n_a, n_theta, config.seed)
-    return AdmmState(
-        a=a0, z=z0, p=p0, s=np.zeros(spec.n_a, dtype=complex), iter=0, work=work
-    )
+    return AdmmState(a=a0, z=z0, p=p0, s=np.zeros(spec.n_a, dtype=complex),
+                     iter=0, model=MomentModel(features, spec, n_theta))
 
 
 def _check_finite(state: AdmmState, name: str, *arrays: np.ndarray) -> None:
@@ -233,12 +138,12 @@ def _consensus_solve(state: AdmmState, config: AdmmConfig, name: str,
     + rho/2 ||x - center||^2 over one consensus copy x: the system
     (rho I + G o conj(E_p M E_p^H)) x = rho center + (D o conj(E)) p with
     (M, D) = form_pair(fixed) and E_p = E diag(p)."""
-    work = state.work
-    M, D = work.form_pair(fixed, lam1, config.lam2)
-    Ep = work.E * state.p[None, :]
-    lhs = work.G * (Ep.conj() @ M.conj() @ Ep.T)
+    model = state.model
+    M, D = model.form_pair(fixed, lam1, config.lam2)
+    Ep = model.E * state.p[None, :]
+    lhs = model.G * (Ep.conj() @ M.conj() @ Ep.T)
     lhs.flat[:: lhs.shape[0] + 1] += config.rho
-    rhs = config.rho * center + (D * work.E_conj) @ state.p
+    rhs = config.rho * center + (D * model.E_conj) @ state.p
     x_new = np.linalg.solve(lhs, rhs)
     _check_finite(state, name, x_new)
     return x_new
@@ -258,7 +163,7 @@ def update_z(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     return _consensus_solve(state, config, "z", state.a + state.s, state.a, 0.0)
 
 
-def _rank_certified(S: np.ndarray, eye: np.ndarray) -> bool:
+def _rank_certified(S: np.ndarray) -> bool:
     """True when a Cholesky factorization proves that the symmetric PSD S
     passes lstsq's rank test (every |eigenvalue| above eps n max|eigenvalue|,
     n = len(S)): S - 2 eps n trace(S) I factors, and trace(S) > 0 bounds
@@ -268,7 +173,7 @@ def _rank_certified(S: np.ndarray, eye: np.ndarray) -> bool:
     if shift <= 0:
         return False
     try:
-        np.linalg.cholesky(S - shift * eye)
+        np.linalg.cholesky(S - shift * np.eye(len(S)))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -277,14 +182,10 @@ def _rank_certified(S: np.ndarray, eye: np.ndarray) -> bool:
 def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     """Exact equality-constrained least squares over the real vector p.
 
-    Both moment models are linear in p:
-      b1-model  = R diag(a) E p,
-      B2-model  = sum_l p[l] (R (a o e_l)) (R (z o e_l))^H,
-    so with A_a = diag(a) E, its angle Gram N_a and (M_z, D_z) =
-    form_pair(z) the normal system is Re(N_a o conj(M_z)) p =
-    Re sum_i (conj(A_a) o D_z)[i, :]; the first moment enters as the cross
-    term with the constant partner 1.  sum(p) = 1 is eliminated with the
-    orthonormal basis of the zero-sum subspace.  The reduced symmetric
+    Both moment terms are linear in p, with normal system
+    Re(N_a o conj(M_z)) p = Re sum_i (conj(A_a) o D_z)[i, :] from the
+    model's pieces of a and (M_z, D_z) = form_pair(z).  sum(p) = 1 is
+    eliminated with the model's null basis.  The reduced symmetric
     system is solved by np.linalg.solve when it passes lstsq's own rank
     test: every |eigenvalue| above eps (n_theta - 1) max|eigenvalue|,
     lstsq's default rcond on the singular values of a symmetric matrix.
@@ -299,18 +200,18 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     A non-finite reduced system raises before any route (LAPACK's SVD does
     not return on NaN).
     """
-    work = state.work
-    n_t = work.n_theta
-    A_a, _, N_a, _ = work.pieces(state.a)
-    M_z, D_z = work.form_pair(state.z, config.lam1, config.lam2)
+    model = state.model
+    n_t = model.n_theta
+    A_a, _, N_a, _ = model.pieces(state.a)
+    M_z, D_z = model.form_pair(state.z, config.lam1, config.lam2)
     lhs = (N_a * M_z.conj()).real
     rhs = (A_a.conj() * D_z).sum(axis=0).real
-    B = work.null_basis
+    B = model.null_basis
     p_part = np.full(n_t, 1.0 / n_t)
     red_lhs = B.T @ lhs @ B
     red_rhs = B.T @ (rhs - lhs @ p_part)
     _check_finite(state, "p", red_lhs, red_rhs)
-    full = _rank_certified(red_lhs, work.eye_reduced)
+    full = _rank_certified(red_lhs)
     if not full:
         ev = np.abs(np.linalg.eigvalsh(red_lhs))
         full = np.all(ev > np.finfo(float).eps * (n_t - 1)
@@ -319,39 +220,37 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
         q = np.linalg.solve(red_lhs, red_rhs)
     else:
         q, _, rank, _ = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)
-        if rank < n_t - 1 and not work.p_rank_warned:
+        if rank < n_t - 1 and not state.p_rank_warned:
             logger.warning(
                 "p-update normal system rank-deficient (rank %d of %d); "
                 "using the minimum-norm solution",
                 rank,
                 n_t - 1,
             )
-            work.p_rank_warned = True
+            state.p_rank_warned = True
     p_new = p_part + B @ q
     _check_finite(state, "p", p_new)
     return p_new
 
 
 def augmented_lagrangian(state: AdmmState, config: AdmmConfig) -> float:
-    """Scaled-dual augmented Lagrangian
-    lam1/2 ||R (a o g) - b1||^2 + lam2/2 ||R ((a z^H) o H) R^H - B2||_F^2
-    + rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
-    work = state.work
-    val = 0.5 * config.lam1 * work.first_term(state.a * (work.E @ state.p))
-    val += 0.5 * config.lam2 * work.second_term(
-        work.pieces(state.a)[1], work.pieces(state.z)[1], state.p)
+    """Scaled-dual augmented Lagrangian: the model's cost at (a, z, p) plus
+    rho/2 ||a - z + s||^2 - rho/2 ||s||^2."""
+    model = state.model
+    val = model.cost(state.a, model.pieces(state.a)[1],
+                     model.pieces(state.z)[1], state.p, config.lam1,
+                     config.lam2)
     gap = state.a - state.z + state.s
     val += 0.5 * config.rho * float(np.vdot(gap, gap).real)
     val -= 0.5 * config.rho * float(np.vdot(state.s, state.s).real)
     return val
 
 
-def moment_objective(work: AdmmWorkspace, a: np.ndarray, RA: np.ndarray,
+def moment_objective(model: MomentModel, a: np.ndarray, RA: np.ndarray,
                      p: np.ndarray, lam1: float, lam2: float) -> float:
     """Unsplit data-fit objective at consensus (z = a), from a and its
     R A_a."""
-    return (0.5 * lam1 * work.first_term(a * (work.E @ p))
-            + 0.5 * lam2 * work.second_term(RA, RA, p))
+    return model.cost(a, RA, RA, p, lam1, lam2)
 
 
 def run_admm(
@@ -372,12 +271,21 @@ def run_admm(
     An explicit `state` overrides the seeded random initialization and is
     continued for max_iter more iterations: k iterations and then K - k
     more give bitwise the result of one K-iteration run.  n_iter counts the
-    state's iterations, and history is a copy of all of them.  Raises
-    SolverError (history attached) on divergence.
+    state's iterations, and history is a copy of all of them.  The state's
+    model must have been built from these features and spec objects and
+    this n_theta; otherwise ConfigError names the first that differs
+    before any iteration runs.  Raises SolverError (history attached) on
+    divergence.
     """
     if state is None:
         state = init_admm_state(features, config, spec, n_theta)
-    work = state.work
+    model = state.model
+    for name, same in (("features", features is model.features),
+                       ("spec", spec is model.spec),
+                       ("n_theta", n_theta == model.n_theta)):
+        if not same:
+            raise ConfigError(f"the state's moment model was built from "
+                              f"other {name}")
     tol_primal = 1e-6 * np.sqrt(spec.n_a)
     last_lag = (state.history["lagrangian"][-1]
                 if state.history["lagrangian"] else None)
@@ -395,8 +303,8 @@ def run_admm(
         primal = float(np.linalg.norm(state.a - state.z))
         dual = config.rho * float(np.linalg.norm(state.z - z_prev))
         consensus = 0.5 * (state.a + state.z)
-        RA_c = 0.5 * (work.pieces(state.a)[1] + work.pieces(state.z)[1])
-        obj = moment_objective(work, consensus, RA_c, state.p, config.lam1,
+        RA_c = 0.5 * (model.pieces(state.a)[1] + model.pieces(state.z)[1])
+        obj = moment_objective(model, consensus, RA_c, state.p, config.lam1,
                                config.lam2)
         for key, val in (("iter", state.iter), ("objective", obj),
                          ("primal_residual", primal), ("dual_residual", dual),

@@ -8,9 +8,10 @@ the QR coordinates of Psi_w = Q R directly.  The wide route of the solver's
 data pieces, G = Psi_w^H Psi_w, t_mu = Psi_w^H mu_w and
 T_C = Psi_w^H C_w Psi_w, is kept as the reference for the QR-coordinate
 ones.  The solver forms work on the n_a x n_a coupling H(p) with n_a^3
-products: the dense second-moment operator, the dense residual
-||R M R^H - B2||_F^2, and a whole ADMM iteration, against which the
-package's angle-Gram factorization is checked.
+products: the dense second-moment operator, the dense residuals
+||R (x o g) - b1||^2 with g a mixture sum and ||R M R^H - B2||_F^2, and a
+whole ADMM iteration, against which the package's moment model and its
+angle-Gram factorization are checked.
 
 The moments of node records are accumulated in the node domain, debiased
 by the dense per-tilt noise block sigma2 F F^H, against which the package's
@@ -114,10 +115,21 @@ def build_a2_matrix(psi, fixed, H):
     return out
 
 
-def dense_second_term(work, M):
+def dense_first_term(model, x, w):
+    """||R (x o g) - b1||^2 with g the mixture sum of steering phases
+    sum_l w[l] exp(i k phi_l) for any real weight w per angle, formed as the
+    norm of the dense residual."""
+    n_theta = len(w)
+    g = sum(w[l] * np.exp(1j * model.spec.k_arr * (2.0 * np.pi * l / n_theta))
+            for l in range(n_theta))
+    r = model.R @ (x * g) - model.b1
+    return float(np.vdot(r, r).real)
+
+
+def dense_second_term(model, M):
     """||R M R^H - B2||_F^2 for the n_a x n_a inner matrix M, formed as the
     norm of the dense residual."""
-    r = work.R @ M @ work.R.conj().T - work.B2
+    r = model.R @ M @ model.R.conj().T - model.B2
     return float(np.vdot(r, r).real)
 
 
@@ -126,18 +138,18 @@ def dense_admm_iteration(state, config):
     and the consensus objective) built on the n_a x n_a coupling H(p) and
     n_a^3 products.  Updates state in place; returns (lagrangian, objective).
     """
-    work = state.work
+    model = state.model
     lam1, lam2, rho = config.lam1, config.lam2, config.rho
-    G, T_C, E = work.G, work.T_C, work.E
+    G, T_C, E = model.G, model.T_C, model.E
 
     def consensus_solve(center, fixed, first):
         g = E @ state.p
         W = fixed[:, None] * angle_coupling(E, state.p)
-        lhs = rho * np.eye(work.spec.n_a, dtype=complex)
+        lhs = rho * np.eye(model.spec.n_a, dtype=complex)
         rhs = rho * center
         if first:
             lhs = lhs + lam1 * (np.conj(g)[:, None] * G * g[None, :])
-            rhs = rhs + lam1 * np.conj(g) * work.t_mu
+            rhs = rhs + lam1 * np.conj(g) * model.t_mu
         lhs = lhs + lam2 * G * (W.conj().T @ (G @ W)).conj()
         rhs = rhs + lam2 * np.einsum("ij,ji->i", T_C, W)
         return np.linalg.solve(lhs, rhs)
@@ -150,10 +162,10 @@ def dense_admm_iteration(state, config):
     N_a = A_a.conj().T @ (G @ A_a)
     N_z = A_z.conj().T @ (G @ A_z)
     lhs = lam1 * N_a.real + lam2 * (N_a * N_z.conj()).real
-    rhs = (lam1 * (A_a.conj().T @ work.t_mu).real
+    rhs = (lam1 * (A_a.conj().T @ model.t_mu).real
            + lam2 * np.einsum("li,ij,jl->l", A_a.conj().T, T_C, A_z).real)
-    B = work.null_basis
-    p_part = np.full(work.n_theta, 1.0 / work.n_theta)
+    B = model.null_basis
+    p_part = np.full(model.n_theta, 1.0 / model.n_theta)
     q, *_ = np.linalg.lstsq(B.T @ lhs @ B, B.T @ (rhs - lhs @ p_part),
                             rcond=None)
     state.p = p_part + B @ q
@@ -162,8 +174,8 @@ def dense_admm_iteration(state, config):
 
     def objective(x, y):
         M = np.outer(x, y.conj()) * angle_coupling(E, state.p)
-        return (0.5 * lam1 * work.first_term(x * (E @ state.p))
-                + 0.5 * lam2 * dense_second_term(work, M))
+        return (0.5 * lam1 * dense_first_term(model, x, state.p)
+                + 0.5 * lam2 * dense_second_term(model, M))
 
     gap = state.a - state.z + state.s
     lag = (objective(state.a, state.z)

@@ -401,10 +401,10 @@ def test_7_block_updates_zero_gradient():
                              16)
         st.s = 0.3 * (rng.standard_normal(spec.n_a)
                       + 1j * rng.standard_normal(spec.n_a))
-        work = st.work
+        model = st.model
 
         def lag(a, z, pv):
-            probe = AdmmState(a=a, z=z, p=pv, s=st.s, iter=0, work=work)
+            probe = AdmmState(a=a, z=z, p=pv, s=st.s, iter=0, model=model)
             return augmented_lagrangian(probe, cfg)
 
         def ratio(block, sol, pre, d, others):
@@ -427,7 +427,7 @@ def test_7_block_updates_zero_gradient():
                       if n != block}
             for _ in range(3):
                 if block == "p":
-                    d = work.null_basis @ rng.standard_normal(16 - 1)
+                    d = model.null_basis @ rng.standard_normal(16 - 1)
                 else:
                     d = (rng.standard_normal(spec.n_a)
                          + 1j * rng.standard_normal(spec.n_a))

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from tiltrec.admm import (AdmmConfig, AdmmState, AdmmWorkspace,
-                          _rank_certified, augmented_lagrangian,
+from tiltrec.admm import (AdmmConfig, AdmmState, _rank_certified,
+                          augmented_lagrangian,
                           init_admm_state, moment_objective, project_simplex,
                           random_start, run_admm, update_a, update_p,
                           update_z)
@@ -22,15 +22,16 @@ from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
                            eval_tilt_matrix)
 from tiltrec.cli import _admm_snapshots, history_to_csv
 from tiltrec.errors import ConfigError, SolverError
-from tiltrec.moments import (angle_coupling, empirical_moments,
+from tiltrec.moments import (MomentModel, angle_coupling, empirical_moments,
                              population_features, weight_diagonal,
                              weighted_qr)
 from tiltrec.sim import bump_distribution, random_phantom
 from tiltrec.spectral import dft_matrix, transform_batch
 
 from oracles import (brute_force_moments, build_a2_matrix,
-                     dense_admm_iteration, dense_residuals, dense_second_term,
-                     node_moments, node_spectra, wide_data_pieces)
+                     dense_admm_iteration, dense_first_term, dense_residuals,
+                     dense_second_term, node_moments, node_spectra,
+                     wide_data_pieces)
 
 DEG = np.pi / 180.0
 
@@ -62,10 +63,10 @@ def prob29(small_spec, small_phantom):
             "psi": psi, "features": feats, "n_theta": 29}
 
 
-def _state_at(work, a, z, p):
+def _state_at(model, a, z, p):
     return AdmmState(a=np.array(a, dtype=complex), z=np.array(z, dtype=complex),
                      p=np.array(p, dtype=float),
-                     s=np.zeros(work.spec.n_a, dtype=complex), iter=0, work=work)
+                     s=np.zeros(model.spec.n_a, dtype=complex), iter=0, model=model)
 
 
 # ---------------------------------------------------------------- simplex
@@ -151,8 +152,8 @@ def _wide(inst, K=2):
     return Q, d[:, None] * inst["psi"], d * mu, d[:, None] * C * d[None, :]
 
 
-def _assert_matches_wide(work, psi_w, mu_w, C_w):
-    for got, want in zip((work.G, work.t_mu, work.T_C),
+def _assert_matches_wide(model, psi_w, mu_w, C_w):
+    for got, want in zip((model.G, model.t_mu, model.T_C),
                          wide_data_pieces(psi_w, mu_w, C_w)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -160,8 +161,8 @@ def _assert_matches_wide(work, psi_w, mu_w, C_w):
 def test_workspace_matches_wide_route(prob29):
     """G, t_mu and T_C from R, b1, B2 of population features equal the wide
     route Psi_w^H Psi_w, Psi_w^H mu_w, Psi_w^H C_w Psi_w to 1e-13."""
-    work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
-    _assert_matches_wide(work, *_wide(prob29)[1:])
+    model = MomentModel(prob29["features"], prob29["spec"], 29)
+    _assert_matches_wide(model, *_wide(prob29)[1:])
 
 
 def test_workspace_matches_wide_route_empirical(small_batch, small_spec,
@@ -170,45 +171,51 @@ def test_workspace_matches_wide_route_empirical(small_batch, small_spec,
     the transformed records."""
     batch, grid = small_batch
     feats = empirical_moments(batch, quad32, small_spec)
-    work = AdmmWorkspace(feats, small_spec, 12)
+    model = MomentModel(feats, small_spec, 12)
     mu, C = node_moments(node_spectra(transform_batch(batch, quad32)),
                          batch.sigma2, dft_matrix(grid, quad32))
     d = weight_diagonal(quad32, batch.K)
     psi = eval_tilt_matrix(small_spec, quad32, batch.K, batch.alpha)
-    _assert_matches_wide(work, d[:, None] * psi, d * mu,
+    _assert_matches_wide(model, d[:, None] * psi, d * mu,
                          d[:, None] * C * d[None, :])
 
 
 def test_workspace_compressed_terms_match_raw(prob29):
-    """The residual norms equal the wide residuals against the in-range
-    data Q b1 and Q B2 Q^H."""
-    work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
+    """The cost's residual norms equal the wide residuals against the
+    in-range data Q b1 and Q B2 Q^H, and the cost at x != y equals the
+    dense formula."""
+    model = MomentModel(prob29["features"], prob29["spec"], 29)
     Q, psi_w, _, _ = _wide(prob29)
-    mu_in = Q @ work.b1
-    C_in = Q @ work.B2 @ Q.conj().T
+    mu_in = Q @ model.b1
+    C_in = Q @ model.B2 @ Q.conj().T
     rng = np.random.default_rng(7)
     n_a = prob29["spec"].n_a
     for _ in range(3):
-        v = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-        direct = np.linalg.norm(psi_w @ v - mu_in) ** 2
-        assert work.first_term(v) == pytest.approx(direct, rel=1e-10)
         # relaxed p: sums to one, some entries negative
         x, y = (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
                 for _ in range(2))
-        p = 1 / 29 + work.null_basis @ (0.05 * rng.standard_normal(28))
+        p = 1 / 29 + model.null_basis @ (0.05 * rng.standard_normal(28))
         assert p.min() < 0
-        M = np.outer(x, y.conj()) * angle_coupling(work.E, p)
+        A_x, RA_x, N_x, _ = model.pieces(x)
+        RA_y = model.pieces(y)[1]
+        direct = np.linalg.norm(psi_w @ (x * (model.E @ p)) - mu_in) ** 2
+        assert (model.cost(x, RA_x, RA_y, p, 2.0, 0.0)
+                == pytest.approx(direct, rel=1e-10))
+        M = np.outer(x, y.conj()) * angle_coupling(model.E, p)
         direct2 = np.linalg.norm(psi_w @ M @ psi_w.conj().T - C_in) ** 2
-        A_x, RA_x, N_x, _ = work.pieces(x)
-        assert (work.second_term(RA_x, work.pieces(y)[1], p)
+        assert (model.cost(x, RA_x, RA_y, p, 0.0, 2.0)
                 == pytest.approx(direct2, rel=1e-10))
-        assert dense_second_term(work, M) == pytest.approx(direct2, rel=1e-10)
-        M_y, D_y = work.form_pair(y, 0.0, 1.0)
+        assert dense_second_term(model, M) == pytest.approx(direct2, rel=1e-10)
+        dense = (0.5 * dense_first_term(model, x, p)
+                 + 0.25 * dense_second_term(model, M))
+        assert (model.cost(x, RA_x, RA_y, p, 1.0, 0.5)
+                == pytest.approx(dense, rel=1e-10))
+        M_y, D_y = model.form_pair(y, 0.0, 1.0)
         Q2 = (N_x * M_y.conj()).real
         c2 = (A_x.conj() * D_y).sum(axis=0).real
-        expanded = p @ Q2 @ p - 2.0 * c2 @ p + np.vdot(work.B2, work.B2).real
+        expanded = p @ Q2 @ p - 2.0 * c2 @ p + np.vdot(model.B2, model.B2).real
         assert expanded == pytest.approx(direct2, rel=1e-10)
-    B = work.null_basis
+    B = model.null_basis
     assert np.allclose(B.T @ B, np.eye(28), atol=1e-12)
     assert np.allclose(B.sum(axis=0), 0.0, atol=1e-12)
 
@@ -224,9 +231,9 @@ def test_objective_vanishes_at_truth_on_narrow_wedge():
     truth = random_phantom(spec, 1.0, seed=11)
     psi = eval_tilt_matrix(spec, quad, 6, alpha)
     feats = population_features(truth, p, psi, quad, 6, alpha)
-    work = AdmmWorkspace(feats, spec, 24)
-    obj = moment_objective(work, truth.values,
-                           work.form_pieces(truth.values)[1], p.p, 1.0, 0.5)
+    model = MomentModel(feats, spec, 24)
+    obj = moment_objective(model, truth.values,
+                           model.form_pieces(truth.values)[1], p.p, 1.0, 0.5)
     assert obj <= 1e-24 * np.vdot(feats.B2, feats.B2).real
 
 
@@ -235,8 +242,8 @@ def test_objective_vanishes_at_truth_on_narrow_wedge():
 def test_truth_is_fixed_point(prob29):
     feats, spec, truth, p = (prob29[k] for k in ("features", "spec", "a", "p"))
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
-    work = AdmmWorkspace(feats, spec, 29)
-    st = _state_at(work, truth.values, truth.values, p.p)
+    model = MomentModel(feats, spec, 29)
+    st = _state_at(model, truth.values, truth.values, p.p)
     a1 = update_a(st, cfg)
     assert np.linalg.norm(a1 - truth.values) <= 1e-12 * np.linalg.norm(truth.values)
     st.a = a1
@@ -250,18 +257,18 @@ def test_truth_is_fixed_point(prob29):
 def test_block_updates_are_minimizers(prob29):
     feats, spec = prob29["features"], prob29["spec"]
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
-    work = AdmmWorkspace(feats, spec, 29)
+    model = MomentModel(feats, spec, 29)
     rng = np.random.default_rng(9)
     n_a = spec.n_a
     scale = feats.mu_norm / np.sqrt(n_a)
-    st = _state_at(work,
+    st = _state_at(model,
                    scale * (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)),
                    scale * (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)),
                    project_simplex(rng.standard_normal(29) * 0.1 + 1 / 29))
     st.s = 0.1 * scale * (rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a))
 
     def perturbed(**kw):
-        alt = AdmmState(a=st.a, z=st.z, p=st.p, s=st.s, iter=0, work=work)
+        alt = AdmmState(a=st.a, z=st.z, p=st.p, s=st.s, iter=0, model=model)
         for key, val in kw.items():
             setattr(alt, key, val)
         return augmented_lagrangian(alt, cfg)
@@ -280,7 +287,7 @@ def test_block_updates_are_minimizers(prob29):
                      for _ in range(6)]
     check("a", update_a(st, cfg), draws())
     check("z", update_z(st, cfg), draws())
-    p_dirs = [1e-4 * (e := work.null_basis @ rng.standard_normal(28))
+    p_dirs = [1e-4 * (e := model.null_basis @ rng.standard_normal(28))
               / np.linalg.norm(e) for _ in range(6)]
     check("p", update_p(st, cfg), p_dirs)
 
@@ -290,23 +297,23 @@ def test_update_p_matches_stacked_least_squares(tiny):
     sum-to-one affine set; rebuild that system explicitly and compare."""
     feats, spec = tiny["features"], tiny["spec"]
     lam1, lam2 = 1.0, 0.5
-    work = AdmmWorkspace(feats, spec, 5)
+    model = MomentModel(feats, spec, 5)
     rng = np.random.default_rng(12)
     n_a = spec.n_a
     a = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
     z = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-    st = _state_at(work, a, z, np.full(5, 0.2))
+    st = _state_at(model, a, z, np.full(5, 0.2))
     p_fast = update_p(st, AdmmConfig(lam1=lam1, lam2=lam2, rho=1.0))
 
-    R = work.R
-    A1 = R @ (a[:, None] * work.E)
-    cols = [np.outer(R @ (a * work.E[:, l]),
-                     (R @ (z * work.E[:, l])).conj()).ravel()
+    R = model.R
+    A1 = R @ (a[:, None] * model.E)
+    cols = [np.outer(R @ (a * model.E[:, l]),
+                     (R @ (z * model.E[:, l])).conj()).ravel()
             for l in range(5)]
     A = np.vstack([np.sqrt(lam1) * A1, np.sqrt(lam2) * np.column_stack(cols)])
     b = np.concatenate([np.sqrt(lam1) * feats.b1,
                         np.sqrt(lam2) * feats.B2.ravel()])
-    B = work.null_basis
+    B = model.null_basis
     p_part = np.full(5, 0.2)
     reduced = np.vstack([(A @ B).real, (A @ B).imag])
     target = np.concatenate([(b - A @ p_part).real, (b - A @ p_part).imag])
@@ -317,40 +324,40 @@ def test_update_p_matches_stacked_least_squares(tiny):
 def test_update_p_rank_deficient_falls_back(tiny, caplog):
     # 30 angles against k_max = 1 leaves most of p unobservable
     feats, spec = tiny["features"], tiny["spec"]
-    work = AdmmWorkspace(feats, spec, 30)
+    model = MomentModel(feats, spec, 30)
     rng = np.random.default_rng(13)
     a = rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
-    st = _state_at(work, a, a, np.full(30, 1 / 30))
+    st = _state_at(model, a, a, np.full(30, 1 / 30))
     with caplog.at_level("WARNING", logger="tiltrec.admm"):
         p_new = update_p(st, AdmmConfig())
     assert any("rank-deficient" in r.message for r in caplog.records)
     assert abs(p_new.sum() - 1.0) < 1e-10
 
 
-def _reduced_p_system(work, a, z, lam1, lam2):
+def _reduced_p_system(model, a, z, lam1, lam2):
     """update_p's reduced system (lhs, rhs) on the zero-sum subspace, from
-    the workspace pieces, with the null basis and the uniform particular
+    the model's pieces, with the null basis and the uniform particular
     solution."""
-    A_a, _, N_a, _ = work.form_pieces(a)
-    M, D = work.form_pair(z, lam1, lam2)
+    A_a, _, N_a, _ = model.form_pieces(a)
+    M, D = model.form_pair(z, lam1, lam2)
     lhs = (N_a * M.conj()).real
     rhs = (A_a.conj() * D).sum(axis=0).real
-    B = work.null_basis
-    p_part = np.full(work.n_theta, 1.0 / work.n_theta)
+    B = model.null_basis
+    p_part = np.full(model.n_theta, 1.0 / model.n_theta)
     return B.T @ lhs @ B, B.T @ (rhs - lhs @ p_part), B, p_part
 
 
 def _p_step_routes(monkeypatch, inst, a, z, lam1=1.0, lam2=0.5):
     """(update_p's p, lstsq's minimum-norm p of the same reduced system,
     that system's singular values, update_p's lstsq call count) on
-    a fresh workspace, so its rank warning can fire."""
-    work = AdmmWorkspace(inst["features"], inst["spec"], inst["n_theta"])
-    red_lhs, red_rhs, B, p_part = _reduced_p_system(work, a, z, lam1, lam2)
+    a fresh state, so its rank warning can fire."""
+    model = MomentModel(inst["features"], inst["spec"], inst["n_theta"])
+    red_lhs, red_rhs, B, p_part = _reduced_p_system(model, a, z, lam1, lam2)
     q, _, _, sv = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)
     lstsq, calls = np.linalg.lstsq, []
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
-    got = update_p(_state_at(work, a, z, p_part),
+    got = update_p(_state_at(model, a, z, p_part),
                    AdmmConfig(lam1=lam1, lam2=lam2))
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     return got, p_part + B @ q, sv, len(calls)
@@ -416,7 +423,6 @@ def test_p_rank_certificate_never_passes_where_eigvalsh_fails(bulk):
     where the two edges are closest)."""
     eps, n = np.finfo(float).eps, 23
     rng = np.random.default_rng(0)
-    eye = np.eye(n)
     outcomes = {}
     for edge, factor in itertools.product(
             ("rank", "shift"), (0.5, 0.9, 0.99, 1.01, 1.1, 2.0)):
@@ -430,21 +436,21 @@ def test_p_rank_certificate_never_passes_where_eigvalsh_fails(bulk):
             S = 0.5 * (S + S.T)
             ev = np.abs(np.linalg.eigvalsh(S))
             passes = bool(np.all(ev > eps * n * ev.max()))
-            certified = _rank_certified(S, eye)
+            certified = _rank_certified(S)
             assert passes or not certified, (edge, factor)
             outcomes.setdefault((edge, factor), set()).add(
                 (passes, certified))
     assert outcomes[("rank", 0.5)] == {(False, False)}
     for factor in (1.1, 2.0):
         assert {c for _, c in outcomes[("shift", factor)]} == {True}
-    assert not _rank_certified(np.zeros((n, n)), eye)
+    assert not _rank_certified(np.zeros((n, n)))
 
 
 def test_update_p_refuses_a_non_finite_system(prob29, monkeypatch):
     """An a whose angle Gram overflows raises SolverError before the
     eigenvalue test or lstsq sees the system (LAPACK's SVD does not return
     on NaN input)."""
-    work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
+    model = MomentModel(prob29["features"], prob29["spec"], 29)
 
     def refuse(*args, **kw):
         raise AssertionError("a non-finite system reached LAPACK")
@@ -452,18 +458,18 @@ def test_update_p_refuses_a_non_finite_system(prob29, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     huge = np.full(prob29["spec"].n_a, 1e200, dtype=complex)
-    st = _state_at(work, huge, huge, np.full(29, 1 / 29))
+    st = _state_at(model, huge, huge, np.full(29, 1 / 29))
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(SolverError, match="p-update produced non-finite")):
         update_p(st, AdmmConfig())
 
 
-def _step_system(work, fixed, p, lam1, lam2):
+def _step_system(model, fixed, p, lam1, lam2):
     """The a/z-step Gram G o conj(E_p M E_p^H) and right-hand side
     (D o conj(E)) p from (M, D) = form_pair(fixed), without the ridge."""
-    M, D = work.form_pair(fixed, lam1, lam2)
-    Ep = work.E * p[None, :]
-    return work.G * (Ep @ M @ Ep.conj().T).conj(), (D * work.E.conj()) @ p
+    M, D = model.form_pair(fixed, lam1, lam2)
+    Ep = model.E * p[None, :]
+    return model.G * (Ep @ M @ Ep.conj().T).conj(), (D * model.E.conj()) @ p
 
 
 def test_second_moment_dense_route_matches_compressed(tiny, prob29):
@@ -474,16 +480,16 @@ def test_second_moment_dense_route_matches_compressed(tiny, prob29):
     rng = np.random.default_rng(15)
     for inst in (tiny, prob29):
         feats, spec, n_t = inst["features"], inst["spec"], inst["n_theta"]
-        work = AdmmWorkspace(feats, spec, n_t)
+        model = MomentModel(feats, spec, n_t)
         n_a = spec.n_a
         z = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
         p = project_simplex(rng.standard_normal(n_t) * 0.1 + 1 / n_t)
-        H = angle_coupling(work.E, p)
-        A2 = build_a2_matrix(work.R, z, H)
-        A1 = work.R * (work.E @ p)[None, :]
-        for lam1, lam2, A, b in ((0.0, 1.0, A2, work.B2.ravel()),
-                                 (1.0, 0.0, A1, work.b1)):
-            gram_c, rhs_c = _step_system(work, z, p, lam1, lam2)
+        H = angle_coupling(model.E, p)
+        A2 = build_a2_matrix(model.R, z, H)
+        A1 = model.R * (model.E @ p)[None, :]
+        for lam1, lam2, A, b in ((0.0, 1.0, A2, model.B2.ravel()),
+                                 (1.0, 0.0, A1, model.b1)):
+            gram_c, rhs_c = _step_system(model, z, p, lam1, lam2)
             gram_d = A.conj().T @ A
             rhs_d = A.conj().T @ b
             assert (np.linalg.norm(gram_d - gram_c)
@@ -491,19 +497,19 @@ def test_second_moment_dense_route_matches_compressed(tiny, prob29):
             assert np.linalg.norm(rhs_d - rhs_c) <= 1e-12 * np.linalg.norm(rhs_d)
         # the dense operator itself: A2 @ x == vec(R ((x z^H) o H) R^H)
         x = rng.standard_normal(n_a) + 1j * rng.standard_normal(n_a)
-        direct = (work.R @ (np.outer(x, z.conj()) * H)
-                  @ work.R.conj().T).ravel()
+        direct = (model.R @ (np.outer(x, z.conj()) * H)
+                  @ model.R.conj().T).ravel()
         assert np.linalg.norm(A2 @ x - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_dense_route_refuses_runaway_sizes(prob29):
-    work = AdmmWorkspace(prob29["features"], prob29["spec"], 29)
-    big = 1 + int(np.sqrt(5e7 / work.spec.n_a))
-    pad = np.zeros((big - work.R.shape[0], work.spec.n_a))
+    model = MomentModel(prob29["features"], prob29["spec"], 29)
+    big = 1 + int(np.sqrt(5e7 / model.spec.n_a))
+    pad = np.zeros((big - model.R.shape[0], model.spec.n_a))
     with pytest.raises(ConfigError):
-        build_a2_matrix(np.vstack([work.R, pad]),
-                        np.zeros(work.spec.n_a, dtype=complex),
-                        np.eye(work.spec.n_a))
+        build_a2_matrix(np.vstack([model.R, pad]),
+                        np.zeros(model.spec.n_a, dtype=complex),
+                        np.eye(model.spec.n_a))
 
 
 # ------------------------------------------------------- objective routes
@@ -512,14 +518,14 @@ def test_objective_routes_agree(prob29):
     """Augmented Lagrangian at consensus == unsplit objective == the dense
     residual route built from the mixture sums."""
     feats, spec = prob29["features"], prob29["spec"]
-    work = AdmmWorkspace(feats, spec, 29)
+    model = MomentModel(feats, spec, 29)
     rng = np.random.default_rng(21)
     vals = rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
     p = project_simplex(rng.standard_normal(29) * 0.1 + 1 / 29)
-    st = _state_at(work, vals, vals, p)
+    st = _state_at(model, vals, vals, p)
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0)
     lag = augmented_lagrangian(st, cfg)
-    obj = moment_objective(work, vals, work.form_pieces(vals)[1], p, 1.0,
+    obj = moment_objective(model, vals, model.form_pieces(vals)[1], p, 1.0,
                            0.5)
     _, _, raw = dense_residuals(FBCoeffs(vals, spec), p, feats.R, feats,
                                 1.0, 0.5)
@@ -567,9 +573,9 @@ def test_pieces_formed_once_per_iterate(tiny, monkeypatch):
     each new a (in the z-step) and z (in the p-step).  Every other step
     reads kept pieces, and the consensus takes its own by linearity."""
     calls = []
-    form = AdmmWorkspace.form_pieces
-    monkeypatch.setattr(AdmmWorkspace, "form_pieces",
-                        lambda work, y: calls.append(y) or form(work, y))
+    form = MomentModel.form_pieces
+    monkeypatch.setattr(MomentModel, "form_pieces",
+                        lambda model, y: calls.append(y) or form(model, y))
     for k in (1, 2, 7):
         calls.clear()
         cfg = AdmmConfig(max_iter=k, tol_change=0.0, seed=1)
@@ -592,7 +598,7 @@ def test_pieces_follow_replaced_iterates(prob29):
 
     def check():
         fresh = AdmmState(a=st.a.copy(), z=st.z.copy(), p=st.p, s=st.s,
-                          iter=0, work=AdmmWorkspace(feats, spec, 29))
+                          iter=0, model=MomentModel(feats, spec, 29))
         for step in (update_a, update_z, update_p, augmented_lagrangian):
             got, want = step(st, cfg), step(fresh, cfg)
             assert (np.linalg.norm(np.subtract(got, want))
@@ -612,7 +618,7 @@ def test_pieces_follow_replaced_iterates(prob29):
 def test_kept_pieces_equal_fresh_workspaces_bitwise(prob29):
     """k iterations of run_admm are bitwise a replay of the block steps in
     which every step, the Lagrangian and the objective get a fresh
-    workspace: the kept pieces of a and z are exactly the ones formed anew,
+    moment model: the kept pieces of a and z are exactly the ones formed anew,
     and the consensus objective reads R A_c = (R A_a + R A_z)/2."""
     feats, spec = prob29["features"], prob29["spec"]
     k = 10
@@ -620,18 +626,18 @@ def test_kept_pieces_equal_fresh_workspaces_bitwise(prob29):
     run = init_admm_state(feats, cfg, spec, 29)
     res = run_admm(feats, cfg, spec, 29, state=run)
     st = init_admm_state(feats, cfg, spec, 29)
-    fresh = lambda: AdmmWorkspace(feats, spec, 29)
+    fresh = lambda: MomentModel(feats, spec, 29)
     lags, objs = [], []
     for _ in range(k):
         for name, step in (("a", update_a), ("z", update_z), ("p", update_p)):
-            st.work = fresh()
+            st.model = fresh()
             setattr(st, name, step(st, cfg))
         st.s = st.s + st.a - st.z
-        st.work = fresh()
+        st.model = fresh()
         lags.append(augmented_lagrangian(st, cfg))
-        work = fresh()
-        RA_c = 0.5 * (work.form_pieces(st.a)[1] + work.form_pieces(st.z)[1])
-        objs.append(moment_objective(work, 0.5 * (st.a + st.z), RA_c, st.p,
+        model = fresh()
+        RA_c = 0.5 * (model.form_pieces(st.a)[1] + model.form_pieces(st.z)[1])
+        objs.append(moment_objective(model, 0.5 * (st.a + st.z), RA_c, st.p,
                                      cfg.lam1, cfg.lam2))
     for name in ("a", "z", "p", "s"):
         assert np.array_equal(getattr(run, name), getattr(st, name)), name
@@ -717,15 +723,15 @@ def test_exact_recovery_up_to_continuous_rotation(tiny):
     off-grid angle, with the relaxed p carrying the identical shift."""
     feats, spec, truth, p = (tiny[k] for k in ("features", "spec", "a", "p"))
     cfg = AdmmConfig(lam1=1.0, lam2=0.5, rho=1.0, max_iter=1500, tol_change=0.0)
-    work = AdmmWorkspace(feats, spec, 5)
+    model = MomentModel(feats, spec, 5)
     rng = np.random.default_rng(3)
     a0 = truth.values * (1 + 0.01 * rng.standard_normal(spec.n_a))
     p0 = np.abs(p.p * (1 + 0.01 * rng.standard_normal(5)))
-    st = _state_at(work, a0, a0, p0 / p0.sum())
+    st = _state_at(model, a0, a0, p0 / p0.sum())
     res = run_admm(feats, cfg, spec, 5, state=st)
 
-    obj = moment_objective(work, res.a.values,
-                           work.form_pieces(res.a.values)[1], st.p, 1.0, 0.5)
+    obj = moment_objective(model, res.a.values,
+                           model.form_pieces(res.a.values)[1], st.p, 1.0, 0.5)
     scale2 = 0.5 * np.vdot(feats.b1, feats.b1).real \
         + 0.25 * np.vdot(feats.B2, feats.B2).real
     assert obj <= 1e-18 * scale2
@@ -755,12 +761,28 @@ def test_rotated_init_gives_rotated_trajectory(tiny):
     phase = np.exp(-1j * spec.k_arr * (2.0 * np.pi * l0 / 5))
     s1 = AdmmState(a=s0.a * phase, z=s0.z * phase, p=np.roll(s0.p, l0),
                    s=np.zeros(spec.n_a, dtype=complex), iter=0,
-                   work=AdmmWorkspace(feats, spec, 5))
+                   model=MomentModel(feats, spec, 5))
     r0 = run_admm(feats, cfg, spec, 5, state=s0)
     r1 = run_admm(feats, cfg, spec, 5, state=s1)
     scale = np.linalg.norm(r0.a.values)
     assert np.linalg.norm(r1.a.values - r0.a.values * phase) <= 1e-10 * scale
     assert np.linalg.norm(r1.p.p - np.roll(r0.p.p, l0)) <= 1e-10
+
+
+def test_continued_state_rejects_other_inputs(tiny, prob29):
+    """A state runs only on the features, spec and n_theta its moment model
+    was built from: other ones raise ConfigError naming the argument before
+    the first iteration."""
+    feats, spec = tiny["features"], tiny["spec"]
+    cfg = AdmmConfig(max_iter=50)
+    for name, args in (("features", (prob29["features"], spec, 5)),
+                       ("spec", (feats, prob29["spec"], 5)),
+                       ("n_theta", (feats, spec, 6))):
+        st = init_admm_state(feats, cfg, spec, 5)
+        with pytest.raises(ConfigError, match=f"other {name}$"):
+            run_admm(args[0], cfg, args[1], args[2], state=st)
+        assert st.iter == 0
+        assert all(vals == [] for vals in st.history.values())
 
 
 def test_divergence_raises_with_history(tiny):

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 top-level definition of the package has a caller outside the tests, and
-every parameter of a package function is read by its body.  The package
-imports only the standard library, numpy and itself, and the commands run
-without loading scipy.
+every parameter of a package function is read by its body.  Only
+moments.py reads the moment data.  The package imports only the standard
+library, numpy and itself, and the commands run without loading scipy.
 
 `__init__.py` is skipped by the unused-import check because its imports are
 the public API, and `from __future__` imports are compiler directives, not
@@ -145,6 +145,23 @@ def test_every_parameter_is_read():
               for name, param in _unread_parameters(
                   ast.parse(path.read_text(), filename=str(path)))]
     assert not unread, f"parameters never read: {unread}"
+
+
+MOMENT_DATA = {"b1", "B2", "t_mu", "T_C"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "moments.py"],
+                         ids=lambda p: p.name)
+def test_only_moments_reads_the_moment_data(path):
+    """moments.MomentModel is the one holder of the moment model: no other
+    package module reads the attributes b1, B2, t_mu or T_C."""
+    reads = sorted(f"line {node.lineno}: .{node.attr}"
+                   for node in ast.walk(ast.parse(path.read_text(),
+                                                  filename=str(path)))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in MOMENT_DATA)
+    assert not reads, f"{path.name} reads moment data: {reads}"
 
 
 ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy"}
