@@ -167,8 +167,8 @@ def _rank_certified(S: np.ndarray) -> bool:
     """True when a Cholesky factorization proves that the symmetric PSD S
     passes lstsq's rank test (every |eigenvalue| above eps n max|eigenvalue|,
     n = len(S)): S - 2 eps n trace(S) I factors, and trace(S) > 0 bounds
-    max|eigenvalue| from above.  False says nothing; the caller then runs
-    the eigenvalue test itself."""
+    max|eigenvalue| from above.  False says nothing; the caller then
+    leaves the rank decision to lstsq."""
     shift = 2.0 * np.finfo(float).eps * len(S) * np.trace(S)
     if shift <= 0:
         return False
@@ -185,20 +185,18 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     Both moment terms are linear in p, with normal system
     Re(N_a o conj(M_z)) p = Re sum_i (conj(A_a) o D_z)[i, :] from the
     model's pieces of a and (M_z, D_z) = form_pair(z).  sum(p) = 1 is
-    eliminated with the model's null basis.  The reduced symmetric
-    system is solved by np.linalg.solve when it passes lstsq's own rank
-    test: every |eigenvalue| above eps (n_theta - 1) max|eigenvalue|,
-    lstsq's default rcond on the singular values of a symmetric matrix.
-    The system is PSD (the real part of a Schur product of PSD matrices),
-    so a Cholesky factorization shifted by twice that threshold, with the
-    trace for max|eigenvalue|, certifies the common full-rank case; only
-    when it fails does the eigenvalue test run.  Otherwise some of p is
-    unobservable (fewer than n_theta - 1 moment harmonics, lam2 = 0, a
-    radial a): the system is consistent but rank-deficient, lstsq's
-    minimum-norm solution keeps the unobservable component at zero instead
-    of amplifying noise into it, and the first such solve logs a warning.
-    A non-finite reduced system raises before any route (LAPACK's SVD does
-    not return on NaN).
+    eliminated with the model's null basis.  The reduced system is PSD
+    (the real part of a Schur product of PSD matrices), so a Cholesky
+    factorization shifted by twice lstsq's rank threshold, eps
+    (n_theta - 1) max|eigenvalue| with the trace for max|eigenvalue|,
+    certifies full rank, and np.linalg.solve takes the system.  Every
+    other system goes to lstsq, which applies that threshold itself.
+    Where the rank falls short, some of p is unobservable (fewer than
+    n_theta - 1 moment harmonics, lam2 = 0, a radial a): the system is
+    consistent but rank-deficient, lstsq's minimum-norm solution keeps the
+    unobservable component at zero instead of amplifying noise into it,
+    and the first such solve logs a warning.  A non-finite reduced system
+    raises before either route (LAPACK's SVD does not return on NaN).
     """
     model = state.model
     n_t = model.n_theta
@@ -211,12 +209,7 @@ def update_p(state: AdmmState, config: AdmmConfig) -> np.ndarray:
     red_lhs = B.T @ lhs @ B
     red_rhs = B.T @ (rhs - lhs @ p_part)
     _check_finite(state, "p", red_lhs, red_rhs)
-    full = _rank_certified(red_lhs)
-    if not full:
-        ev = np.abs(np.linalg.eigvalsh(red_lhs))
-        full = np.all(ev > np.finfo(float).eps * (n_t - 1)
-                      * ev.max(initial=0.0))
-    if full:
+    if _rank_certified(red_lhs):
         q = np.linalg.solve(red_lhs, red_rhs)
     else:
         q, _, rank, _ = np.linalg.lstsq(red_lhs, red_rhs, rcond=None)

@@ -65,15 +65,13 @@ class MomentFeatures:
 
     R is the triangular factor of Psi_w = Q R, b1 = Q^H mu_w and
     B2 = Q^H C_w Q (Hermitian).  mu_norm = ||mu_w|| sets the scale of the
-    random start.  N is the sample count behind the estimate; N = 0 marks
-    population (analytic) features.  K and alpha record the tilt geometry.
+    random start.  K and alpha record the tilt geometry.
     """
 
     R: np.ndarray
     b1: np.ndarray
     B2: np.ndarray
     mu_norm: float
-    N: int
     K: int
     alpha: float
 
@@ -169,7 +167,7 @@ class MomentModel:
 def population_features(
     a: FBCoeffs, p, psi: np.ndarray, quad: QuadratureGrid, K: int, alpha: float
 ) -> MomentFeatures:
-    """Analytic (infinite-N) features of ground truth (a, p); N = 0."""
+    """Analytic (infinite-N) features of ground truth (a, p)."""
     _, R = weighted_qr(psi, quad, K)
     E = angle_phase_matrix(a.spec, p.n_theta)
     v = a.values * (E @ p.p)
@@ -180,7 +178,6 @@ def population_features(
         b1=R @ v,
         B2=0.5 * (B2 + B2.conj().T),
         mu_norm=float(np.linalg.norm(weight_diagonal(quad, K) * (psi @ v))),
-        N=0,
         K=K,
         alpha=alpha,
     )
@@ -219,7 +216,6 @@ def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid,
         b1=Q.conj().T @ mu_w,
         B2=0.5 * (B2 + B2.conj().T),
         mu_norm=float(np.linalg.norm(mu_w)),
-        N=N,
         K=batch.K,
         alpha=batch.alpha,
     )

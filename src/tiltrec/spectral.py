@@ -1,7 +1,8 @@
 """Spectral transform of tilt series and the noise covariance it induces.
 
 Projection lines are mapped to Fourier values at the radial quadrature nodes
-by a direct type-II DFT with the Riemann factor dx, so node values
+by a direct type-II DFT with the Riemann factor dx, read from the line
+phases the simulator shares per (grid, quadrature) pair, so node values
 approximate the continuous transform integral and are directly comparable to
 tilt-matrix slices.  A SpectralBatch keeps the real records together with
 that linear map instead of the node values it would produce.  EM composes
@@ -19,13 +20,13 @@ import numpy as np
 
 from .basis import QuadratureGrid
 from .errors import ConfigError
-from .sim import LineGrid, TiltSeriesBatch
+from .sim import LineGrid, TiltSeriesBatch, _line_phases
 
 def dft_matrix(grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
-    """F[j, l] = dx * exp(-2i*pi * xi_j * x_l), shape (n_xi, L)."""
-    return grid.dx * np.exp(
-        -2j * np.pi * np.outer(quad.nodes, grid.positions)
-    )
+    """F[j, l] = dx * exp(-2i*pi * xi_j * x_l), shape (n_xi, L), a fresh
+    array: dx times the conjugate transpose of the simulator's memoized line
+    phases, so the node DFT is the adjoint of the line transform."""
+    return np.ascontiguousarray(grid.dx * _line_phases(grid, quad)[1].T)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
 workspace, the distance of coefficients from real-image symmetry, the
 whitened record array, the dense block-diagonal noise covariance, the
-single-line node DFT, the image-domain error, the coupled rotation-and-shift
-search one shift at a time, the polar-quadrature image synthesis the
-closed form is checked against, and the batch simulator that builds one
+node DFT matrix by its definition and applied to one line, the
+image-domain error, the coupled rotation-and-shift search one shift at a
+time, the polar-quadrature image synthesis the closed form is checked
+against, and the batch simulator that builds one
 numpy Generator per record and forms each clean line's phase matrix
 inline, against which the package's substream starts and its memoized
 line phases are checked.  The basis layout's reference is the (k, q) ->
@@ -44,7 +45,6 @@ from tiltrec.em import EmWorkspace
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
 from tiltrec.sim import TiltSeriesBatch
-from tiltrec.spectral import dft_matrix
 
 
 def brute_force_moments(a, w, psi, spec):
@@ -260,9 +260,15 @@ def full_noise_covariance(block, K):
     return linalg.block_diag(*[block] * (2 * K + 1))
 
 
+def explicit_dft_matrix(grid, quad):
+    """F[j, l] = dx * exp(-2i*pi * xi_j * x_l), formed from its definition
+    rather than from the simulator's line phases."""
+    return grid.dx * np.exp(-2j * np.pi * np.outer(quad.nodes, grid.positions))
+
+
 def dft_at_nodes(line, grid, quad):
     """yhat[xi_j] = dx * sum_l y[x_l] exp(-2i*pi*xi_j*x_l) for one line."""
-    return dft_matrix(grid, quad) @ line
+    return explicit_dft_matrix(grid, quad) @ line
 
 
 def pixel_relative_error(truth, estimate, gamma, n_grid):

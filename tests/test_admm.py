@@ -384,6 +384,50 @@ def test_update_p_solve_route_matches_lstsq(tiny, prob29, monkeypatch,
                     <= bound(sv[0] / sv[-1]) * np.linalg.norm(want))
 
 
+def test_update_p_uncertified_system_goes_to_lstsq(tiny, monkeypatch, caplog):
+    """A full-rank reduced p-system that the certificate is made to refuse
+    goes to one lstsq call and no eigenvalue pass, without a warning: its p
+    is lstsq's, within 1e-12 relative of the solve route's."""
+    def refuse(*args, **kw):
+        raise AssertionError("the p-step ran an eigenvalue pass")
+
+    truth = tiny["a"].values.astype(complex)
+    starts = [random_start(tiny["features"].mu_norm, tiny["spec"].n_a,
+                           tiny["n_theta"], seed)[:2] for seed in range(3)]
+    for a, z in [(truth, truth), *starts]:
+        solved, _, _, calls = _p_step_routes(monkeypatch, tiny, a, z)
+        assert calls == 0
+        monkeypatch.setattr("tiltrec.admm._rank_certified", lambda S: False)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        with caplog.at_level("WARNING", logger="tiltrec.admm"):
+            got, want, _, calls = _p_step_routes(monkeypatch, tiny, a, z)
+        monkeypatch.undo()
+        assert calls == 1 and not caplog.records
+        assert np.array_equal(got, want)
+        assert np.linalg.norm(got - solved) <= 1e-12 * np.linalg.norm(solved)
+
+
+def test_narrow_wedge_run_certifies_every_p_step(small_spec, small_phantom,
+                                                 bump24, monkeypatch):
+    """On the narrow-wedge geometry (K = 6, alpha = 1.5 deg, 24 angles) the
+    Cholesky certificate passes every p-step of a run from two seeded
+    starts, so none of them falls back to lstsq: a certificate broken so
+    that it refuses these systems (their smallest eigenvalue is some 1e9
+    times its shift) fails here rather than silently slowing the solver."""
+    quad = build_quadrature(0.3, 32)
+    K, alpha = 6, 1.5 * DEG
+    psi = eval_tilt_matrix(small_spec, quad, K, alpha)
+    feats = population_features(small_phantom, bump24, psi, quad, K, alpha)
+    certify, outcomes = _rank_certified, []
+    monkeypatch.setattr("tiltrec.admm._rank_certified",
+                        lambda S: outcomes.append(certify(S)) or outcomes[-1])
+    for seed in (0, 1):
+        outcomes.clear()
+        res = run_admm(feats, AdmmConfig(max_iter=40, seed=seed), small_spec,
+                       24)
+        assert len(outcomes) == res.n_iter == 40 and all(outcomes)
+
+
 @pytest.mark.parametrize("case", ["zero_a", "radial_a", "first_moment_only"])
 def test_update_p_rank_deficient_is_lstsq_minimum_norm(prob29, monkeypatch,
                                                       caplog, case):
@@ -448,14 +492,14 @@ def test_p_rank_certificate_never_passes_where_eigvalsh_fails(bulk):
 
 def test_update_p_refuses_a_non_finite_system(prob29, monkeypatch):
     """An a whose angle Gram overflows raises SolverError before the
-    eigenvalue test or lstsq sees the system (LAPACK's SVD does not return
-    on NaN input)."""
+    certificate's Cholesky factorization or lstsq sees the system (LAPACK's
+    SVD does not return on NaN input)."""
     model = MomentModel(prob29["features"], prob29["spec"], 29)
 
     def refuse(*args, **kw):
         raise AssertionError("a non-finite system reached LAPACK")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     huge = np.full(prob29["spec"].n_a, 1e200, dtype=complex)
     st = _state_at(model, huge, huge, np.full(29, 1 / 29))

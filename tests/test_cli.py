@@ -7,6 +7,7 @@ stays fast.
 
 import builtins
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -15,6 +16,7 @@ import re
 import statistics
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -509,6 +511,41 @@ def test_simulate_deterministic(tmp_path):
     assert main(["--config", str(cfg), "--seed", "4", "--out", str(other),
                  "simulate"]) == 0
     assert (outs[0] / "batch.dat").read_bytes() != (other / "batch.dat").read_bytes()
+
+
+def _fake_libc(calls):
+    def malloc_trim(pad):   # a function, so argtypes and restype can be set
+        calls.append(pad)
+    return SimpleNamespace(malloc_trim=malloc_trim)
+
+
+def _no_libc(error):
+    def cdll(name):
+        raise error("no C library to load")
+    return cdll
+
+
+def test_commands_end_with_malloc_trim(tmp_path, monkeypatch):
+    """Each command, failing or not, ends with one malloc_trim(0) where the
+    C library has it, and writes the same files where the library has no
+    malloc_trim or cannot be loaded."""
+    cfg = _write_cfg(tmp_path)
+    calls = []
+    libc = _fake_libc(calls)
+    monkeypatch.setattr("tiltrec.cli.ctypes.CDLL", lambda name: libc)
+    ref = tmp_path / "ref"
+    assert main(["--config", str(cfg), "--out", str(ref), "simulate"]) == 0
+    assert main(["--config", str(tmp_path / "missing.json"), "--out",
+                 str(tmp_path / "x"), "simulate"]) == 2
+    assert calls == [0, 0]
+    assert libc.malloc_trim.argtypes == [ctypes.c_size_t]
+    for i, cdll in enumerate((lambda name: object(), _no_libc(OSError),
+                              _no_libc(TypeError))):
+        monkeypatch.setattr("tiltrec.cli.ctypes.CDLL", cdll)
+        out = tmp_path / f"run{i}"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        assert ((out / "batch.dat").read_bytes()
+                == (ref / "batch.dat").read_bytes())
 
 
 # ---------------------------------------------------------- reconstruct

@@ -1,14 +1,17 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tiltrec.basis import build_quadrature
 from tiltrec.errors import ConfigError
-from tiltrec.sim import TiltSeriesBatch, build_line_grid
+from tiltrec.sim import TiltSeriesBatch, _line_phases, build_line_grid
 from tiltrec.spectral import (SpectralBatch, blockwise_mean_outer,
                               dft_matrix, noise_covariance, transform_batch)
 
-from oracles import dft_at_nodes, full_noise_covariance, node_spectra
+from oracles import (dft_at_nodes, explicit_dft_matrix, full_noise_covariance,
+                     node_spectra)
 
 
 def test_dft_matches_direct_sum(quad32):
@@ -31,6 +34,22 @@ def test_dft_linearity(quad32):
     lhs = dft_at_nodes(u + 2.0 * v, grid, quad32)
     rhs = dft_at_nodes(u, grid, quad32) + 2.0 * dft_at_nodes(v, grid, quad32)
     assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+def test_dft_matrix_is_the_explicit_formula_from_the_line_phases():
+    """dft_matrix, read from the simulator's memoized line phases, is
+    bitwise the explicit dx exp(-2i pi xi x) for odd and even L, several
+    node counts and dx; it is a C-contiguous array of its own, and the
+    shared phases it reads stay read-only."""
+    for L, n_xi, dx in itertools.product((1, 16, 32, 128, 129),
+                                         (1, 16, 32, 64), (1.0, 0.7, 2.5)):
+        grid, quad = build_line_grid(L, dx), build_quadrature(0.3, n_xi)
+        F = dft_matrix(grid, quad)
+        assert F.flags.c_contiguous and F.shape == (n_xi, L)
+        assert np.array_equal(F, explicit_dft_matrix(grid, quad))
+        for shared in _line_phases(grid, quad):
+            assert not shared.flags.writeable
+            assert not np.shares_memory(F, shared)
 
 
 def test_transform_batch_blocks(small_batch, quad32):
