@@ -21,13 +21,14 @@ from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError, SolverResult
 from .moments import angle_coupling, angle_phase_matrix
 from .sim import ViewDistribution
-from .spectral import SpectralBatch, noise_covariance
+from .spectral import SpectralBatch, dft_matrix
 
 # records whitened at once, by one real product; bounds the
 # (block, (2K+1)*rank) whitened array so the whole N-row one is never formed
 _REDUCE_BLOCK = 1024
 # eigenvalues below this fraction of the largest are dropped by both
-# pseudo-inverses: the noise block's and the M-step normal matrix's
+# pseudo-inverses: the noise block's, whose eigenvalues are the node DFT's
+# squared singular values times sigma2, and the M-step normal matrix's
 _PINV_CUTOFF = 1e-10
 
 
@@ -45,13 +46,16 @@ class EmWorkspace:
     """Per-record sufficient statistics and steered-basis precomputations
     shared by the EM steps.
 
-    The per-tilt noise block is rank-deficient whenever n_xi exceeds the
-    number of line samples, so the quadratic forms use the eigendecomposition
-    pseudo-inverse: data and basis are projected onto the block's informative
-    eigenspace and scaled to unit noise there.  The whitened records U_w are
-    formed one record block at a time, as one real product of the records
-    with the whitened node map, and reduced at once to Y = U_w conj(B) and
-    the norms ||U_w[i]||^2.
+    The per-tilt noise block sigma2 F F^H of the node DFT F is
+    rank-deficient whenever n_xi exceeds the number of line samples, so the
+    quadratic forms use its pseudo-inverse, read from one SVD F = U S V^H
+    without forming the block: data and basis are projected onto the kept
+    left singular vectors and scaled to unit noise there.  The noise model
+    is real-space detector noise pushed through F, whatever map the batch
+    carries to the nodes.  The whitened records U_w are formed one record
+    block at a time, as one real product of the records with the whitened
+    node map, and reduced at once to Y = U_w conj(B) and the norms
+    ||U_w[i]||^2.
     """
 
     def __init__(self, spec_batch, spec, n_theta):
@@ -63,13 +67,14 @@ class EmWorkspace:
         self.spec = spec
         n_tilt, n_xi = 2 * spec_batch.K + 1, spec_batch.quad.n_xi
 
-        lam, U = np.linalg.eigh(noise_covariance(
-            spec_batch.sigma2, spec_batch.grid, spec_batch.quad))
-        keep = lam > _PINV_CUTOFF * lam.max()
-        if not np.any(keep):
-            raise ConfigError("noise block has no informative eigenspace")
+        U, s, _ = np.linalg.svd(dft_matrix(spec_batch.grid, spec_batch.quad),
+                                full_matrices=False)
+        # the block's eigenvalues are sigma2 s^2, largest first; s[0] >= dx,
+        # the size of every entry of F, so the first is always kept
+        keep = s ** 2 > _PINV_CUTOFF * s[0] ** 2
         # rows of W whiten one tilt block: cov(W n_hat) = I on the kept space
-        self.whiten = (U[:, keep] / np.sqrt(lam[keep])).conj().T
+        self.whiten = (U[:, keep]
+                       / (np.sqrt(spec_batch.sigma2) * s[keep])).conj().T
         self.rank = int(keep.sum())
 
         psi = eval_tilt_matrix(spec, spec_batch.quad, spec_batch.K,

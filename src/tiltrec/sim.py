@@ -179,15 +179,6 @@ def random_phantom(
     return coeffs.symmetrized() if realize else coeffs
 
 
-def _check_support(spec: BasisSpec, grid: LineGrid):
-    if grid.L * grid.dx < 2.0 * spec.R - 1e-9:
-        warnings.warn(
-            f"line window L*dx = {grid.L * grid.dx:.2f} shorter than the "
-            f"object diameter 2R = {2 * spec.R:.2f}",
-            stacklevel=3,
-        )
-
-
 @functools.lru_cache(maxsize=8)
 def _line_phases(grid: LineGrid, quad: QuadratureGrid):
     """(phase, conj(phase)) with phase = exp(2 pi i x_l xi_j), shape
@@ -205,7 +196,6 @@ def _line_phases(grid: LineGrid, quad: QuadratureGrid):
 
 def project_clean(
     coeffs: FBCoeffs, theta: float, grid: LineGrid, quad: QuadratureGrid,
-    check_window: bool = True,
 ) -> np.ndarray:
     """Clean projection line at view angle theta, sampled on grid.positions.
 
@@ -215,14 +205,11 @@ def project_clean(
     negative-frequency half-slice at theta equals the positive half at
     theta + pi.  Real-symmetric coefficients give a real line (residue
     checked at 1e-10 relative); without the flag the real part is returned
-    as-is.  A line window shorter than the object warns unless check_window
-    is False, as in generate_batch, which warns once per draw.  The line
-    phases are shared per (grid, quad) pair, like the radial factor per
-    (spec, quad) pair, so a call forms no exponential of its own.
+    as-is.  The line phases are shared per (grid, quad) pair, like the
+    radial factor per (spec, quad) pair, so a call forms no exponential of
+    its own.
     """
     spec = coeffs.spec
-    if check_window:
-        _check_support(spec, grid)
     fwd = eval_basis_matrix(spec, quad, theta) @ coeffs.values
     rev = eval_basis_matrix(spec, quad, theta + np.pi) @ coeffs.values
     phase, phase_conj = _line_phases(grid, quad)
@@ -325,7 +312,8 @@ def generate_batch(
     Generator, set to each record's state in turn, draw z_i and add
     sqrt(sigma2_j) * z_i in each batch j.  sigma2 may be a sequence of
     variances: one batch each, bitwise that of a separate call.  A
-    negative seed raises ConfigError.
+    negative seed raises ConfigError; a line window shorter than the object
+    warns once per draw.
     """
     variances = np.atleast_1d(sigma2).astype(float)
     if N < 1:
@@ -333,7 +321,10 @@ def generate_batch(
     if np.any(variances < 0):
         raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
     warn_tilt_span(K, alpha)
-    _check_support(coeffs.spec, grid)
+    if grid.L * grid.dx < 2.0 * coeffs.spec.R - 1e-9:
+        warnings.warn(f"line window L*dx = {grid.L * grid.dx:.2f} shorter "
+                      f"than the object diameter 2R = {2 * coeffs.spec.R:.2f}",
+                      stacklevel=2)
 
     u, states = _substream_starts(seed, N)
     cdf = np.cumsum(p.p)
@@ -342,7 +333,7 @@ def generate_batch(
     drawn, row = np.unique(labels, return_inverse=True)
     table = np.array([
         [project_clean(coeffs, (2.0 * np.pi * l / p.n_theta + k * alpha)
-                       % (2.0 * np.pi), grid, quad, False)   # checked above
+                       % (2.0 * np.pi), grid, quad)
          for k in range(-K, K + 1)]
         for l in drawn])
     samples = [table[row] for _ in variances]

@@ -1,4 +1,4 @@
-"""Spectral transform of tilt series and the noise covariance it induces.
+"""Spectral transform of tilt series.
 
 Projection lines are mapped to Fourier values at the radial quadrature nodes
 by a direct type-II DFT with the Riemann factor dx, read from the line
@@ -8,8 +8,9 @@ tilt-matrix slices.  A SpectralBatch keeps the real records together with
 that linear map instead of the node values it would produce.  EM composes
 the map into its whitener and the moment route into the map to the QR
 coordinates of the features, so neither forms a node spectrum.  The
-detector noise is white, sigma2 on each real sample; only EM's whitening
-needs its node-domain block.
+detector noise is white, sigma2 on each real sample; EM whitens its node
+image sigma2 F F^H from one SVD of the node DFT F, so no node-domain noise
+block is formed.
 """
 
 from __future__ import annotations
@@ -70,20 +71,6 @@ def transform_batch(batch: TiltSeriesBatch, quad: QuadratureGrid) -> SpectralBat
                          to_nodes=dft_matrix(batch.grid, quad), quad=quad,
                          grid=batch.grid, K=batch.K, alpha=batch.alpha,
                          sigma2=batch.sigma2)
-
-
-def noise_covariance(sigma2: float, grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
-    """Per-tilt node noise block
-    block[j1, j2] = sigma2 * dx^2 * sum_l exp(-2i*pi*(xi_j1 - xi_j2)*x_l).
-
-    Equals sigma2 * F F^H for the node-DFT matrix F, hence Hermitian positive
-    semidefinite by construction; symmetrized to kill rounding skew.
-    """
-    if sigma2 < 0:
-        raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
-    F = dft_matrix(grid, quad)
-    block = sigma2 * (F @ F.conj().T)
-    return 0.5 * (block + block.conj().T)
 
 
 def blockwise_mean_outer(Z: np.ndarray) -> np.ndarray:

@@ -20,17 +20,17 @@ line-domain moments are checked after projection onto Q.
 The remaining helpers are the test-only entry points the package does not
 need: the EM E-step and log marginal likelihood on a freshly built
 workspace, the distance of coefficients from real-image symmetry, the
-whitened record array, the dense block-diagonal noise covariance, the
-node DFT matrix by its definition and applied to one line, the
-image-domain error, the coupled rotation-and-shift search one shift at a
-time, the polar-quadrature image synthesis the closed form is checked
-against, and the batch simulator that builds one
-numpy Generator per record and forms each clean line's phase matrix
-inline, against which the package's substream starts and its memoized
-line phases are checked.  The basis layout's reference is the (k, q) ->
-column dict with the symmetrization walked over it one pair at a time,
-and the node spectra of a spectral batch are its records mapped through
-the node DFT.
+whitened record array, the per-tilt node noise block sigma2 F F^H and
+the dense block-diagonal noise covariance, the node DFT matrix by its
+definition and applied to one line, the image-domain error, the coupled
+rotation-and-shift search one shift at a time, the polar-quadrature image
+synthesis the closed form is checked against, and the batch simulator
+that builds one numpy Generator per record and forms each clean line's
+phase matrix inline, against which the package's substream starts and its
+memoized line phases are checked.  The basis layout's reference is the
+(k, q) -> column dict with the symmetrization walked over it one pair at a
+time, and the node spectra of a spectral batch are its records mapped
+through the node DFT.
 """
 
 import math
@@ -252,6 +252,16 @@ def whitened_records(work, spec_batch):
     yhat = spec_batch.records @ spec_batch.to_nodes.T
     return np.einsum('rj,ikj->ikr', work.whiten, yhat).reshape(
         spec_batch.N, (2 * spec_batch.K + 1) * work.rank)
+
+
+def noise_covariance(sigma2, grid, quad):
+    """Per-tilt node noise block sigma2 * F F^H for the node DFT F,
+    block[j1, j2] = sigma2 * dx^2 * sum_l exp(-2i*pi*(xi_j1 - xi_j2)*x_l),
+    symmetrized to kill rounding skew.  The package never forms it: EM
+    whitens from an SVD of F."""
+    F = explicit_dft_matrix(grid, quad)
+    block = sigma2 * (F @ F.conj().T)
+    return 0.5 * (block + block.conj().T)
 
 
 def full_noise_covariance(block, K):

@@ -33,10 +33,10 @@ from tiltrec.moments import (angle_phase_matrix, empirical_moments,
                              weighted_qr)
 from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
                          generate_batch, random_phantom)
-from tiltrec.spectral import noise_covariance, transform_batch
+from tiltrec.spectral import transform_batch
 
 from oracles import (full_noise_covariance, log_marginal_likelihood,
-                     node_spectra, to_q)
+                     node_spectra, noise_covariance, to_q)
 
 DEG = math.pi / 180.0
 

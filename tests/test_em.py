@@ -19,6 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.special import logsumexp
 
 from tiltrec.basis import (FBCoeffs, build_basis_spec, build_quadrature,
@@ -28,13 +29,12 @@ from tiltrec.em import EmConfig, EmWorkspace, m_step, run_em
 from tiltrec.errors import ConfigError, SolverError
 from tiltrec.metrics import relative_error
 from tiltrec.moments import angle_phase_matrix
-from tiltrec.sim import (ViewDistribution, build_line_grid, bump_distribution,
-                         generate_batch, random_phantom)
-from tiltrec.spectral import (SpectralBatch, dft_matrix, noise_covariance,
-                              transform_batch)
+from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
+                         bump_distribution, generate_batch, random_phantom)
+from tiltrec.spectral import SpectralBatch, dft_matrix, transform_batch
 
-from oracles import (e_step, log_marginal_likelihood, node_spectra,
-                     whitened_records)
+from oracles import (e_step, explicit_dft_matrix, log_marginal_likelihood,
+                     node_spectra, whitened_records)
 
 DEG = np.pi / 180.0
 
@@ -73,8 +73,7 @@ def tiny_em():
     batch = generate_batch(truth, p, 20, 1, 3.8 * DEG, 0.3, grid, quad, seed=9)
     sb = transform_batch(batch, quad)
     return {"spec": spec, "quad": quad, "a": truth, "p": p, "grid": grid,
-            "batch": batch, "sb": sb,
-            "block": noise_covariance(0.3, grid, quad)}
+            "batch": batch, "sb": sb}
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +101,21 @@ def test_workspace_validation(tiny_em):
         EmWorkspace(tiny_em["batch"], tiny_em["spec"], 8)
 
 
-def test_whitening_identity(tiny_em):
-    work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
-    eye = work.whiten @ tiny_em["block"] @ work.whiten.conj().T
-    assert np.linalg.norm(eye - np.eye(work.rank)) < 1e-6
-    assert work.rank <= min(tiny_em["grid"].L, tiny_em["quad"].n_xi)
-    assert work.B.shape == (3 * work.rank, tiny_em["spec"].n_a)
+@pytest.mark.parametrize("L, n_xi, rank", [
+    (10, 12, 9), (32, 64, 18), (128, 64, 50), (128, 32, 32)])
+def test_whitening_identity(tiny_em, L, n_xi, rank):
+    """sigma2 (W F)(W F)^H = I on the kept space, with F the node DFT by
+    its definition, at tiny_em's geometry, the default line grid, and
+    em_records_large's (128, 64) and experiment_wide's (128, 32) ones; the
+    kept rank is pinned, since the cutoff sits between singular values."""
+    grid, quad = build_line_grid(L), build_quadrature(0.3, n_xi)
+    batch = TiltSeriesBatch(samples=np.zeros((1, 3, L)), K=1, alpha=0.05,
+                            sigma2=0.3, grid=grid, seed=0, n_theta=8)
+    work = EmWorkspace(transform_batch(batch, quad), tiny_em["spec"], 8)
+    WF = work.whiten @ explicit_dft_matrix(grid, quad)
+    assert work.rank == rank
+    assert np.linalg.norm(0.3 * WF @ WF.conj().T - np.eye(rank)) <= 1e-9
+    assert work.B.shape == (3 * rank, tiny_em["spec"].n_a)
 
 
 def test_e_step_rows_and_one_hot(small_spec, small_phantom, bump12):
@@ -182,14 +190,19 @@ def test_normal_matrix_matches_per_angle_sum(tiny_em):
 
 def test_log_likelihood_dense_oracle(tiny_em):
     """Whitened-residual likelihood recomputed per record with explicit
-    loops, straight from the definitions."""
+    loops, straight from the definitions.  W is the noise block's
+    pseudo-inverse square root from LAPACK's gesvd of F by its definition,
+    a different driver from the package's, and not from the block itself,
+    whose formation squares F's condition number."""
     spec, quad, sb, p = (tiny_em[k] for k in ("spec", "quad", "sb", "p"))
     a_try = tiny_em["a"].values * 1.1 + 0.05
     ll_pkg = log_marginal_likelihood(
         sb, FBCoeffs(a_try, spec, real_symmetric=False), p)
 
     psi = eval_tilt_matrix(spec, quad, 1, 3.8 * DEG)
-    lam, U = np.linalg.eigh(tiny_em["block"])
+    U, s, _ = linalg.svd(explicit_dft_matrix(tiny_em["grid"], quad),
+                         full_matrices=False, lapack_driver="gesvd")
+    lam = 0.3 * s ** 2                  # the eigenvalues of sigma2 F F^H
     keep = lam > 1e-10 * lam.max()
     W = (U[:, keep] / np.sqrt(lam[keep])).conj().T
     n_xi = quad.n_xi

@@ -10,10 +10,11 @@ from tiltrec.moments import (angle_coupling, angle_phase_matrix,
                              weighted_qr)
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          generate_batch, uniform_distribution)
-from tiltrec.spectral import dft_matrix, noise_covariance, transform_batch
+from tiltrec.spectral import dft_matrix, transform_batch
 
 from oracles import (brute_force_moments, dense_residuals,
-                     full_noise_covariance, node_moments, node_spectra, to_q)
+                     full_noise_covariance, node_moments, node_spectra,
+                     noise_covariance, to_q)
 
 DEG = np.pi / 180.0
 

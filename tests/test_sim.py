@@ -307,13 +307,6 @@ def test_dx_past_the_float_range_is_rejected(tmp_path, small_batch):
         load_batch(path)
 
 
-def test_narrow_window_warns(small_spec, quad32):
-    phantom = random_phantom(small_spec, 1.0, seed=1)
-    grid = build_line_grid(8)  # 8 < 2R = 16
-    with pytest.warns(UserWarning):
-        project_clean(phantom, 0.0, grid, quad32)
-
-
 def test_narrow_window_warns_once_per_draw(small_phantom, bump12, quad32):
     """One draw on a short window warns once, at generate_batch's caller,
     not once more per tabulated line."""

