@@ -15,10 +15,12 @@ model's Schur pair against the block's fixed partner:
     iterate (both are returned).
 
 The model keeps the pieces of the live a and z, and the consensus c takes
-R A_c = (R A_a + R A_z)/2 by linearity, so an iteration costs four
-products of an n_a x n_a matrix with an n_a x n_theta one (R A_y and
-T_C A_y of the new a and z), the two n_a x n_a solves, and for p one
-Cholesky certificate and one LU solve of size n_theta - 1.
+R A_c = (R A_a + R A_z)/2 by linearity, so an iteration costs eight
+products of n_a^2 n_theta flops each (R A_y and T_C A_y of the new a and
+z, the a- and z-steps' left-hand sides E_p M E_p^H, and the second-moment
+residuals of the Lagrangian and of the objective), the two n_a x n_a
+solves, and for p one Cholesky certificate and one LU solve of size
+n_theta - 1.
 """
 
 from __future__ import annotations

@@ -183,7 +183,6 @@ class BasisSpec:
     ----------
     c, R : bandlimit (cycles/pixel) and support radius (pixels).
     k_max : largest retained angular frequency.
-    q_counts : q_k for k = 0..k_max; counts for negative k mirror these.
     n_a : total number of coefficients.
     k_arr, q_arr : per-column angular frequency and radial index.
     roots : per-column Bessel root R_{|k|, q}.
@@ -193,16 +192,11 @@ class BasisSpec:
     c: float
     R: float
     k_max: int
-    q_counts: tuple
     n_a: int
     k_arr: np.ndarray = field(repr=False)
     q_arr: np.ndarray = field(repr=False)
     roots: np.ndarray = field(repr=False)
     norms: np.ndarray = field(repr=False)
-
-    def angular_phases(self, theta: float) -> np.ndarray:
-        """exp(i * k * theta) per column; the steering diagonal."""
-        return np.exp(1j * self.k_arr * theta)
 
 
 def build_basis_spec(c: float, R: float) -> BasisSpec:
@@ -247,7 +241,6 @@ def build_basis_spec(c: float, R: float) -> BasisSpec:
         c=float(c),
         R=float(R),
         k_max=k_max,
-        q_counts=tuple(q_counts.tolist()),
         n_a=len(k_arr),
         k_arr=k_arr,
         q_arr=q_arr,
@@ -329,8 +322,10 @@ def _radial_matrix(spec: BasisSpec, grid: QuadratureGrid) -> np.ndarray:
 
 
 def eval_basis_matrix(spec: BasisSpec, grid: QuadratureGrid, theta: float) -> np.ndarray:
-    """Matrix of psi_{k,q}(xi_j, theta), shape (n_xi, n_a)."""
-    return _radial_matrix(spec, grid) * spec.angular_phases(theta)[None, :]
+    """Matrix of psi_{k,q}(xi_j, theta), shape (n_xi, n_a): the radial
+    factor steered by exp(i * k * theta) per column."""
+    steer = np.exp(1j * spec.k_arr * theta)
+    return _radial_matrix(spec, grid) * steer[None, :]
 
 
 def warn_tilt_span(K: int, alpha: float):
@@ -353,12 +348,8 @@ def eval_tilt_matrix(
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
     warn_tilt_span(K, alpha)
-    radial = _radial_matrix(spec, grid)
-    blocks = [
-        radial * spec.angular_phases(kappa * alpha)[None, :]
-        for kappa in range(-K, K + 1)
-    ]
-    return np.vstack(blocks)
+    return np.vstack([eval_basis_matrix(spec, grid, kappa * alpha)
+                      for kappa in range(-K, K + 1)])
 
 
 def synthesize_image(coeffs: FBCoeffs, grid_size: int) -> np.ndarray:

@@ -249,16 +249,15 @@ def _build_problem(cfg):
     ph = cfg["phantom"]
     spec = build_basis_spec(ph["c"], ph["R"])
     truth = random_phantom(spec, ph["decay"], seed=ph["seed"])
-    if ph.get("scale", 1.0) != 1.0:
-        truth = FBCoeffs(values=ph["scale"] * truth.values, spec=spec,
-                         real_symmetric=truth.real_symmetric)
+    truth = FBCoeffs(values=ph["scale"] * truth.values, spec=spec,
+                     real_symmetric=truth.real_symmetric)
     d = cfg["distribution"]
     family = d["family"]
     if family == "bump":
         p = bump_distribution(d["n_theta"], d["loc"], d["kappa"])
     elif family == "two_bump":
         p = two_bump_distribution(d["n_theta"], d["loc"], d["loc2"],
-                                  d["kappa"], d.get("weight", 0.5))
+                                  d["kappa"], d["weight"])
     elif family == "uniform":
         p = uniform_distribution(d["n_theta"])
     else:

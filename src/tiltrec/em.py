@@ -9,8 +9,8 @@ random point or refine an ADMM solution.
 The records enter the likelihood only through their whitened projections
 onto the basis, Y = U_w conj(B) (N x n_a), and their whitened norms, so the
 workspace keeps those two and never the whitened records U_w themselves.
-The batch's map to the nodes is folded into the whitener, so the real
-records are whitened by one real product and no node spectrum is formed.
+The node DFT is folded into the whitener, so the batch's real lines are
+whitened by one real product and no node spectrum is formed.
 """
 
 from dataclasses import dataclass
@@ -50,49 +50,44 @@ class EmWorkspace:
     rank-deficient whenever n_xi exceeds the number of line samples, so the
     quadratic forms use its pseudo-inverse, read from one SVD F = U S V^H
     without forming the block: data and basis are projected onto the kept
-    left singular vectors and scaled to unit noise there.  The noise model
-    is real-space detector noise pushed through F, whatever map the batch
-    carries to the nodes.  The whitened records U_w are formed one record
-    block at a time, as one real product of the records with the whitened
-    node map, and reduced at once to Y = U_w conj(B) and the norms
-    ||U_w[i]||^2.
+    left singular vectors and scaled to unit noise there.  The whitened
+    records U_w are formed one record block at a time, as one real product
+    of the batch's lines with the whitened node DFT, and reduced at once to
+    Y = U_w conj(B) and the norms ||U_w[i]||^2.
     """
 
     def __init__(self, spec_batch, spec, n_theta):
         if not isinstance(spec_batch, SpectralBatch):
             raise ConfigError("expected a SpectralBatch")
-        if spec_batch.sigma2 <= 0:
+        batch, quad = spec_batch.batch, spec_batch.quad
+        if batch.sigma2 <= 0:
             raise ConfigError("EM needs a nonzero noise model; sigma2 = 0 "
                               "gives a degenerate likelihood")
         self.spec = spec
-        n_tilt, n_xi = 2 * spec_batch.K + 1, spec_batch.quad.n_xi
+        n_tilt, n_xi = 2 * batch.K + 1, quad.n_xi
 
-        U, s, _ = np.linalg.svd(dft_matrix(spec_batch.grid, spec_batch.quad),
-                                full_matrices=False)
+        F = dft_matrix(batch.grid, quad)
+        U, s, _ = np.linalg.svd(F, full_matrices=False)
         # the block's eigenvalues are sigma2 s^2, largest first; s[0] >= dx,
         # the size of every entry of F, so the first is always kept
         keep = s ** 2 > _PINV_CUTOFF * s[0] ** 2
         # rows of W whiten one tilt block: cov(W n_hat) = I on the kept space
-        self.whiten = (U[:, keep]
-                       / (np.sqrt(spec_batch.sigma2) * s[keep])).conj().T
+        self.whiten = (U[:, keep] / (np.sqrt(batch.sigma2) * s[keep])).conj().T
         self.rank = int(keep.sum())
 
-        psi = eval_tilt_matrix(spec, spec_batch.quad, spec_batch.K,
-                               spec_batch.alpha)
+        psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
         self.B = (self.whiten @ psi.reshape(n_tilt, n_xi, spec.n_a)).reshape(
             n_tilt * self.rank, spec.n_a)
 
-        # whitened node map (whiten @ to_nodes)^T as one real (m, 2*rank)
-        # matrix, real and imaginary parts interleaved, so a real record row
-        # times it is the whitened row viewed as complex
-        M = np.ascontiguousarray(
-            (self.whiten @ spec_batch.to_nodes).T).view(float)
+        # whitened node DFT (whiten @ F)^T as one real (L, 2*rank) matrix,
+        # real and imaginary parts interleaved, so a real line times it is
+        # the whitened line viewed as complex
+        M = np.ascontiguousarray((self.whiten @ F).T).view(float)
         B_conj = self.B.conj()
-        self.Y = np.empty((spec_batch.N, spec.n_a), dtype=complex)
-        self.data_norm2 = np.empty(spec_batch.N)
-        for i in range(0, spec_batch.N, _REDUCE_BLOCK):
-            rows = spec_batch.records[i:i + _REDUCE_BLOCK].reshape(
-                -1, M.shape[0])
+        self.Y = np.empty((batch.N, spec.n_a), dtype=complex)
+        self.data_norm2 = np.empty(batch.N)
+        for i in range(0, batch.N, _REDUCE_BLOCK):
+            rows = batch.samples[i:i + _REDUCE_BLOCK].reshape(-1, batch.grid.L)
             u = (rows @ M).view(complex).reshape(-1, n_tilt * self.rank)
             self.Y[i:i + _REDUCE_BLOCK] = u @ B_conj
             self.data_norm2[i:i + _REDUCE_BLOCK] = np.einsum(

@@ -151,6 +151,8 @@ class TiltSeriesBatch:
         expect = (N, 2 * self.K + 1, self.grid.L)
         if self.samples.shape != expect:
             raise ConfigError(f"samples shape {self.samples.shape} != {expect}")
+        if np.iscomplexobj(self.samples):
+            raise ConfigError(f"samples must be real, got {self.samples.dtype}")
         if self.sigma2 < 0:
             raise ConfigError(f"sigma2 must be >= 0, got {self.sigma2}")
 
@@ -159,14 +161,12 @@ class TiltSeriesBatch:
         return self.samples.shape[0]
 
 
-def random_phantom(
-    spec: BasisSpec, decay: float, realize: bool = True, seed: int = 0
-) -> FBCoeffs:
+def random_phantom(spec: BasisSpec, decay: float, seed: int = 0) -> FBCoeffs:
     """Random band-limited object with a decaying coefficient envelope.
 
     Coefficients are i.i.d. complex Gaussian with standard deviation
-    exp(-decay * R_{k,q} / (2*pi*c*R)); realize=True replaces the draw by its
-    nearest real-image-symmetric vector and sets the symmetry flag.
+    exp(-decay * R_{k,q} / (2*pi*c*R)), replaced by their nearest
+    real-image-symmetric vector.
     """
     if decay <= 0:
         raise ConfigError(f"decay must be positive, got {decay}")
@@ -175,8 +175,7 @@ def random_phantom(
     raw = envelope * (
         rng.standard_normal(spec.n_a) + 1j * rng.standard_normal(spec.n_a)
     )
-    coeffs = FBCoeffs(raw, spec)
-    return coeffs.symmetrized() if realize else coeffs
+    return FBCoeffs(raw, spec).symmetrized()
 
 
 @functools.lru_cache(maxsize=8)

@@ -29,8 +29,10 @@ that builds one numpy Generator per record and forms each clean line's
 phase matrix inline, against which the package's substream starts and its
 memoized line phases are checked.  The basis layout's reference is the
 (k, q) -> column dict with the symmetrization walked over it one pair at a
-time, and the node spectra of a spectral batch are its records mapped
-through the node DFT.
+time, and the node spectra of a spectral batch are its batch's lines
+mapped through the node DFT by its definition.  random_phantom's draw
+before its symmetrization is the coefficient vector without the
+real-image symmetry.
 """
 
 import math
@@ -231,9 +233,20 @@ def symmetrized_reference(coeffs):
 
 def node_spectra(sb):
     """Node spectra of a SpectralBatch, shape (N, (2K+1)*n_xi): each
-    record's tilt rows mapped to the nodes and concatenated."""
-    return (sb.records @ sb.to_nodes.T).reshape(
-        sb.N, (2 * sb.K + 1) * sb.quad.n_xi)
+    record's lines mapped to the nodes and concatenated."""
+    batch = sb.batch
+    F = explicit_dft_matrix(batch.grid, sb.quad)
+    return (batch.samples @ F.T).reshape(
+        batch.N, (2 * batch.K + 1) * sb.quad.n_xi)
+
+
+def raw_phantom(spec, decay, seed):
+    """random_phantom's coefficient draw before its symmetrization: the same
+    envelope exp(-decay * R_{k,q} / (2*pi*c*R)) on the same stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    envelope = np.exp(-decay * spec.roots / (2.0 * np.pi * spec.c * spec.R))
+    return FBCoeffs(envelope * (rng.standard_normal(spec.n_a)
+                                + 1j * rng.standard_normal(spec.n_a)), spec)
 
 
 def symmetry_residual(coeffs):
@@ -246,12 +259,13 @@ def symmetry_residual(coeffs):
 
 
 def whitened_records(work, spec_batch):
-    """U_w: every record's tilt blocks mapped to the nodes, then whitened by
+    """U_w: every record's lines mapped to the nodes, then whitened by
     work.whiten, shape (N, (2K+1) * rank); the workspace folds the two maps
     into one and keeps only U_w conj(B) and the norms."""
-    yhat = spec_batch.records @ spec_batch.to_nodes.T
+    N, n_tilt = spec_batch.batch.samples.shape[:2]
+    yhat = node_spectra(spec_batch).reshape(N, n_tilt, spec_batch.quad.n_xi)
     return np.einsum('rj,ikj->ikr', work.whiten, yhat).reshape(
-        spec_batch.N, (2 * spec_batch.K + 1) * work.rank)
+        N, n_tilt * work.rank)
 
 
 def noise_covariance(sigma2, grid, quad):

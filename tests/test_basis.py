@@ -4,12 +4,13 @@ from scipy import special
 
 from tiltrec.basis import (_ROOT_CELL, FBCoeffs, _radial_matrix, bessel_j,
                            bessel_roots, build_basis_spec, build_quadrature,
-                           eval_basis_matrix, synthesize_image)
+                           eval_basis_matrix, eval_tilt_matrix,
+                           synthesize_image)
 from tiltrec.errors import ConfigError
 from tiltrec.sim import random_phantom
 
 from oracles import (column_index, default_n_xi, quadrature_image,
-                     symmetrized_reference, symmetry_residual)
+                     raw_phantom, symmetrized_reference, symmetry_residual)
 
 # first positive roots of J_0 and J_1, standard reference constants
 J0_ROOT_1 = 2.404825557695773
@@ -122,7 +123,7 @@ def test_truncation_rule(med_spec):
     # R_{k, q_k+1} <= 2*pi*c*R < R_{k, q_k+2}
     bound = 2.0 * np.pi * med_spec.c * med_spec.R
     for k in range(med_spec.k_max + 1):
-        q_k = med_spec.q_counts[k]
+        q_k = np.count_nonzero(med_spec.k_arr == k)
         roots = bessel_roots(k, q_k + 2)
         assert roots[q_k] <= bound
         assert roots[q_k + 1] > bound
@@ -133,7 +134,7 @@ def test_negative_orders_mirror(med_spec):
     # (-k, q) is retained exactly when (k, q) is
     index = column_index(med_spec)
     for k in range(1, med_spec.k_max + 1):
-        for q in range(1, med_spec.q_counts[k] + 1):
+        for q in range(1, np.count_nonzero(med_spec.k_arr == k) + 1):
             assert (-k, q) in index
     count_neg = sum(1 for (k, _) in index if k < 0)
     count_pos = sum(1 for (k, _) in index if k > 0)
@@ -141,7 +142,6 @@ def test_negative_orders_mirror(med_spec):
     # index map is a bijection onto 0..n_a-1
     idx = sorted(index.values())
     assert idx == list(range(med_spec.n_a))
-    assert med_spec.n_a == med_spec.q_counts[0] + 2 * sum(med_spec.q_counts[1:])
 
 
 def test_normalization_even_in_k(med_spec, quad32):
@@ -150,6 +150,20 @@ def test_normalization_even_in_k(med_spec, quad32):
     for (k, q), i in index.items():
         j = index[(-k, q)]
         assert np.allclose(np.abs(psi[:, i]), np.abs(psi[:, j]), atol=1e-14)
+
+
+@pytest.mark.parametrize("K, alpha", [(0, 0.1), (2, 3.8 * np.pi / 180),
+                                      (3, -0.05)])
+def test_tilt_matrix_blocks_are_basis_matrices(small_spec, quad32, K, alpha):
+    """Row block kappa + K of the tilt matrix is eval_basis_matrix at
+    kappa * alpha, bitwise, for kappa = -K..K."""
+    psi = eval_tilt_matrix(small_spec, quad32, K, alpha)
+    n = quad32.n_xi
+    assert psi.shape == ((2 * K + 1) * n, small_spec.n_a)
+    for kappa in range(-K, K + 1):
+        block = psi[(kappa + K) * n:(kappa + K + 1) * n]
+        want = eval_basis_matrix(small_spec, quad32, kappa * alpha)
+        assert block.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("c, R", [(0.3, 4.0), (0.3, 8.0), (0.3, 16.0),
@@ -162,14 +176,14 @@ def test_layout_matches_per_order_reference(c, R):
     index = column_index(spec)
     assert len(index) == spec.n_a
     for k in range(-spec.k_max, spec.k_max + 1):
-        q_k = spec.q_counts[abs(k)]
+        q_k = np.count_nonzero(spec.k_arr == abs(k))
         cols = [index[(k, q)] for q in range(1, q_k + 1)]
         assert cols == list(range(cols[0], cols[0] + q_k))
         np.testing.assert_array_equal(spec.roots[cols], bessel_roots(k, q_k))
     for seed in range(3):
-        for realize in (True, False):
-            a = random_phantom(spec, 1.0, realize=realize, seed=seed)
-            if not realize:   # exact zeros exercise the signs of zero
+        for a in (random_phantom(spec, 1.0, seed=seed),
+                  raw_phantom(spec, 1.0, seed)):
+            if not a.real_symmetric:   # exact zeros exercise signs of zero
                 a.values[::5] = 0.0
             got, want = a.symmetrized(), symmetrized_reference(a)
             assert got.real_symmetric and want.real_symmetric
@@ -287,13 +301,12 @@ def _relative(image, reference):
 
 
 @pytest.mark.parametrize("R,grid_size", [(8.0, 16), (16.0, 32)])
-@pytest.mark.parametrize("realize", [True, False],
+@pytest.mark.parametrize("draw", [random_phantom, raw_phantom],
                          ids=["symmetric", "nonsymmetric"])
-def test_closed_form_matches_quadrature(R, grid_size, realize):
+def test_closed_form_matches_quadrature(R, grid_size, draw):
     """Lommel's closed form and the polar quadrature it replaced agree to
     the quadrature's own rounding."""
-    coeffs = random_phantom(build_basis_spec(0.3, R), 1.0, realize=realize,
-                            seed=11)
+    coeffs = draw(build_basis_spec(0.3, R), 1.0, seed=11)
     image = synthesize_image(coeffs, grid_size)
     assert _relative(image, quadrature_image(coeffs, grid_size)) <= 1e-12
 

@@ -663,8 +663,8 @@ def test_em_only_commands_skip_second_moment(sim_run, tmp_path, monkeypatch):
 
 
 def test_em_runs_form_no_node_spectra(sim_run, tmp_path, monkeypatch):
-    """EM reads the real records through its whitened node map; no EM or
-    hybrid reconstruct forms the node spectra."""
+    """EM reads the batch's real lines through its whitened node DFT; no EM
+    or hybrid reconstruct forms the node spectra."""
     cfg, sim_out = sim_run
 
     def refuse(self):

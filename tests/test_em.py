@@ -1,18 +1,17 @@
 """EM tests: whitening, soft assignment, exact M-step, likelihood routes,
-and full-loop recovery on spectra drawn from the model itself.
+and full-loop recovery on batches drawn from the model itself.
 
 Recovery is tested on model-consistent data (basis predictions plus noise
 with exactly the modeled covariance). Batches projected in real space carry
 a finite-window discrepancy that the likelihood legitimately fits, which
 would make a recovery assertion measure the window, not the solver.
 
-Such spectra cannot be written as real line samples: the real-linear map
-from a line to its node values is not onto the node spectra (its row rank
-stays below twice the whitened rank), and the basis predictions lie outside
-its range.  model_batch therefore passes its complex node spectra as real
-records, their real and imaginary parts interleaved, with the node map
-kron(I, [1, 1j]) that puts them back together; EM reads them through the
-same records-plus-map route as the line samples of a simulated batch.
+model_batch writes such data as real line samples: once the line is long
+enough that the real-linear map y -> F y from a line to its node values is
+onto (L = 256 against n_xi = 32 in em_problem), each exact model spectrum
+is the image of its minimum-norm real line, and white real-space noise on
+those lines is the modeled node noise.  EM reads them as it reads the
+lines of a simulated batch.
 """
 
 from dataclasses import replace
@@ -31,7 +30,7 @@ from tiltrec.metrics import relative_error
 from tiltrec.moments import angle_phase_matrix
 from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
                          bump_distribution, generate_batch, random_phantom)
-from tiltrec.spectral import SpectralBatch, dft_matrix, transform_batch
+from tiltrec.spectral import dft_matrix, transform_batch
 
 from oracles import (e_step, explicit_dft_matrix, log_marginal_likelihood,
                      node_spectra, whitened_records)
@@ -39,27 +38,32 @@ from oracles import (e_step, explicit_dft_matrix, log_marginal_likelihood,
 DEG = np.pi / 180.0
 
 
+def model_spectra(truth, labels, n_theta, K, alpha, quad):
+    """Exact model spectra psi (a o e_l) of every record, (N, (2K+1)*n_xi)."""
+    psi = eval_tilt_matrix(truth.spec, quad, K, alpha)
+    E = angle_phase_matrix(truth.spec, n_theta)
+    return (psi @ (truth.values[:, None] * E[:, labels])).T
+
+
 def model_batch(truth, p, N, K, alpha, sigma2, grid, quad, seed):
-    """Spectra drawn exactly from the mixture model: steered basis
-    predictions plus real-space noise pushed through the node DFT, passed
-    as interleaved real records with the map kron(I, [1, 1j])."""
-    spec = truth.spec
-    psi = eval_tilt_matrix(spec, quad, K, alpha)
-    E = angle_phase_matrix(spec, p.n_theta)
-    F = dft_matrix(grid, quad)
+    """A batch drawn exactly from the mixture model: each tilt's clean line
+    is the minimum-norm real solution y of F y = psi_kappa (a o e_l), and
+    white real-space noise of variance sigma2 is added to it.  The hidden
+    angles are the drawn labels."""
     rng = np.random.default_rng(seed)
     labels = rng.choice(p.n_theta, size=N, p=p.p)
     n_tilt = 2 * K + 1
-    yhat = np.empty((N, n_tilt * quad.n_xi), dtype=complex)
-    sig = np.sqrt(sigma2)
-    for i, l in enumerate(labels):
-        clean = (psi @ (truth.values[:, None] * E[:, [l]])).ravel()
-        noise_rs = sig * rng.standard_normal((n_tilt, grid.L))
-        yhat[i] = clean + (noise_rs @ F.T).ravel()
-    records = yhat.view(float).reshape(N, n_tilt, 2 * quad.n_xi)
-    to_nodes = np.kron(np.eye(quad.n_xi), [[1.0, 1j]])
-    return SpectralBatch(records=records, to_nodes=to_nodes, quad=quad,
-                         grid=grid, K=K, alpha=alpha, sigma2=sigma2), labels
+    F = dft_matrix(grid, quad)
+    clean = model_spectra(truth, labels, p.n_theta, K, alpha, quad).reshape(
+        N, n_tilt, quad.n_xi)
+    lift = np.linalg.pinv(np.vstack([F.real, F.imag]))    # (L, 2 n_xi)
+    lines = np.concatenate([clean.real, clean.imag], axis=2) @ lift.T
+    samples = lines + np.sqrt(sigma2) * rng.standard_normal((N, n_tilt,
+                                                             grid.L))
+    batch = TiltSeriesBatch(samples=samples, K=K, alpha=alpha, sigma2=sigma2,
+                            grid=grid, seed=seed, n_theta=p.n_theta,
+                            hidden_angles=labels)
+    return transform_batch(batch, quad)
 
 
 @pytest.fixture(scope="module")
@@ -80,12 +84,14 @@ def tiny_em():
 def em_problem(small_spec, small_phantom, bump12):
     """R=8 model-consistent batch for full-loop runs."""
     quad = build_quadrature(0.3, 32)
-    grid = build_line_grid(16)
-    K, alpha, sigma2 = 2, 3.8 * DEG, 0.05
-    sb, labels = model_batch(small_phantom, bump12, 300, K, alpha, sigma2,
-                             grid, quad, seed=7)
+    grid = build_line_grid(256)
+    # sigma2 * n_xi * L, the per-tilt node-noise trace, is 25.6
+    K, alpha, sigma2 = 2, 3.8 * DEG, 0.003125
+    sb = model_batch(small_phantom, bump12, 300, K, alpha, sigma2, grid, quad,
+                     seed=7)
     return {"spec": small_spec, "a": small_phantom, "p": bump12, "sb": sb,
-            "labels": labels, "work": EmWorkspace(sb, small_spec, 12)}
+            "quad": quad, "labels": sb.batch.hidden_angles,
+            "work": EmWorkspace(sb, small_spec, 12)}
 
 
 def test_config_validation():
@@ -94,7 +100,8 @@ def test_config_validation():
 
 
 def test_workspace_validation(tiny_em):
-    clean = replace(tiny_em["sb"], sigma2=0.0)
+    clean = transform_batch(replace(tiny_em["batch"], sigma2=0.0),
+                            tiny_em["quad"])
     with pytest.raises(ConfigError):
         EmWorkspace(clean, tiny_em["spec"], 8)
     with pytest.raises(ConfigError):
@@ -118,6 +125,19 @@ def test_whitening_identity(tiny_em, L, n_xi, rank):
     assert work.B.shape == (3 * rank, tiny_em["spec"].n_a)
 
 
+def test_model_batch_lines_are_exact(em_problem, small_phantom, bump12):
+    """A noiseless model batch's lines map through F to the exact model
+    spectra psi (a o e_l), record by record, at em_problem's geometry."""
+    quad, K, alpha = em_problem["quad"], 2, 3.8 * DEG
+    sb = model_batch(small_phantom, bump12, 40, K, alpha, 0.0,
+                     build_line_grid(256), quad, seed=3)
+    want = model_spectra(small_phantom, sb.batch.hidden_angles, 12, K, alpha,
+                         quad)
+    got = node_spectra(sb)
+    err = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert err.max() <= 1e-12
+
+
 def test_e_step_rows_and_one_hot(small_spec, small_phantom, bump12):
     quad = build_quadrature(0.3, 32)
     grid = build_line_grid(16)
@@ -135,7 +155,7 @@ def test_workspace_keeps_only_n_a_sized_record_statistics(tiny_em):
     """No array attribute is as long as the batch and wider than the basis;
     the whitened record array is not kept."""
     work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
-    N, n_a = tiny_em["sb"].N, tiny_em["spec"].n_a
+    N, n_a = tiny_em["batch"].N, tiny_em["spec"].n_a
     assert not hasattr(work, "U_w")
     assert work.Y.shape == (N, n_a) and work.data_norm2.shape == (N,)
     for name, value in vars(work).items():
@@ -208,7 +228,7 @@ def test_log_likelihood_dense_oracle(tiny_em):
     n_xi = quad.n_xi
     total = 0.0
     yhat = node_spectra(sb)
-    for i in range(sb.N):
+    for i in range(sb.batch.N):
         terms = []
         for l in range(8):
             ph = np.exp(1j * spec.k_arr * (2.0 * np.pi * l / 8))
@@ -244,8 +264,8 @@ def test_run_em_monotone_and_recovers(em_problem):
     assert res.converged
 
     # the refinement should land on the known-label oracle fit
-    pi = np.zeros((em_problem["sb"].N, 12))
-    pi[np.arange(em_problem["sb"].N), em_problem["labels"]] = 1.0
+    pi = np.zeros((len(em_problem["labels"]), 12))
+    pi[np.arange(len(pi)), em_problem["labels"]] = 1.0
     a_or, _ = m_step(em_problem["work"], pi)
     re_end, _ = relative_error(truth, res.a, 120)
     re_oracle, _ = relative_error(truth, a_or, 120)
@@ -298,9 +318,10 @@ def test_run_em_stops_on_decrease(em_problem, monkeypatch):
 
 
 def test_non_finite_data_raises(tiny_em):
-    bad = tiny_em["sb"].records.copy()
+    bad = tiny_em["batch"].samples.copy()
     bad[0, 0, 0] = np.inf
-    sb_bad = replace(tiny_em["sb"], records=bad)
+    sb_bad = transform_batch(replace(tiny_em["batch"], samples=bad),
+                             tiny_em["quad"])
     with pytest.raises(SolverError), np.errstate(invalid="ignore"):
         run_em(EmWorkspace(sb_bad, tiny_em["spec"], 8), tiny_em["a"],
                tiny_em["p"], EmConfig(max_iter=5))

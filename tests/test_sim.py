@@ -19,7 +19,7 @@ from tiltrec.sim import (ViewDistribution, _line_phases, _substream_starts,
 
 from oracles import (column_index, default_n_xi, dft_at_nodes,
                      generate_batch_reference, project_clean_reference,
-                     symmetry_residual)
+                     raw_phantom, symmetry_residual)
 
 DEG = np.pi / 180.0
 
@@ -59,8 +59,9 @@ def test_phantom_deterministic(small_spec):
     assert np.array_equal(a1.values, a2.values)
     assert a1.real_symmetric
     assert symmetry_residual(a1) < 1e-14
-    raw = random_phantom(small_spec, 1.0, realize=False, seed=3)
+    raw = raw_phantom(small_spec, 1.0, 3)
     assert symmetry_residual(raw) > 1e-3  # unsymmetrized draw
+    assert a1.values.tobytes() == raw.symmetrized().values.tobytes()
 
 
 def test_zero_object_projects_to_zero(small_spec, quad32):

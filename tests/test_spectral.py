@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -57,7 +57,6 @@ def test_transform_batch_blocks(small_batch, quad32):
     sb = transform_batch(batch, quad32)
     yhat = node_spectra(sb)
     assert yhat.shape == (batch.N, (2 * batch.K + 1) * quad32.n_xi)
-    assert sb.sigma2 == batch.sigma2
     # per-tilt block kappa equals the node DFT of that line
     i, kappa = 3, 1
     block = yhat[i, kappa * quad32.n_xi:(kappa + 1) * quad32.n_xi]
@@ -66,24 +65,26 @@ def test_transform_batch_blocks(small_batch, quad32):
 
 
 def test_transform_batch_keeps_the_samples(small_batch, quad32):
-    """The records are the line samples themselves, not a copy."""
-    batch, grid = small_batch
+    """A spectral batch holds the batch itself, samples and all, not a
+    copy, with its quadrature, and nothing else."""
+    batch, _ = small_batch
     sb = transform_batch(batch, quad32)
-    assert np.shares_memory(sb.records, batch.samples)
-    assert np.array_equal(sb.to_nodes, dft_matrix(grid, quad32))
+    assert sb.batch is batch and sb.quad is quad32
+    assert [f.name for f in fields(SpectralBatch)] == ["batch", "quad"]
 
 
-@pytest.mark.parametrize("field, bad", [
-    ("records", lambda sb: sb.records.astype(complex)),
-    ("records", lambda sb: sb.records.reshape(sb.N, -1)),
-    ("records", lambda sb: sb.records[:, :4]),
-    ("to_nodes", lambda sb: sb.to_nodes[:-1]),
-    ("to_nodes", lambda sb: sb.to_nodes[:, :-1]),
-], ids=["complex", "2-d", "tilt-axis", "n_xi", "width"])
-def test_spectral_batch_validation(small_batch, quad32, field, bad):
-    sb = transform_batch(small_batch[0], quad32)
-    with pytest.raises(ConfigError, match=field):
-        replace(sb, **{field: bad(sb)})
+@pytest.mark.parametrize("bad", [
+    lambda s: s.astype(complex),
+    lambda s: s.reshape(len(s), -1),
+    lambda s: s[:, :4],
+    lambda s: s[:, :, :-1],
+], ids=["complex", "2-d", "tilt-axis", "line-axis"])
+def test_spectral_batch_validation(small_batch, bad):
+    """The batch a spectral batch holds refuses samples that are complex or
+    not of shape (N, 2K+1, L), naming them."""
+    batch = small_batch[0]
+    with pytest.raises(ConfigError, match="samples"):
+        replace(batch, samples=bad(batch.samples))
 
 
 def test_transform_empty_batch(quad32):
