@@ -6,6 +6,13 @@ given config and seed except the wall-clock runtime column.
 
 The second moment is formed only when ADMM runs: the shared random start
 reads the first moment alone, so an EM-only run never forms it.
+
+reconstruct streams its batch file: one pass of sim.BatchFile reads it a
+record block at a time and feeds each block to the record reductions the
+method needs (moments.MomentSums, em.EmWorkspace), so the command holds one
+record block and EM's N x n_a statistics, never the whole payload.
+experiment feeds its batches in memory through the same reductions, in
+the same blocks, so both routes give the same bits.
 """
 
 import argparse
@@ -29,11 +36,11 @@ from .em import EmConfig, EmWorkspace, run_em
 from .errors import ConfigError, SolverError
 from .metrics import (joint_alignment, reports_to_csv, score, snr_db,
                       variance_for_snr)
-from .moments import empirical_moments, first_moment
-from .sim import (ViewDistribution, build_line_grid, bump_distribution,
-                  check_payload_size, generate_batch, load_batch,
-                  random_phantom, read_header_file, save_batch,
-                  two_bump_distribution, uniform_distribution)
+from .moments import MomentSums, empirical_moments, first_moment
+from .sim import (BatchFile, ViewDistribution, build_line_grid,
+                  bump_distribution, check_payload_size, generate_batch,
+                  random_phantom, read_header_file, reduce_records,
+                  save_batch, two_bump_distribution, uniform_distribution)
 from .spectral import transform_batch
 
 DEFAULT_CONFIG = {
@@ -216,7 +223,7 @@ def load_coeff_file(path):
         path, {"c": float, "R": float, "n_a": 1, "n_theta": 1,
                "real_symmetric": bool})
     n_a = header["n_a"]
-    check_payload_size(path, payload, 16 * n_a + 8 * header["n_theta"])
+    check_payload_size(path, len(payload), 16 * n_a + 8 * header["n_theta"])
     # k = 0 keeps q_0 > 2cR - 2 functions and, as Bessel zeros interlace,
     # q_k >= q_0 - k, so n_a >= q_0^2: reject a larger c*R before building
     if 2 * header["c"] * header["R"] - 2 > math.sqrt(n_a):
@@ -265,13 +272,19 @@ def _build_problem(cfg):
     return spec, truth, p
 
 
+def _variance(total, square_total, n):
+    """E[y^2] - E[y]^2 of n samples from their sum and sum of squares; 0
+    within the n*eps rounding of those sums: flat lines."""
+    mean_sq = square_total / n
+    var = mean_sq - (total / n) ** 2
+    return var if var > n * np.finfo(float).eps * mean_sq else 0.0
+
+
 def _sample_variance(samples):
-    """E[y^2] - E[y]^2 over all n samples from one dot product (np.var would
-    copy the batch); 0 within the n*eps rounding of its sums: flat lines."""
+    """_variance of all samples, its sums from one pass each (np.var would
+    copy the batch)."""
     flat = samples.reshape(-1)
-    mean_sq = float(np.dot(flat, flat)) / flat.size
-    var = mean_sq - float(flat.mean()) ** 2
-    return var if var > flat.size * np.finfo(float).eps * mean_sq else 0.0
+    return _variance(float(flat.sum()), float(np.dot(flat, flat)), flat.size)
 
 
 def _draw_batch(acq, truth, p, grid, quad, seed, targets_db):
@@ -359,24 +372,56 @@ def _admm_snapshots(features, budgets, cfg, seed, spec, n_theta):
     return snapshots
 
 
-def _run_methods(methods, batch, quad, spec, n_theta, cfg, seed, out_dir=None):
-    """Run each method's solver stages, each from the estimate of the one
-    before and the first from the seed's random start, which the methods
-    share.  The start reads only the weighted first moment, so the full
-    moments are formed only when a method runs ADMM, their only reader.
-    ADMM runs once: a method's ADMM stage is the _admm_snapshots entry at
-    its budget.  The EM workspace is built once, before the first method,
-    when one runs EM.  A method's runtime is the time of each shared piece
+def _batch_statistics(methods, batch, quad, spec):
+    """(features, mu_norm, EM workspace, its build seconds) of a batch in
+    memory for methods.  The shared random start reads only the weighted
+    first moment, so the full moments are formed only when a method runs
+    ADMM, their only reader; the workspace is built, and timed, only when
+    one runs EM.  Each is one pass of its consumers over the batch's record
+    blocks."""
+    features = (empirical_moments(batch, quad, spec)
+                if _uses(methods, "admm") else None)
+    mu_norm = (features.mu_norm if features is not None
+               else float(np.linalg.norm(first_moment(batch, quad))))
+    t0 = time.perf_counter()
+    work = (EmWorkspace(transform_batch(batch, quad), spec, batch.n_theta)
+            if _uses(methods, "em") else None)
+    return features, mu_norm, work, time.perf_counter() - t0
+
+
+def _file_statistics(batch, methods, quad, spec):
+    """(sums, statistics) of an open sim.BatchFile: its records are read
+    once, block by block, and each block is fed to the consumers methods
+    need: MomentSums (the first moment and the sample variance; the second
+    moment only when a method runs ADMM) and the EM workspace only when
+    one runs EM.  The statistics are _batch_statistics' and bitwise equal
+    to them on the batch the file holds; the seconds are the whole pass."""
+    admm = _uses(methods, "admm")
+    sums = MomentSums(batch, quad, spec if admm else None)
+    t0 = time.perf_counter()
+    work = (EmWorkspace(transform_batch(batch, quad), spec, batch.n_theta)
+            if _uses(methods, "em") else None)
+    reduce_records(batch.blocks(), [c for c in (sums, work) if c is not None])
+    return sums, (sums.features() if admm else None,
+                  float(np.linalg.norm(sums.first_moment())), work,
+                  time.perf_counter() - t0)
+
+
+def _run_methods(methods, statistics, spec, n_theta, cfg, seed,
+                 out_dir=None):
+    """Run each method's solver stages on the batch statistics of
+    _batch_statistics or _file_statistics, each stage from the estimate of
+    the one before and the first from the seed's random start, which the
+    methods share.  ADMM runs once: a method's ADMM stage is the
+    _admm_snapshots entry at its budget.  The EM workspace is shared by
+    every EM stage.  A method's runtime is the time of each shared piece
     it reads, the ADMM snapshot and the EM workspace, plus its own stages.
     With out_dir (one method), every stage that ran, failed ones too,
     writes its history there.  Returns the start's hash and, per method,
     its estimate, runtime and one record per stage: the solver, n_iter,
     converged, stop_reason and the last value of each history column."""
     sol = cfg["solver"]
-    features = (empirical_moments(batch, quad, spec)
-                if _uses(methods, "admm") else None)
-    mu_norm = (features.mu_norm if features is not None
-               else float(np.linalg.norm(first_moment(batch, quad))))
+    features, mu_norm, work, work_s = statistics
     a0, _, p0 = random_start(mu_norm, spec.n_a, n_theta, seed)
     start = (FBCoeffs(values=a0, spec=spec, real_symmetric=False),
              ViewDistribution(p=p0, n_theta=n_theta))
@@ -386,10 +431,6 @@ def _run_methods(methods, batch, quad, spec, n_theta, cfg, seed, out_dir=None):
     try:
         admm = (_admm_snapshots(features, budgets, cfg, seed, spec, n_theta)
                 if budgets else {})
-        t0 = time.perf_counter()
-        work = (EmWorkspace(transform_batch(batch, quad), spec, n_theta)
-                if _uses(methods, "em") else None)
-        work_s = time.perf_counter() - t0
         for method in methods:
             (a, p), stages = start, []
             runtime = work_s if _uses([method], "em") else 0.0
@@ -419,25 +460,30 @@ def _run_methods(methods, batch, quad, spec, n_theta, cfg, seed, out_dir=None):
 
 
 def cmd_reconstruct(batch_path, cfg, out_dir, truth_path=None):
+    """Solve the batch file at batch_path, read in one pass of record
+    blocks (_file_statistics): what it holds at once is one record block,
+    the N x n_a EM statistics when EM runs, and the n_a-sized moments."""
     batch_path = Path(batch_path)
     if not batch_path.exists():
         raise ConfigError(f"batch file not found: {batch_path}")
-    batch = load_batch(batch_path)
     method = cfg["solver"]["method"]
-    if _uses([method], "em") and batch.sigma2 <= 0:
-        raise ConfigError("EM needs a noisy batch; sigma2 = 0 has no "
-                          "likelihood model")
-    spec = build_basis_spec(cfg["phantom"]["c"], cfg["phantom"]["R"])
-    quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
+    with contextlib.closing(BatchFile(batch_path)) as batch:
+        if _uses([method], "em") and batch.sigma2 <= 0:
+            raise ConfigError("EM needs a noisy batch; sigma2 = 0 has no "
+                              "likelihood model")
+        spec = build_basis_spec(cfg["phantom"]["c"], cfg["phantom"]["R"])
+        quad = build_quadrature(spec.c, cfg["solver"]["n_xi"])
+        sums, statistics = _file_statistics(batch, [method], quad, spec)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     start_hash, [(a, p, runtime, stages)] = _run_methods(
-        [method], batch, quad, spec, batch.n_theta, cfg, cfg["seed"],
+        [method], statistics, spec, batch.n_theta, cfg, cfg["seed"],
         out_dir=out_dir)
 
     est_path = out_dir / "estimate.dat"
-    achieved = snr_db(_sample_variance(batch.samples) - batch.sigma2,
-                      batch.sigma2)
+    variance = _variance(float(sums.line_sum.sum()), sums.square_sum,
+                         sums.line_sum.size * batch.N)
+    achieved = snr_db(variance - batch.sigma2, batch.sigma2)
     save_coeff_file(est_path, a, p, meta={
         "kind": "estimate", "method": method, "seed": cfg["seed"],
         "runtime_s": runtime, "snr_db": achieved, "init_sha256": start_hash})
@@ -516,8 +562,10 @@ def _experiment_trial(cfg, spec, truth, p, trial):
     cells = []
     while batches:      # each batch is freed once its cell is done
         batch = batches.pop(0)
-        start_hash, results = _run_methods(exp["methods"], batch, quad, spec,
-                                           p.n_theta, cfg, seed)
+        start_hash, results = _run_methods(
+            exp["methods"], _batch_statistics(exp["methods"], batch, quad,
+                                              spec),
+            spec, p.n_theta, cfg, seed)
         reports = [score(truth, p, a, pd, exp["success_threshold"],
                          method=method, snr_db=snr_db(clean_var, batch.sigma2),
                          seed=seed, runtime=runtime)

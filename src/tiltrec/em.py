@@ -9,10 +9,11 @@ random point or refine an ADMM solution.
 The records enter the likelihood only through their whitened projections
 onto the basis, Y = U_w conj(B) (N x n_a), and their whitened norms, so the
 workspace keeps those two and never the whitened records U_w themselves.
-The node DFT is folded into the whitener, so the batch's real lines are
-whitened by one real product and no node spectrum is formed.
+The node DFT is folded into the whitener, so each record block's real
+lines are whitened by one real product and no node spectrum is formed.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,10 @@ import numpy as np
 from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError, SolverResult
 from .moments import angle_coupling, angle_phase_matrix
-from .sim import ViewDistribution
+from .sim import (TiltSeriesBatch, ViewDistribution, record_blocks,
+                  reduce_records)
 from .spectral import SpectralBatch, dft_matrix
 
-# records whitened at once, by one real product; bounds the
-# (block, (2K+1)*rank) whitened array so the whole N-row one is never formed
-_REDUCE_BLOCK = 1024
 # eigenvalues below this fraction of the largest are dropped by both
 # pseudo-inverses: the noise block's, whose eigenvalues are the node DFT's
 # squared singular values times sigma2, and the M-step normal matrix's
@@ -50,10 +49,15 @@ class EmWorkspace:
     rank-deficient whenever n_xi exceeds the number of line samples, so the
     quadratic forms use its pseudo-inverse, read from one SVD F = U S V^H
     without forming the block: data and basis are projected onto the kept
-    left singular vectors and scaled to unit noise there.  The whitened
-    records U_w are formed one record block at a time, as one real product
-    of the batch's lines with the whitened node DFT, and reduced at once to
-    Y = U_w conj(B) and the norms ||U_w[i]||^2.
+    left singular vectors and scaled to unit noise there.  The workspace
+    is a consumer of sim.reduce_records: each record block it is fed is
+    whitened by one real product of its lines with the whitened node DFT
+    and reduced at once to its rows of Y = U_w conj(B) and the norms
+    ||U_w[i]||^2, so the whitened records U_w are never held whole.  A
+    batch in memory is fed here, in record_blocks; a sim.BatchFile's
+    blocks are fed by the caller's one pass over the file, which may feed
+    other consumers too.  E, the only n_theta-sized array, is formed on
+    first use.
     """
 
     def __init__(self, spec_batch, spec, n_theta):
@@ -63,7 +67,7 @@ class EmWorkspace:
         if batch.sigma2 <= 0:
             raise ConfigError("EM needs a nonzero noise model; sigma2 = 0 "
                               "gives a degenerate likelihood")
-        self.spec = spec
+        self.spec, self.n_theta = spec, n_theta
         n_tilt, n_xi = 2 * batch.K + 1, quad.n_xi
 
         F = dft_matrix(batch.grid, quad)
@@ -78,23 +82,34 @@ class EmWorkspace:
         psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
         self.B = (self.whiten @ psi.reshape(n_tilt, n_xi, spec.n_a)).reshape(
             n_tilt * self.rank, spec.n_a)
+        self.G_B = self.B.conj().T @ self.B
 
         # whitened node DFT (whiten @ F)^T as one real (L, 2*rank) matrix,
         # real and imaginary parts interleaved, so a real line times it is
         # the whitened line viewed as complex
-        M = np.ascontiguousarray((self.whiten @ F).T).view(float)
-        B_conj = self.B.conj()
+        self._lines_to_whitened = np.ascontiguousarray(
+            (self.whiten @ F).T).view(float)
+        self._B_conj = self.B.conj()
         self.Y = np.empty((batch.N, spec.n_a), dtype=complex)
         self.data_norm2 = np.empty(batch.N)
-        for i in range(0, batch.N, _REDUCE_BLOCK):
-            rows = batch.samples[i:i + _REDUCE_BLOCK].reshape(-1, batch.grid.L)
-            u = (rows @ M).view(complex).reshape(-1, n_tilt * self.rank)
-            self.Y[i:i + _REDUCE_BLOCK] = u @ B_conj
-            self.data_norm2[i:i + _REDUCE_BLOCK] = np.einsum(
-                'ij,ij->i', u.conj(), u).real
+        self._fed = 0
+        if isinstance(batch, TiltSeriesBatch):
+            reduce_records(record_blocks(batch.samples), [self])
 
-        self.E = angle_phase_matrix(spec, n_theta)          # e^{i k phi_l}
-        self.G_B = self.B.conj().T @ self.B
+    def __call__(self, block):
+        """Whiten the next record block and fill its rows of Y and
+        data_norm2."""
+        i, n = self._fed, len(block)
+        u = (block.reshape(-1, block.shape[-1]) @ self._lines_to_whitened
+             ).view(complex).reshape(n, -1)
+        self.Y[i:i + n] = u @ self._B_conj
+        self.data_norm2[i:i + n] = np.einsum('ij,ij->i', u.conj(), u).real
+        self._fed = i + n
+
+    @functools.cached_property
+    def E(self):
+        """e^{i k phi_l}, the angle-phase matrix (n_a, n_theta)."""
+        return angle_phase_matrix(self.spec, self.n_theta)
 
     def normal_matrix(self, mass):
         """sum_l mass[l] diag(conj e_l) G_B diag(e_l), formed as the single

@@ -11,8 +11,11 @@ So population features are b1 = R (a o g) and
 B2 = (R A_a) diag(p) (R A_a)^H with A_a = diag(a) E, and empirical ones map
 each record's real line samples to Q coordinates, Z = X Phi_Q with
 Phi_Q = F_b^H D_w Q, and debias B2 = Z^H Z / N - sigma2 Phi_Q^H Phi_Q.  No
-wide moment matrix is formed.  The weighted first moment alone
-(first_moment) scales the shared random start, so EM-only runs skip B2.
+wide moment matrix is formed, and Z only one record block at a time: every
+empirical moment is a sum over records, which MomentSums accumulates block
+by block, from a batch in memory or from a file streamed by sim.BatchFile.
+The weighted first moment alone (first_moment) scales the shared random
+start, so EM-only runs skip B2.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .basis import BasisSpec, FBCoeffs, QuadratureGrid, eval_tilt_matrix
 from .errors import ConfigError
-from .sim import TiltSeriesBatch
+from .sim import TiltSeriesBatch, record_blocks, reduce_records
 from .spectral import blockwise_mean_outer, dft_matrix
 
 
@@ -183,39 +186,88 @@ def population_features(
     )
 
 
+class MomentSums:
+    """Sums over the records of a batch, fed one record block at a time by
+    sim.reduce_records: the line sums, added record by record in order (so
+    their mean is bitwise numpy's mean of the whole batch), the sum of
+    squared samples and, given spec, the record coordinates Z = X Phi_Q of
+    each block, reduced at once to its share Z^H Z / N of the mean outer
+    product by one blockwise_mean_outer call, so Z is formed for one block
+    at a time.  batch is a TiltSeriesBatch or a sim.BatchFile: only its
+    header fields (N, K, alpha, sigma2, grid) are read here."""
+
+    def __init__(self, batch, quad: QuadratureGrid,
+                 spec: BasisSpec | None = None):
+        if batch.N < 1:
+            raise ConfigError("empty batch: need N >= 1 records")
+        self.batch, self.quad, self.spec = batch, quad, spec
+        n_tilt = 2 * batch.K + 1
+        self.line_sum = np.zeros(n_tilt * batch.grid.L)
+        self.square_sum = 0.0
+        if spec is not None:
+            psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
+            self.Q, self.R = weighted_qr(psi, quad, batch.K)
+            d_Q = weight_diagonal(quad, batch.K)[:, None] * self.Q
+            F = dft_matrix(batch.grid, quad)
+            self.phi = (F.conj().T @ d_Q.reshape(n_tilt, quad.n_xi, -1)
+                        ).reshape(n_tilt * batch.grid.L, -1)
+            self.outer = np.zeros((self.Q.shape[1],) * 2, dtype=complex)
+
+    def __call__(self, block: np.ndarray):
+        """Add the next record block, (n, 2K+1, L), to the sums."""
+        X = block.reshape(len(block), -1)
+        for row in X:
+            self.line_sum += row
+        self.square_sum += float(np.dot(X.ravel(), X.ravel()))
+        if self.spec is not None:
+            Z = (X @ self.phi.view(float)).view(complex)
+            self.outer += blockwise_mean_outer(Z, self.batch.N)
+
+    def first_moment(self) -> np.ndarray:
+        """mu_w = d_w F_b mean(y), the weighted node DFT F of each tilt's
+        mean line."""
+        batch = self.batch
+        mean = self.line_sum / batch.N
+        return weight_diagonal(self.quad, batch.K) * (
+            mean.reshape(2 * batch.K + 1, batch.grid.L)
+            @ dft_matrix(batch.grid, self.quad).T).ravel()
+
+    def features(self) -> MomentFeatures:
+        """The debiased features: B2 = Z^H Z / N - sigma2 Phi_Q^H Phi_Q
+        (Hermitian-symmetrized) and b1 = Q^H mu_w."""
+        mu_w = self.first_moment()
+        B2 = self.outer - self.batch.sigma2 * (self.phi.conj().T @ self.phi)
+        return MomentFeatures(
+            R=self.R,
+            b1=self.Q.conj().T @ mu_w,
+            B2=0.5 * (B2 + B2.conj().T),
+            mu_norm=float(np.linalg.norm(mu_w)),
+            K=self.batch.K,
+            alpha=self.batch.alpha,
+        )
+
+
+def _reduced(batch: TiltSeriesBatch, quad: QuadratureGrid,
+             spec: BasisSpec | None = None) -> MomentSums:
+    sums = MomentSums(batch, quad, spec)
+    reduce_records(record_blocks(batch.samples), [sums])
+    return sums
+
+
 def first_moment(batch: TiltSeriesBatch, quad: QuadratureGrid) -> np.ndarray:
-    """mu_w = d_w F_b mean(y), the weighted node DFT F of each tilt's mean
-    line: one pass over the samples.  empirical_moments takes b1 and mu_norm
-    from it, so every route scales the random start by the same bits."""
-    N, n_tilt, L = batch.samples.shape
-    if N < 1:
-        raise ConfigError("empty batch: need N >= 1 records")
-    mean = batch.samples.reshape(N, n_tilt * L).mean(axis=0)
-    return weight_diagonal(quad, batch.K) * (
-        mean.reshape(n_tilt, L) @ dft_matrix(batch.grid, quad).T).ravel()
+    """mu_w = d_w F_b mean(y) of a batch in memory, from one pass of
+    MomentSums over its record blocks.  empirical_moments and a file's
+    MomentSums give the same bits, so every route scales the random start
+    alike."""
+    return _reduced(batch, quad).first_moment()
 
 
 def empirical_moments(batch: TiltSeriesBatch, quad: QuadratureGrid,
                       spec: BasisSpec) -> MomentFeatures:
-    """Debiased empirical features, formed on the lines: Phi_Q = F_b^H D_w Q
-    one tilt block at a time, Z = X Phi_Q by one real product with its
-    interleaved real view, B2 = Z^H Z / N - sigma2 Phi_Q^H Phi_Q
-    (Hermitian-symmetrized) and b1 = Q^H mu_w."""
-    mu_w = first_moment(batch, quad)
-    N, n_tilt, L = batch.samples.shape
-    psi = eval_tilt_matrix(spec, quad, batch.K, batch.alpha)
-    Q, R = weighted_qr(psi, quad, batch.K)
-    d_Q = weight_diagonal(quad, batch.K)[:, None] * Q
-    F = dft_matrix(batch.grid, quad)
-    phi = (F.conj().T @ d_Q.reshape(n_tilt, quad.n_xi, -1)).reshape(
-        n_tilt * L, -1)
-    Z = (batch.samples.reshape(N, n_tilt * L) @ phi.view(float)).view(complex)
-    B2 = blockwise_mean_outer(Z) - batch.sigma2 * (phi.conj().T @ phi)
-    return MomentFeatures(
-        R=R,
-        b1=Q.conj().T @ mu_w,
-        B2=0.5 * (B2 + B2.conj().T),
-        mu_norm=float(np.linalg.norm(mu_w)),
-        K=batch.K,
-        alpha=batch.alpha,
-    )
+    """Debiased empirical features of a batch in memory, formed on the
+    lines by one pass of MomentSums over its record blocks: Phi_Q =
+    F_b^H D_w Q one tilt block at a time, Z = X Phi_Q one record block at
+    a time by one real product with its interleaved real view, and its
+    SYRK summed over the blocks, so Z is never formed for all N records.
+    A saved batch read through sim.BatchFile gives the same bits."""
+    return _reduced(batch, quad, spec).features()

@@ -16,6 +16,7 @@ stable (NEP 19); they are bitwise the states numpy's own objects reach.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -38,6 +39,10 @@ from .basis import (
 from .errors import ConfigError
 
 _SUM_TOL = 1e-12
+# records per block of every pass over a batch's records: a batch file is
+# read, and each record reduction fed, this many records at a time, which
+# bounds what a pass holds to one block whatever N is
+_REDUCE_BLOCK = 1024
 
 # SeedSequence's uint32 hash constants and PCG64's 128-bit LCG multiplier
 # (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
@@ -377,26 +382,12 @@ def save_batch(batch: TiltSeriesBatch, path: str):
             fh.write(batch.hidden_angles.astype("<f8").tobytes())
 
 
-def read_header_file(path, fields):
-    """(header, payload, sha256) of a file that starts with one JSON header
-    line; the sha256 is that of the bytes read, header line and payload.
-
-    The payload is read once into a writable bytearray sized from the file
-    (a pipe or other non-regular file is read to its end), so arrays viewing
-    it need no copy.  fields maps each required key to its type: bool, float
-    (a finite real) or an int giving the least integer the key may hold.
-    Raises ConfigError when the header line is not an ASCII JSON object, or
-    naming the first key it lacks or holds with another type.
-    """
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        st = os.fstat(fh.fileno())
-        size = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else 0
-        payload = bytearray(max(size, 0))
-        del payload[fh.readinto(payload):]
-        payload += fh.read()  # what the size missed: a pipe, a grown file
-    digest = hashlib.sha256(line)
-    digest.update(payload)
+def _parse_header(path, line, fields):
+    """The header dict of a header line; fields maps each required key to
+    its type: bool, float (a finite real) or an int giving the least
+    integer the key may hold.  Raises ConfigError when the line is not an
+    ASCII JSON object, or naming the first key it lacks or holds with
+    another type."""
     try:
         header = json.loads(line.decode("ascii"))
     except (ValueError, RecursionError) as err:   # not ASCII, not JSON
@@ -421,48 +412,148 @@ def read_header_file(path, fields):
         if not ok:
             raise ConfigError(
                 f"{path}: header field {key!r} must be {want}, got {value!r}")
-    return header, payload, digest.hexdigest()
+    return header
 
 
-def check_payload_size(path, payload: bytearray, expected: int):
+def read_header_file(path, fields):
+    """(header, payload, sha256) of a small file that starts with one JSON
+    header line, read whole; the sha256 is that of the bytes read, header
+    line and payload.  The header is checked against fields as
+    _parse_header does, for a batch file too (BatchFile)."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
+    digest = hashlib.sha256(line)
+    digest.update(payload)
+    return _parse_header(path, line, fields), payload, digest.hexdigest()
+
+
+def check_payload_size(path, size: int, expected: int):
     """Raise ConfigError unless the payload holds exactly expected bytes."""
-    if len(payload) != expected:
+    if size != expected:
         raise ConfigError(
-            f"{path}: payload holds {len(payload)} bytes, header implies "
-            f"{expected}"
-        )
+            f"{path}: payload holds {size} bytes, header implies {expected}")
+
+
+def record_blocks(samples: np.ndarray):
+    """Views of samples, _REDUCE_BLOCK records each, in record order: the
+    blocks a BatchFile reads, for a batch in memory."""
+    return (samples[i:i + _REDUCE_BLOCK]
+            for i in range(0, len(samples), _REDUCE_BLOCK))
+
+
+def reduce_records(blocks, consumers):
+    """Feed each record block, in order, to every consumer: the one loop by
+    which each record reduction (moment sums, EM statistics) sees a batch,
+    from a file's blocks or from record_blocks of samples in memory, so
+    both routes give the same bits."""
+    for block in blocks:
+        for consume in consumers:
+            consume(block)
+
+
+class BatchFile:
+    """A saved batch, open for one pass over its records.
+
+    Opening reads the header line, checks it as read_header_file does and
+    sets the fields TiltSeriesBatch names N, K, alpha, sigma2, grid, seed
+    and n_theta, and checks the payload size against the header (a pipe or
+    other non-regular file reports no size; it is checked as it is read).
+    blocks() then reads the samples _REDUCE_BLOCK records at a time, by
+    readinto, into one reused buffer (or into out), hashes each block and
+    rejects non-finite samples; at the end it reads and checks the hidden
+    angles, refuses bytes past them and sets hidden_angles and
+    source_sha256, the sha256 of the whole file.  Every fault raises
+    ConfigError naming the file and the bad field, and only one record
+    block is held at a time.  close() closes the file (contextlib.closing).
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            line = self._fh.readline()
+            header = _parse_header(path, line, {
+                "N": 1, "K": 0, "L": 1, "n_theta": 1, "seed": 0,
+                "alpha": float, "sigma2": float, "dx": float,
+                "hidden_angles": bool})
+            self.N, self.K, self.n_theta, self.seed = (
+                header[key] for key in ("N", "K", "n_theta", "seed"))
+            self.alpha, self.sigma2 = (float(header["alpha"]),
+                                       float(header["sigma2"]))
+            self._hidden = header["hidden_angles"]
+            self._size = 8 * self.N * ((2 * self.K + 1) * header["L"]
+                                       + self._hidden)
+            st = os.fstat(self._fh.fileno())
+            if stat.S_ISREG(st.st_mode):   # before anything is sized by N, L
+                check_payload_size(path, st.st_size - len(line), self._size)
+            self.grid = build_line_grid(header["L"], header["dx"])
+        except BaseException:
+            self._fh.close()
+            raise
+        self._digest, self._read = hashlib.sha256(line), 0
+        self.hidden_angles = self.source_sha256 = None
+
+    def close(self):
+        self._fh.close()
+
+    def _fill(self, array: np.ndarray):
+        """Read array's bytes from the file and hash them; a file that ends
+        first holds a short payload."""
+        got = self._fh.readinto(array.data)
+        self._read += got
+        if got < array.nbytes:
+            check_payload_size(self.path, self._read, self._size)
+        self._digest.update(array.data)
+
+    def blocks(self, out: np.ndarray | None = None):
+        """The sample blocks, each a (block, 2K+1, L) view of the reused
+        buffer, valid until the next one is read, or of out, an
+        (N, 2K+1, L) array the samples are read into."""
+        shape = (min(self.N, _REDUCE_BLOCK), 2 * self.K + 1, self.grid.L)
+        buffer = np.empty(shape, "<f8") if out is None else None
+        for i in range(0, self.N, _REDUCE_BLOCK):
+            n = min(_REDUCE_BLOCK, self.N - i)
+            block = buffer[:n] if out is None else out[i:i + n]
+            self._fill(block)
+            if not np.isfinite(block).all():
+                raise ConfigError(f"{self.path}: payload holds non-finite "
+                                  f"samples")
+            yield block
+        angles = np.empty(self.N if self._hidden else 0, "<f8")
+        self._fill(angles)
+        if not np.isfinite(angles).all():
+            raise ConfigError(f"{self.path}: payload holds non-finite "
+                              f"hidden angles")
+        # n_theta bounds no allocation: it may exceed any array size
+        if self._hidden and not (
+                np.array_equal(angles, np.trunc(angles)) and angles.min() >= 0
+                and angles.max() < min(self.n_theta, 2 ** 63)):
+            raise ConfigError(f"{self.path}: payload holds hidden angles that "
+                              f"are not integers in [0, n_theta)")
+        if self._fh.read(1):
+            raise ConfigError(f"{self.path}: payload holds more than the "
+                              f"{self._size} bytes the header implies")
+        self.hidden_angles = angles.astype(int) if self._hidden else None
+        self.source_sha256 = self._digest.hexdigest()
 
 
 def load_batch(path: str) -> TiltSeriesBatch:
-    header, payload, digest = read_header_file(
-        path, {"N": 1, "K": 0, "L": 1, "n_theta": 1, "seed": 0,
-               "alpha": float, "sigma2": float, "dx": float,
-               "hidden_angles": bool})
-    N, K, L = header["N"], header["K"], header["L"]
-    n_main = N * (2 * K + 1) * L
-    check_payload_size(
-        path, payload, 8 * (n_main + (N if header["hidden_angles"] else 0)))
-    data = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(data)):
-        raise ConfigError(f"{path}: payload holds non-finite samples or "
-                          f"hidden angles")
-    samples = data[:n_main].reshape(N, 2 * K + 1, L)   # writable view
-    angles, hidden = data[n_main:], None
-    if header["hidden_angles"]:
-        # n_theta bounds no allocation: it may exceed any array size
-        if not (np.array_equal(angles, np.trunc(angles)) and angles.min() >= 0
-                and angles.max() < min(header["n_theta"], 2 ** 63)):
-            raise ConfigError(f"{path}: payload holds hidden angles that are "
-                              f"not integers in [0, n_theta)")
-        hidden = angles.astype(int)
+    """The batch saved at path, read by one BatchFile pass straight into
+    its (N, 2K+1, L) sample array: the payload is neither zero-filled nor
+    copied."""
+    with contextlib.closing(BatchFile(path)) as src:
+        samples = np.empty((src.N, 2 * src.K + 1, src.grid.L), "<f8")
+        for _ in src.blocks(out=samples):
+            pass
     return TiltSeriesBatch(
         samples=samples,
-        K=K,
-        alpha=header["alpha"],
-        sigma2=header["sigma2"],
-        grid=build_line_grid(L, header["dx"]),
-        seed=header["seed"],
-        n_theta=header["n_theta"],
-        hidden_angles=hidden,
-        source_sha256=digest,
+        K=src.K,
+        alpha=src.alpha,
+        sigma2=src.sigma2,
+        grid=src.grid,
+        seed=src.seed,
+        n_theta=src.n_theta,
+        hidden_angles=src.hidden_angles,
+        source_sha256=src.source_sha256,
     )

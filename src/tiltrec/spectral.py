@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import QuadratureGrid
-from .sim import LineGrid, TiltSeriesBatch, _line_phases
+from .sim import BatchFile, LineGrid, TiltSeriesBatch, _line_phases
 
 def dft_matrix(grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
     """F[j, l] = dx * exp(-2i*pi * xi_j * x_l), shape (n_xi, L), a fresh
@@ -32,9 +32,10 @@ def dft_matrix(grid: LineGrid, quad: QuadratureGrid) -> np.ndarray:
 class SpectralBatch:
     """A tilt-series batch with the quadrature its lines are read at; the
     node spectra of its samples are samples @ dft_matrix(batch.grid,
-    quad)^T, which the package never forms."""
+    quad)^T, which the package never forms.  batch may also be an open
+    BatchFile, whose records a pass over the file feeds to EM."""
 
-    batch: TiltSeriesBatch
+    batch: TiltSeriesBatch | BatchFile
     quad: QuadratureGrid
 
 
@@ -43,8 +44,10 @@ def transform_batch(batch: TiltSeriesBatch, quad: QuadratureGrid) -> SpectralBat
     return SpectralBatch(batch=batch, quad=quad)
 
 
-def blockwise_mean_outer(Z: np.ndarray) -> np.ndarray:
-    """Mean outer product Z^H Z / len(Z) of the rows of a complex Z (N >= 1).
+def blockwise_mean_outer(Z: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Z^H Z / n for the rows of a complex Z, n = len(Z) >= 1 by default:
+    the mean outer product of the rows, or, with n the rows of a whole
+    batch, the share of its mean that the block Z adds.
 
     With Z = U + iV, Z^H Z = U^T U + V^T V + i (U^T V - V^T U), all read
     from W^T W for the interleaved real view W of Z: one real symmetric
@@ -54,5 +57,5 @@ def blockwise_mean_outer(Z: np.ndarray) -> np.ndarray:
     P = (W.T @ W).reshape(Z.shape[1], 2, Z.shape[1], 2)
     mean_outer = P[:, 0, :, 0] + P[:, 1, :, 1] + 1j * (P[:, 0, :, 1]
                                                        - P[:, 1, :, 0])
-    mean_outer /= len(Z)
+    mean_outer /= len(Z) if n is None else n
     return mean_outer

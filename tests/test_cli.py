@@ -6,15 +6,19 @@ stays fast.
 """
 
 import builtins
+import contextlib
 import csv
 import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import statistics
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,19 +29,20 @@ import tiltrec.admm
 import tiltrec.sim
 from tiltrec.admm import AdmmConfig, random_start, run_admm
 from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
-from tiltrec.cli import (DEFAULT_CONFIG, _build_problem, _deep_merge,
-                         _draw_batch, _experiment_trial, _sample_variance,
-                         load_config, load_coeff_file, main, save_coeff_file,
-                         write_pgm)
+from tiltrec.cli import (DEFAULT_CONFIG, _batch_statistics, _build_problem,
+                         _deep_merge, _draw_batch, _experiment_trial,
+                         _file_statistics, _sample_variance, load_config,
+                         load_coeff_file, main, save_coeff_file, write_pgm)
 from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.errors import ConfigError
 from tiltrec.metrics import (CSV_HEADER, TrialReport, relative_error,
                              reports_to_csv, snr_db, total_variation_dist,
                              variance_for_snr)
 from tiltrec.moments import empirical_moments
-from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
-                         generate_batch, load_batch, save_batch)
-from tiltrec.spectral import SpectralBatch, transform_batch
+from tiltrec.sim import (BatchFile, TiltSeriesBatch, ViewDistribution,
+                         build_line_grid, generate_batch, load_batch,
+                         save_batch)
+from tiltrec.spectral import transform_batch
 
 TINY = {
     "seed": 3,
@@ -628,7 +633,8 @@ def _count_opens(monkeypatch, paths):
 def test_reconstruct_manifest_hashes_the_batch_it_read(sim_run, tmp_path,
                                                        monkeypatch):
     """The manifest's digest of the batch is the sha256 of the file, taken
-    from the bytes load_batch read: the file is not read a second time."""
+    from the bytes its one streamed pass read, as load_batch's digest is:
+    the file is not read a second time."""
     cfg, sim_out = sim_run
     batch = sim_out / "batch.dat"
     opens = _count_opens(monkeypatch, [batch])
@@ -639,6 +645,7 @@ def test_reconstruct_manifest_hashes_the_batch_it_read(sim_run, tmp_path,
     manifest = json.loads((out / "manifest_reconstruct.json").read_text())
     assert manifest["inputs"] == {
         str(batch): hashlib.sha256(batch.read_bytes()).hexdigest()}
+    assert manifest["inputs"][str(batch)] == load_batch(batch).source_sha256
 
 
 def test_em_only_commands_skip_second_moment(sim_run, tmp_path, monkeypatch):
@@ -662,21 +669,132 @@ def test_em_only_commands_skip_second_moment(sim_run, tmp_path, monkeypatch):
                  "experiment"]) == 0
 
 
-def test_em_runs_form_no_node_spectra(sim_run, tmp_path, monkeypatch):
-    """EM reads the batch's real lines through its whitened node DFT; no EM
-    or hybrid reconstruct forms the node spectra."""
-    cfg, sim_out = sim_run
+@pytest.fixture(scope="module")
+def blocked_run(tmp_path_factory):
+    """(config, simulate output, in-memory batch) of a 7200-record batch, 8
+    record blocks with a short last one, on an R=4 basis (n_a = 3) read at
+    12 nodes: EM's whitened record block (rank 12 of L = 32 lines) is 0.75
+    of the raw block, as at em_records_large's geometry (rank 50 of 128,
+    0.78).  The payload is 9.2 MB.  The in-memory batch is the one simulate
+    wrote, drawn again by the same helper."""
+    tmp = tmp_path_factory.mktemp("blocked")
+    cfg = _write_cfg(tmp, phantom={"R": 4.0, "seed": 11},
+                     acquisition={"N": 7200, "K": 2, "alpha_deg": 3.8,
+                                  "L": 32, "sigma2": 0.5},
+                     solver={"n_xi": 12})
+    out = tmp / "run"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+    conf = load_config(str(cfg))
+    spec, truth, p = _build_problem(conf)
+    acq = conf["acquisition"]
+    [batch], _ = _draw_batch(acq, truth, p, build_line_grid(acq["L"]),
+                             build_quadrature(spec.c, conf["solver"]["n_xi"]),
+                             conf["seed"], [None])
+    assert -(-batch.N // tiltrec.sim._REDUCE_BLOCK) == 8
+    return cfg, out, batch
 
-    def refuse(self):
-        raise AssertionError("node spectra formed on an EM run")
 
-    # SpectralBatch has no node-spectra property; one added back is refused
-    monkeypatch.setattr(SpectralBatch, "yhat", property(refuse),
-                        raising=False)
-    for method in ("em", "admm+em"):
-        assert main(["--config", str(cfg), "--out",
-                     str(tmp_path / method.replace("+", "_")), "--method",
-                     method, "reconstruct", str(sim_out / "batch.dat")]) == 0
+@pytest.mark.parametrize("method", ["em", "admm"])
+def test_reconstruct_holds_one_record_block(blocked_run, tmp_path, method):
+    """reconstruct streams its batch file: at its peak it has allocated
+    (as tracemalloc sees numpy's buffers) less than half the payload's
+    bytes, where reading the payload whole would take all of it."""
+    cfg, sim_out, batch = blocked_run
+    argv = ["--config", str(cfg), "--out", str(tmp_path / method),
+            "--method", method, "reconstruct", str(sim_out / "batch.dat")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * batch.samples.nbytes, (peak, batch.samples.nbytes)
+
+
+def test_file_and_memory_routes_are_bitwise_equal(blocked_run):
+    """One pass over the saved batch's blocks gives bitwise the features,
+    mu_norm, Y and data_norm2 that the in-memory batch it was written from
+    gives, and reads it whole: its digest is the file's sha256, as
+    load_batch's is."""
+    cfg, sim_out, batch = blocked_run
+    conf = load_config(str(cfg))
+    spec, _, _ = _build_problem(conf)
+    quad = build_quadrature(spec.c, conf["solver"]["n_xi"])
+    path = sim_out / "batch.dat"
+    with contextlib.closing(BatchFile(path)) as src:
+        _, (features, mu_norm, work, _) = _file_statistics(
+            src, ["admm+em"], quad, spec)
+    mem_features, mem_mu_norm, mem_work, _ = _batch_statistics(
+        ["admm+em"], batch, quad, spec)
+    for field in dataclasses.fields(features):
+        assert np.array_equal(getattr(features, field.name),
+                              getattr(mem_features, field.name)), field.name
+    assert mu_norm == mem_mu_norm == features.mu_norm
+    assert np.array_equal(work.Y, mem_work.Y)
+    assert np.array_equal(work.data_norm2, mem_work.data_norm2)
+    assert np.array_equal(src.hidden_angles, batch.hidden_angles)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert src.source_sha256 == load_batch(path).source_sha256 == digest
+
+
+def _bad_blocked_file(blob, header_end, n_main, defect):
+    """blob, a saved batch whose header line ends at header_end and whose
+    samples are n_main float64s, with one defect in its last block or
+    past it."""
+    samples_end = header_end + 8 * n_main
+    if defect == "nan_in_last_block":
+        at = samples_end - 8 * 37
+        return (blob[:at] + np.float64(np.nan).tobytes() + blob[at + 8:],
+                "non-finite samples")
+    if defect == "truncated_last_block":
+        return blob[:samples_end - 8 * 1000], r"payload holds \d+ bytes"
+    if defect == "trailing_bytes":
+        return blob + bytes(16), "header implies"
+    n_theta = json.loads(blob[:header_end])["n_theta"]
+    return (blob[:-8] + np.float64(n_theta).tobytes(),
+            re.escape("hidden angles that are not integers in [0, n_theta)"))
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "fifo"])
+@pytest.mark.parametrize("defect", ["nan_in_last_block",
+                                    "truncated_last_block", "trailing_bytes",
+                                    "hidden_angle_past_n_theta"])
+def test_streamed_reconstruct_rejects_bad_files(blocked_run, tmp_path,
+                                                monkeypatch, capsys, defect,
+                                                pipe):
+    """A NaN sample in the last record block, a truncated last block,
+    trailing bytes and a hidden angle >= n_theta each stop reconstruct with
+    exit 2 and a ConfigError naming the bad field, read from a file or a
+    FIFO (whose size is known only at its end), before any solver runs and
+    with no estimate written."""
+    cfg, sim_out, batch = blocked_run
+    blob = (sim_out / "batch.dat").read_bytes()
+    bad, expected = _bad_blocked_file(blob, blob.index(b"\n") + 1,
+                                      batch.samples.size, defect)
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("a solver ran on a bad batch file")
+
+    monkeypatch.setattr("tiltrec.cli._run_methods", no_solver)
+    path, writer = tmp_path / "bad.dat", None
+    if pipe:
+        os.mkfifo(path)
+
+        def write():
+            with contextlib.suppress(BrokenPipeError):
+                path.write_bytes(bad)
+        writer = threading.Thread(target=write)
+        writer.start()
+    else:
+        path.write_bytes(bad)
+    out = tmp_path / "rec"
+    code = main(["--config", str(cfg), "--out", str(out), "--method",
+                 "admm+em", "reconstruct", str(path)])
+    if writer is not None:
+        writer.join()
+    assert code == 2
+    assert re.search(expected, capsys.readouterr().err)
+    assert not (out / "estimate.dat").exists()
 
 
 def test_failed_solver_leaves_history(tmp_path, capsys):

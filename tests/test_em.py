@@ -167,7 +167,7 @@ def test_record_statistics_match_whitened_records(tiny_em, monkeypatch):
     """Y and the norms, filled in record blocks smaller than the batch, equal
     U_w conj(B) and the row norms of the whole whitened record array, up to
     the rounding of two whitening routes (about 5e-13 on U_w here)."""
-    monkeypatch.setattr("tiltrec.em._REDUCE_BLOCK", 7)
+    monkeypatch.setattr("tiltrec.sim._REDUCE_BLOCK", 7)
     work = EmWorkspace(tiny_em["sb"], tiny_em["spec"], 8)
     U_w = whitened_records(work, tiny_em["sb"])
     Y = U_w @ work.B.conj()

@@ -1,5 +1,7 @@
 """Fuzzed batch and coefficient files: each loader returns or raises
 ConfigError, within a deadline, whatever bytes or header fields it is given.
+A batch file is also run through the pass reconstruct makes over it, its
+records streamed through every consumer an admm+em run feeds.
 
 The files are small valid ones with every bytes-level defect a damaged or
 hand-edited file can carry: truncation, trailing bytes, overwritten bytes
@@ -7,6 +9,7 @@ hand-edited file can carry: truncation, trailing bytes, overwritten bytes
 removed.  Examples are derandomized, so every run checks the same ones.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -14,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltrec.basis import FBCoeffs, build_basis_spec
-from tiltrec.cli import load_coeff_file, save_coeff_file
+from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
+from tiltrec.cli import _file_statistics, load_coeff_file, save_coeff_file
 from tiltrec.errors import ConfigError
-from tiltrec.sim import (TiltSeriesBatch, ViewDistribution, build_line_grid,
-                         load_batch, save_batch)
+from tiltrec.sim import (BatchFile, TiltSeriesBatch, ViewDistribution,
+                         build_line_grid, load_batch, save_batch)
 
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10**6, 10**6),
@@ -41,10 +44,20 @@ def valid_files(tmp_path_factory):
         samples=np.linspace(-1, 1, 3 * 3 * 4).reshape(3, 3, 4), K=1,
         alpha=0.05, sigma2=0.1, grid=build_line_grid(4), seed=0, n_theta=6,
         hidden_angles=np.arange(3)), tmp / "batch.dat")
-    return {kind: (load, (tmp / f"{kind}.dat").read_bytes(),
+    quad = build_quadrature(spec.c, 12)
+
+    def reconstruct_pass(path):
+        # finite samples near the float limit overflow the sums to inf
+        with contextlib.closing(BatchFile(path)) as batch, \
+                np.errstate(over="ignore", invalid="ignore"):
+            _file_statistics(batch, ["admm+em"], quad, spec)
+
+    return {kind: (load, (tmp / f"{name}.dat").read_bytes(),
                    tmp / f"{kind}_fuzzed.dat")
-            for kind, load in (("coeff", load_coeff_file),
-                               ("batch", load_batch))}
+            for kind, name, load in (
+                ("coeff", "coeff", load_coeff_file),
+                ("batch", "batch", load_batch),
+                ("batch_stream", "batch", reconstruct_pass))}
 
 
 def _mutate(data, blob):
@@ -71,7 +84,7 @@ def _mutate(data, blob):
     return json.dumps(header).encode() + b"\n" + payload
 
 
-@pytest.mark.parametrize("kind", ["coeff", "batch"])
+@pytest.mark.parametrize("kind", ["coeff", "batch", "batch_stream"])
 @settings(max_examples=150, derandomize=True, database=None, deadline=2000)
 @given(data=st.data())
 def test_loader_returns_or_raises_config_error(valid_files, kind, data):
