@@ -10,7 +10,8 @@ reads the first moment alone, so an EM-only run never forms it.
 reconstruct streams its batch file: one pass of sim.BatchFile reads it a
 record block at a time and feeds each block to the record reductions the
 method needs (moments.MomentSums, em.EmWorkspace), so the command holds one
-record block and EM's N x n_a statistics, never the whole payload.
+record block and EM's N x n_a statistics, never the whole payload.  One
+helper thread hashes each block for the manifest while they reduce it.
 experiment feeds its batches in memory through the same reductions, in
 the same blocks, so both routes give the same bits.
 """

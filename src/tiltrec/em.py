@@ -21,8 +21,8 @@ import numpy as np
 from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError, SolverResult
 from .moments import angle_coupling, angle_phase_matrix
-from .sim import (TiltSeriesBatch, ViewDistribution, record_blocks,
-                  reduce_records)
+from .sim import (TiltSeriesBatch, ViewDistribution, empty_records,
+                  record_blocks, reduce_records)
 from .spectral import SpectralBatch, dft_matrix
 
 # eigenvalues below this fraction of the largest are dropped by both
@@ -90,8 +90,8 @@ class EmWorkspace:
         self._lines_to_whitened = np.ascontiguousarray(
             (self.whiten @ F).T).view(float)
         self._B_conj = self.B.conj()
-        self.Y = np.empty((batch.N, spec.n_a), dtype=complex)
-        self.data_norm2 = np.empty(batch.N)
+        self.Y = empty_records(batch, (spec.n_a,), complex)
+        self.data_norm2 = empty_records(batch)
         self._fed = 0
         if isinstance(batch, TiltSeriesBatch):
             reduce_records(record_blocks(batch.samples), [self])
@@ -103,7 +103,8 @@ class EmWorkspace:
         u = (block.reshape(-1, block.shape[-1]) @ self._lines_to_whitened
              ).view(complex).reshape(n, -1)
         self.Y[i:i + n] = u @ self._B_conj
-        self.data_norm2[i:i + n] = np.einsum('ij,ij->i', u.conj(), u).real
+        v = u.view(float)
+        self.data_norm2[i:i + n] = np.einsum('ij,ij->i', v, v)
         self._fed = i + n
 
     @functools.cached_property

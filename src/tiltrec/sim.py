@@ -446,10 +446,12 @@ def reduce_records(blocks, consumers):
     """Feed each record block, in order, to every consumer: the one loop by
     which each record reduction (moment sums, EM statistics) sees a batch,
     from a file's blocks or from record_blocks of samples in memory, so
-    both routes give the same bits."""
-    for block in blocks:
-        for consume in consumers:
-            consume(block)
+    both routes give the same bits.  blocks, a generator, is closed on
+    every exit, so a consumer that raises ends a file's pass at once."""
+    with contextlib.closing(blocks):
+        for block in blocks:
+            for consume in consumers:
+                consume(block)
 
 
 class BatchFile:
@@ -460,10 +462,11 @@ class BatchFile:
     and n_theta, and checks the payload size against the header (a pipe or
     other non-regular file reports no size; it is checked as it is read).
     blocks() then reads the samples _REDUCE_BLOCK records at a time, by
-    readinto, into one reused buffer (or into out), hashes each block and
-    rejects non-finite samples; at the end it reads and checks the hidden
-    angles, refuses bytes past them and sets hidden_angles and
-    source_sha256, the sha256 of the whole file.  Every fault raises
+    readinto, into one reused buffer (or into out), hashes each block on
+    one helper thread (hashlib releases the GIL) while the caller reduces
+    it, and rejects non-finite samples; at the end it reads and checks the
+    hidden angles, refuses bytes past them and sets hidden_angles and
+    source_sha256, the sha256 of the file's bytes in order.  Every fault raises
     ConfigError naming the file and the bad field, and only one record
     block is held at a time.  close() closes the file (contextlib.closing).
     """
@@ -498,30 +501,38 @@ class BatchFile:
         self._fh.close()
 
     def _fill(self, array: np.ndarray):
-        """Read array's bytes from the file and hash them; a file that ends
-        first holds a short payload."""
+        """Read array's bytes from the file; a file that ends first holds a
+        short payload."""
         got = self._fh.readinto(array.data)
         self._read += got
         if got < array.nbytes:
             check_payload_size(self.path, self._read, self._size)
-        self._digest.update(array.data)
 
     def blocks(self, out: np.ndarray | None = None):
-        """The sample blocks, each a (block, 2K+1, L) view of the reused
-        buffer, valid until the next one is read, or of out, an
-        (N, 2K+1, L) array the samples are read into."""
+        """The sample blocks, each a read-only (block, 2K+1, L) view of the
+        reused buffer, valid until the next one is read, or of out, an
+        (N, 2K+1, L) array the samples are read into; each is hashed, by
+        the helper thread, before the next readinto."""
+        # imported here: imported with sim, ahead of numpy, it raised the
+        # peak RSS of importing the package by 0.3 MB
+        from concurrent.futures import ThreadPoolExecutor
         shape = (min(self.N, _REDUCE_BLOCK), 2 * self.K + 1, self.grid.L)
         buffer = np.empty(shape, "<f8") if out is None else None
-        for i in range(0, self.N, _REDUCE_BLOCK):
-            n = min(_REDUCE_BLOCK, self.N - i)
-            block = buffer[:n] if out is None else out[i:i + n]
-            self._fill(block)
-            if not np.isfinite(block).all():
-                raise ConfigError(f"{self.path}: payload holds non-finite "
-                                  f"samples")
-            yield block
+        with ThreadPoolExecutor(max_workers=1) as hasher:
+            for i in range(0, self.N, _REDUCE_BLOCK):
+                n = min(_REDUCE_BLOCK, self.N - i)
+                block = buffer[:n] if out is None else out[i:i + n]
+                self._fill(block)
+                hashed = hasher.submit(self._digest.update, block.data)
+                if not np.isfinite(block).all():
+                    raise ConfigError(f"{self.path}: payload holds "
+                                      f"non-finite samples")
+                block.flags.writeable = False   # a view: buffer stays writable
+                yield block
+                hashed.result()
         angles = np.empty(self.N if self._hidden else 0, "<f8")
         self._fill(angles)
+        self._digest.update(angles.data)
         if not np.isfinite(angles).all():
             raise ConfigError(f"{self.path}: payload holds non-finite "
                               f"hidden angles")
@@ -538,12 +549,26 @@ class BatchFile:
         self.source_sha256 = self._digest.hexdigest()
 
 
+def empty_records(batch, shape=(), dtype=float) -> np.ndarray:
+    """np.empty((batch.N, *shape), dtype), one row per record.  A pipe's
+    payload is checked against its header only at its end, so a BatchFile's
+    N may lie: an array it cannot allocate raises ConfigError naming N."""
+    try:
+        return np.empty((batch.N, *shape), dtype)
+    except (MemoryError, ValueError) as err:   # ValueError: array too big
+        if not isinstance(batch, BatchFile):
+            raise
+        raise ConfigError(f"{batch.path}: header field 'N' = {batch.N} gives "
+                          f"an array of shape {(batch.N, *shape)} that memory "
+                          f"cannot hold: {err}") from None
+
+
 def load_batch(path: str) -> TiltSeriesBatch:
     """The batch saved at path, read by one BatchFile pass straight into
     its (N, 2K+1, L) sample array: the payload is neither zero-filled nor
     copied."""
     with contextlib.closing(BatchFile(path)) as src:
-        samples = np.empty((src.N, 2 * src.K + 1, src.grid.L), "<f8")
+        samples = empty_records(src, (2 * src.K + 1, src.grid.L), "<f8")
         for _ in src.blocks(out=samples):
             pass
     return TiltSeriesBatch(

@@ -737,10 +737,19 @@ def test_file_and_memory_routes_are_bitwise_equal(blocked_run):
     assert src.source_sha256 == load_batch(path).source_sha256 == digest
 
 
-def _bad_blocked_file(blob, header_end, n_main, defect):
+def _bad_blocked_file(blob, header_end, n_main, defect, pipe):
     """blob, a saved batch whose header line ends at header_end and whose
     samples are n_main float64s, with one defect in its last block or
-    past it."""
+    past it, or with a header N whose N-row arrays memory cannot hold: a
+    regular file's size check refuses that first, a pipe's N-row
+    allocation by name."""
+    if defect in ("n_past_memory", "n_past_array_size"):
+        N = 2 ** 44 if defect == "n_past_memory" else 2 ** 62
+        header = dict(json.loads(blob[:header_end]), N=N)
+        return (json.dumps(header).encode() + b"\n" + blob[header_end:],
+                re.escape(f"header field 'N' = {N} gives an array of shape "
+                          f"({N}, ") if pipe
+                else r"payload holds \d+ bytes, header implies")
     samples_end = header_end + 8 * n_main
     if defect == "nan_in_last_block":
         at = samples_end - 8 * 37
@@ -758,19 +767,21 @@ def _bad_blocked_file(blob, header_end, n_main, defect):
 @pytest.mark.parametrize("pipe", [False, True], ids=["file", "fifo"])
 @pytest.mark.parametrize("defect", ["nan_in_last_block",
                                     "truncated_last_block", "trailing_bytes",
-                                    "hidden_angle_past_n_theta"])
+                                    "hidden_angle_past_n_theta",
+                                    "n_past_memory", "n_past_array_size"])
 def test_streamed_reconstruct_rejects_bad_files(blocked_run, tmp_path,
                                                 monkeypatch, capsys, defect,
                                                 pipe):
     """A NaN sample in the last record block, a truncated last block,
-    trailing bytes and a hidden angle >= n_theta each stop reconstruct with
-    exit 2 and a ConfigError naming the bad field, read from a file or a
-    FIFO (whose size is known only at its end), before any solver runs and
-    with no estimate written."""
+    trailing bytes, a hidden angle >= n_theta and a header N (2**44, or
+    2**62 past numpy's array size) whose EM statistics memory cannot hold
+    each stop reconstruct with exit 2 and a ConfigError naming the bad
+    field, read from a file or a FIFO (whose size is known only at its
+    end), before any solver runs and with no estimate written."""
     cfg, sim_out, batch = blocked_run
     blob = (sim_out / "batch.dat").read_bytes()
     bad, expected = _bad_blocked_file(blob, blob.index(b"\n") + 1,
-                                      batch.samples.size, defect)
+                                      batch.samples.size, defect, pipe)
 
     def no_solver(*args, **kwargs):
         raise AssertionError("a solver ran on a bad batch file")

@@ -1,6 +1,9 @@
+import contextlib
+import hashlib
 import itertools
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -11,9 +14,10 @@ from hypothesis import strategies as st
 from tiltrec.basis import (FBCoeffs, QuadratureGrid, build_basis_spec,
                            build_quadrature, eval_tilt_matrix)
 from tiltrec.errors import ConfigError
-from tiltrec.sim import (ViewDistribution, _line_phases, _substream_starts,
-                         build_line_grid, bump_distribution, generate_batch,
-                         load_batch, project_clean, random_phantom,
+from tiltrec.sim import (BatchFile, ViewDistribution, _line_phases,
+                         _substream_starts, build_line_grid,
+                         bump_distribution, generate_batch, load_batch,
+                         project_clean, random_phantom, reduce_records,
                          save_batch, two_bump_distribution,
                          uniform_distribution)
 
@@ -278,18 +282,117 @@ def test_batch_roundtrip(tmp_path, small_batch):
     assert back.grid.L == batch.grid.L and back.grid.dx == batch.grid.dx
 
 
+def _feed_fifo(fifo, blob):
+    """Start a thread that writes blob into the new FIFO fifo; the reader
+    may close it before reading all of blob."""
+    os.mkfifo(fifo)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):
+            fifo.write_bytes(blob)
+    writer = threading.Thread(target=write)
+    writer.start()
+    return writer
+
+
 def test_batch_loads_through_a_pipe(tmp_path, small_batch):
     """A non-regular file reports no size: its payload is read to the end."""
     batch, _ = small_batch
     path, fifo = tmp_path / "b.dat", tmp_path / "b.fifo"
     save_batch(batch, path)
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
-    writer.start()
+    writer = _feed_fifo(fifo, path.read_bytes())
     back = load_batch(fifo)
     writer.join()
     assert np.array_equal(back.samples, batch.samples)
     assert np.array_equal(back.hidden_angles, batch.hidden_angles)
+
+
+@pytest.fixture
+def blocked_file(tmp_path, small_batch, monkeypatch):
+    """small_batch saved and read 64 records a block: 7 blocks, the last
+    short."""
+    monkeypatch.setattr("tiltrec.sim._REDUCE_BLOCK", 64)
+    path = tmp_path / "b.dat"
+    save_batch(small_batch[0], path)
+    return path
+
+
+def test_batch_pass_hashes_on_one_thread_that_ends_with_it(blocked_file):
+    """While a pass runs, one more thread (the hash's) is alive and a
+    consumer cannot write into the block it may be reading; after the
+    pass, no thread is left and the digest is the file's sha256."""
+    before, seen = threading.active_count(), []
+
+    def consume(block):
+        seen.append(threading.active_count())
+        with pytest.raises(ValueError, match="read-only"):
+            block *= 2.0
+
+    with contextlib.closing(BatchFile(blocked_file)) as src:
+        reduce_records(src.blocks(), [consume])
+    assert len(seen) == 7 and set(seen) == {before + 1}
+    assert threading.active_count() == before
+    assert src.source_sha256 == hashlib.sha256(
+        blocked_file.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("exit_path", ["consumer_raises", "nan_in_last_block",
+                                       "short_fifo"])
+def test_batch_pass_ends_its_hash_thread_on_every_exit(blocked_file,
+                                                       exit_path):
+    """A consumer that raises on block 2 (the pass is closed mid-way), a
+    NaN sample in the last block and a short payload read from a FIFO each
+    stop the pass, and no thread outlives it."""
+    blob, writer = blocked_file.read_bytes(), None
+    calls = []
+
+    def consume(block):
+        calls.append(len(block))
+        if exit_path == "consumer_raises" and len(calls) == 2:
+            raise RuntimeError("consumer failed on block 2")
+
+    error, match = RuntimeError, "consumer failed on block 2"
+    if exit_path == "nan_in_last_block":
+        at = blob.index(b"\n") + 1 + 8 * (400 * 5 * 16 - 3)
+        blocked_file.write_bytes(blob[:at] + np.float64(np.nan).tobytes()
+                                 + blob[at + 8:])
+        error, match = ConfigError, f"{blocked_file}: .*non-finite samples"
+    elif exit_path == "short_fifo":
+        fifo = blocked_file.with_suffix(".fifo")
+        writer = _feed_fifo(fifo, blob[:len(blob) // 2])
+        blocked_file = fifo
+        error, match = ConfigError, r"payload holds \d+ bytes"
+    before = threading.active_count() - (writer is not None)
+    with contextlib.closing(BatchFile(blocked_file)) as src:
+        with pytest.raises(error, match=match) as raised:
+            reduce_records(src.blocks(), [consume])
+    if writer is not None:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    # raised holds the traceback, and with it the pass's frames
+    assert threading.active_count() == before, raised
+    assert src.source_sha256 is None
+
+
+@pytest.mark.parametrize("N", [2 ** 44, 2 ** 62], ids=["memory", "too_big"])
+def test_lying_header_on_a_pipe_is_refused_by_name(tmp_path, small_batch, N):
+    """A FIFO reports no size, so its header's N is believed until the
+    payload ends: an N whose sample array cannot be allocated (numpy's
+    MemoryError, or its "array is too big" ValueError) raises a ConfigError
+    naming N."""
+    path = tmp_path / "b.dat"
+    save_batch(small_batch[0], path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["N"] = N
+    fifo = tmp_path / "b.fifo"
+    writer = _feed_fifo(fifo, json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"header field 'N' = {N} gives an array of shape ({N}, 5, 16) "
+            f"that memory cannot hold")):
+        load_batch(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 @pytest.mark.filterwarnings("error")
