@@ -328,13 +328,14 @@ def eval_basis_matrix(spec: BasisSpec, grid: QuadratureGrid, theta: float) -> np
     return _radial_matrix(spec, grid) * steer[None, :]
 
 
-def warn_tilt_span(K: int, alpha: float):
-    """Warn at the caller's caller when |K*alpha| exceeds MAX_TILT_SPAN:
-    a negative step spans the same tilts in the other order."""
+def warn_tilt_span(K: int, alpha: float, stacklevel: int = 2):
+    """Warn when |K*alpha| exceeds MAX_TILT_SPAN, at the frame stacklevel
+    names, counted from the caller as warnings.warn counts (2: the caller's
+    caller): a negative step spans the same tilts in the other order."""
     span = abs(K * alpha)
     if span > MAX_TILT_SPAN + 1e-12:
         warnings.warn(f"tilt span |K*alpha| = {span:.4f} rad exceeds pi/3",
-                      stacklevel=3)
+                      stacklevel=stacklevel + 1)
 
 
 def eval_tilt_matrix(

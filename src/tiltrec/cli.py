@@ -7,10 +7,12 @@ given config and seed except the wall-clock runtime column.
 The second moment is formed only when ADMM runs: the shared random start
 reads the first moment alone, so an EM-only run never forms it.
 
-reconstruct streams its batch file: one pass of sim.BatchFile reads it a
-record block at a time and feeds each block to the record reductions the
-method needs (moments.MomentSums, em.EmWorkspace), so the command holds one
-record block and EM's N x n_a statistics, never the whole payload.  One
+simulate writes each record block of its sim.BatchDraw as it is drawn,
+so it holds one block and the angle table.  reconstruct streams its batch
+file: one pass of sim.BatchFile reads it a record block at a time and
+feeds each block to the record reductions the method needs
+(moments.MomentSums, em.EmWorkspace), so the command holds one record
+block and EM's N x n_a statistics, never the whole payload.  One
 helper thread hashes each block for the manifest while they reduce it.
 experiment feeds its batches in memory through the same reductions, in
 the same blocks, so both routes give the same bits.
@@ -38,7 +40,7 @@ from .errors import ConfigError, SolverError
 from .metrics import (joint_alignment, reports_to_csv, score, snr_db,
                       variance_for_snr)
 from .moments import MomentSums, empirical_moments, first_moment
-from .sim import (BatchFile, ViewDistribution, build_line_grid,
+from .sim import (BatchDraw, BatchFile, ViewDistribution, build_line_grid,
                   bump_distribution, check_payload_size, generate_batch,
                   random_phantom, read_header_file, reduce_records,
                   save_batch, two_bump_distribution, uniform_distribution)
@@ -281,34 +283,31 @@ def _variance(total, square_total, n):
     return var if var > n * np.finfo(float).eps * mean_sq else 0.0
 
 
-def _sample_variance(samples):
-    """_variance of all samples, its sums from one pass each (np.var would
-    copy the batch)."""
-    flat = samples.reshape(-1)
-    return _variance(float(flat.sum()), float(np.dot(flat, flat)), flat.size)
-
-
-def _draw_batch(acq, truth, p, grid, quad, seed, targets_db):
+def _draw_batch(acq, truth, p, grid, quad, seed, targets_db, stream=False):
     """(batches, clean variance) of the seed's draw, one batch per SNR
     target in targets_db.  A batch's noise variance meets its target, or is
-    acq["sigma2"] when the target is None.  Noisy batches take the clean
-    variance from a noiseless draw of the same seed, freed before one noisy
-    pass draws them all; a lone noiseless batch is its own clean batch."""
-    def draw(sigma2):
-        return generate_batch(truth, p, acq["N"], acq["K"],
-                              math.radians(acq["alpha_deg"]), sigma2, grid,
-                              quad, seed=seed)
+    acq["sigma2"] when the target is None.  The batches are in memory
+    (generate_batch), or with stream sim.BatchDraws.  The clean variance
+    is that of a noiseless BatchDraw of the same seed, from its angle table
+    and label counts; a lone noiseless stream is that draw."""
+    def draw(kind, sigma2):
+        return kind(truth, p, acq["N"], acq["K"],
+                    math.radians(acq["alpha_deg"]), sigma2, grid, quad,
+                    seed=seed)
 
-    if targets_db == [None] and acq["sigma2"] == 0:
-        batch = draw(0.0)
-        return [batch], _sample_variance(batch.samples)
-    clean_var = _sample_variance(draw(0.0).samples)
+    probe = draw(BatchDraw, 0.0)
+    clean_var = _variance(*probe.clean_sums)
+    if stream and targets_db == [None] and acq["sigma2"] == 0:
+        return [probe], clean_var
+    del probe   # its substream states, before the noisy draw makes its own
     if clean_var == 0 and set(targets_db) != {None}:
         raise ConfigError(f"flat clean lines at config.acquisition.L = "
                           f"{acq['L']} meet no SNR target {targets_db} dB")
-    return draw([float(acq["sigma2"]) if t is None
-                 else variance_for_snr(clean_var, t)
-                 for t in targets_db]), clean_var
+    variances = [float(acq["sigma2"]) if t is None
+                 else variance_for_snr(clean_var, t) for t in targets_db]
+    if stream:
+        return [draw(BatchDraw, s2) for s2 in variances], clean_var
+    return draw(generate_batch, variances), clean_var
 
 
 def cmd_simulate(cfg, out_dir):
@@ -317,7 +316,7 @@ def cmd_simulate(cfg, out_dir):
     [batch], clean_var = _draw_batch(
         acq, truth, p, build_line_grid(acq["L"]),
         build_quadrature(spec.c, cfg["solver"]["n_xi"]), cfg["seed"],
-        [acq["target_snr_db"]])
+        [acq["target_snr_db"]], stream=True)
     sigma2 = batch.sigma2
     achieved = snr_db(clean_var, sigma2)
 

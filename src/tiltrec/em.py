@@ -22,7 +22,7 @@ from .basis import FBCoeffs, eval_tilt_matrix
 from .errors import ConfigError, SolverError, SolverResult
 from .moments import angle_coupling, angle_phase_matrix
 from .sim import (TiltSeriesBatch, ViewDistribution, empty_records,
-                  record_blocks, reduce_records)
+                  reduce_records)
 from .spectral import SpectralBatch, dft_matrix
 
 # eigenvalues below this fraction of the largest are dropped by both
@@ -54,7 +54,7 @@ class EmWorkspace:
     whitened by one real product of its lines with the whitened node DFT
     and reduced at once to its rows of Y = U_w conj(B) and the norms
     ||U_w[i]||^2, so the whitened records U_w are never held whole.  A
-    batch in memory is fed here, in record_blocks; a sim.BatchFile's
+    batch in memory is fed here, in its blocks; a sim.BatchFile's
     blocks are fed by the caller's one pass over the file, which may feed
     other consumers too.  E, the only n_theta-sized array, is formed on
     first use.
@@ -94,7 +94,7 @@ class EmWorkspace:
         self.data_norm2 = empty_records(batch)
         self._fed = 0
         if isinstance(batch, TiltSeriesBatch):
-            reduce_records(record_blocks(batch.samples), [self])
+            reduce_records(batch.blocks(), [self])
 
     def __call__(self, block):
         """Whiten the next record block and fill its rows of Y and

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import BasisSpec, FBCoeffs, QuadratureGrid, eval_tilt_matrix
 from .errors import ConfigError
-from .sim import TiltSeriesBatch, record_blocks, reduce_records
+from .sim import TiltSeriesBatch, reduce_records
 from .spectral import blockwise_mean_outer, dft_matrix
 
 
@@ -188,13 +188,12 @@ def population_features(
 
 class MomentSums:
     """Sums over the records of a batch, fed one record block at a time by
-    sim.reduce_records: the line sums, added record by record in order (so
-    their mean is bitwise numpy's mean of the whole batch), the sum of
-    squared samples and, given spec, the record coordinates Z = X Phi_Q of
-    each block, reduced at once to its share Z^H Z / N of the mean outer
-    product by one blockwise_mean_outer call, so Z is formed for one block
-    at a time.  batch is a TiltSeriesBatch or a sim.BatchFile: only its
-    header fields (N, K, alpha, sigma2, grid) are read here."""
+    sim.reduce_records: the line sums, the sum of squared samples and,
+    given spec, the record coordinates Z = X Phi_Q of each block, reduced
+    at once to its share Z^H Z / N of the mean outer product by one
+    blockwise_mean_outer call, so Z is formed for one block at a time.
+    batch is a TiltSeriesBatch or a sim.BatchFile: only its header fields
+    (N, K, alpha, sigma2, grid) are read here."""
 
     def __init__(self, batch, quad: QuadratureGrid,
                  spec: BasisSpec | None = None):
@@ -216,8 +215,7 @@ class MomentSums:
     def __call__(self, block: np.ndarray):
         """Add the next record block, (n, 2K+1, L), to the sums."""
         X = block.reshape(len(block), -1)
-        for row in X:
-            self.line_sum += row
+        self.line_sum += X.sum(axis=0)
         self.square_sum += float(np.dot(X.ravel(), X.ravel()))
         if self.spec is not None:
             Z = (X @ self.phi.view(float)).view(complex)
@@ -250,7 +248,7 @@ class MomentSums:
 def _reduced(batch: TiltSeriesBatch, quad: QuadratureGrid,
              spec: BasisSpec | None = None) -> MomentSums:
     sums = MomentSums(batch, quad, spec)
-    reduce_records(record_blocks(batch.samples), [sums])
+    reduce_records(batch.blocks(), [sums])
     return sums
 
 

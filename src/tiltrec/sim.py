@@ -165,6 +165,12 @@ class TiltSeriesBatch:
     def N(self) -> int:
         return self.samples.shape[0]
 
+    def blocks(self):
+        """Views of samples, _REDUCE_BLOCK records each, in record order:
+        the blocks a BatchFile reads, for a batch in memory."""
+        return (self.samples[i:i + _REDUCE_BLOCK]
+                for i in range(0, self.N, _REDUCE_BLOCK))
+
 
 def random_phantom(spec: BasisSpec, decay: float, seed: int = 0) -> FBCoeffs:
     """Random band-limited object with a decaying coefficient envelope.
@@ -293,76 +299,106 @@ def _substream_starts(seed: int, N: int):
     return bits * 2.0**-53, states
 
 
-def generate_batch(
-    coeffs: FBCoeffs,
-    p: ViewDistribution,
-    N: int,
-    K: int,
-    alpha: float,
-    sigma2: float,
-    grid: LineGrid,
-    quad: QuadratureGrid,
-    seed: int = 0,
-) -> TiltSeriesBatch:
-    """Draw N records: hidden angle theta_i = phi_{l_i} with l_i ~ p, then
-    y_{i,kappa} = P_{theta_i + kappa*alpha}(f) + Gaussian noise.
+class BatchDraw:
+    """One seeded draw of N records y_{i,kappa} = P_{theta_i +
+    kappa*alpha}(f) + sqrt(sigma2) z_i, theta_i = phi_{l_i} with l_i ~ p,
+    made one record block at a time.  It carries a saved batch's header
+    fields and hidden_angles, the labels.  Record i reads only the
+    substream spawned from (seed, i): one uniform for l_i, then its
+    unit-normal noise block z_i.  The substream starts, the labels, the
+    table of each drawn angle's 2K+1 clean lines and clean_sums, the (sum,
+    sum of squares, count) of the noiseless samples, are made once, here.
+    Bad N, sigma2 or seed raise ConfigError; a short line window or wide
+    tilt span warns at warnings.warn's stacklevel."""
 
-    Record i consumes only the substream spawned from (seed, i): first one
-    uniform draw for l_i, then the unit-normal noise block z_i, so batches
-    are deterministic in seed regardless of generation order.  The uniforms
-    and the states after them come from _substream_starts for all records
-    at once.  Each batch starts as one gather from the table of each drawn
-    angle's 2K+1 clean lines; only if some variance is positive does one
-    Generator, set to each record's state in turn, draw z_i and add
-    sqrt(sigma2_j) * z_i in each batch j.  sigma2 may be a sequence of
-    variances: one batch each, bitwise that of a separate call.  A
-    negative seed raises ConfigError; a line window shorter than the object
-    warns once per draw.
-    """
+    def __init__(self, coeffs: FBCoeffs, p: ViewDistribution, N: int, K: int,
+                 alpha: float, sigma2: float, grid: LineGrid,
+                 quad: QuadratureGrid, seed: int = 0, stacklevel: int = 2):
+        if N < 1:
+            raise ConfigError(f"N must be >= 1, got {N}")
+        if sigma2 < 0:
+            raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
+        warn_tilt_span(K, alpha, stacklevel)
+        if grid.L * grid.dx < 2.0 * coeffs.spec.R - 1e-9:
+            warnings.warn(f"line window L*dx = {grid.L * grid.dx:.2f} shorter "
+                          f"than the object diameter 2R = "
+                          f"{2 * coeffs.spec.R:.2f}", stacklevel=stacklevel)
+        self.N, self.K, self.alpha = N, K, float(alpha)
+        self.sigma2, self.seed = float(sigma2), int(seed)
+        self.grid, self.n_theta = grid, p.n_theta
+        u, self._states = _substream_starts(seed, N)
+        cdf = np.cumsum(p.p)
+        self.hidden_angles = np.minimum(np.searchsorted(cdf, u, side="right"),
+                                        len(cdf) - 1)
+        drawn, self._row = np.unique(self.hidden_angles, return_inverse=True)
+        self.table = np.array([
+            [project_clean(coeffs, (2.0 * np.pi * l / p.n_theta + k * alpha)
+                           % (2.0 * np.pi), grid, quad)
+             for k in range(-K, K + 1)]
+            for l in drawn])
+        lines = self.table.reshape(len(drawn), -1)
+        counts = np.bincount(self._row)
+        self.clean_sums = (float(counts @ lines.sum(axis=1)),
+                           float(counts @ np.einsum("ij,ij->i", lines, lines)),
+                           N * lines.shape[1])
+
+    def sample_blocks(self, variances, outs=None):
+        """Per record block, its samples at each variance s2: the clean lines
+        gathered from the table, plus sqrt(s2) z_i with each z_i drawn once,
+        as views of outs (one N-row array per variance) or of one reused
+        one-block buffer per variance, valid until the next block."""
+        shape = self.table.shape[1:]
+        outs = outs or [np.empty((min(self.N, _REDUCE_BLOCK), *shape))
+                        for _ in variances]
+        rng = np.random.Generator(np.random.PCG64(0))   # one per pass
+        for i in range(0, self.N, _REDUCE_BLOCK):
+            rows = self._row[i:i + _REDUCE_BLOCK]
+            # a one-block buffer starts every block at 0, an N-row array at i
+            blocks = [out[i % len(out):][:len(rows)] for out in outs]
+            for block in blocks:   # "clip" gathers straight into block
+                np.take(self.table, rows, axis=0, out=block, mode="clip")
+            noise = [(block, np.sqrt(s2))
+                     for block, s2 in zip(blocks, variances) if s2 > 0]
+            for k, state in enumerate(self._states[i:i + len(rows)]
+                                      if noise else ()):
+                rng.bit_generator.state = state
+                z = rng.standard_normal(shape)
+                for block, sigma in noise:
+                    block[k] += sigma * z
+            yield blocks
+
+    def blocks(self):
+        """The samples at sigma2, _REDUCE_BLOCK records at a time."""
+        return (block for [block] in self.sample_blocks([self.sigma2]))
+
+
+def generate_batch(coeffs: FBCoeffs, p: ViewDistribution, N: int, K: int,
+                   alpha: float, sigma2: float, grid: LineGrid,
+                   quad: QuadratureGrid, seed: int = 0) -> TiltSeriesBatch:
+    """The records of BatchDraw(coeffs, p, N, K, alpha, sigma2, grid, quad,
+    seed) in memory, warning at the caller.  For a sequence sigma2, one
+    batch per variance from one draw, each bitwise a separate call's."""
     variances = np.atleast_1d(sigma2).astype(float)
-    if N < 1:
-        raise ConfigError(f"N must be >= 1, got {N}")
-    if np.any(variances < 0):
-        raise ConfigError(f"sigma2 must be >= 0, got {sigma2}")
-    warn_tilt_span(K, alpha)
-    if grid.L * grid.dx < 2.0 * coeffs.spec.R - 1e-9:
-        warnings.warn(f"line window L*dx = {grid.L * grid.dx:.2f} shorter "
-                      f"than the object diameter 2R = {2 * coeffs.spec.R:.2f}",
-                      stacklevel=2)
-
-    u, states = _substream_starts(seed, N)
-    cdf = np.cumsum(p.p)
-    labels = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-
-    drawn, row = np.unique(labels, return_inverse=True)
-    table = np.array([
-        [project_clean(coeffs, (2.0 * np.pi * l / p.n_theta + k * alpha)
-                       % (2.0 * np.pi), grid, quad)
-         for k in range(-K, K + 1)]
-        for l in drawn])
-    samples = [table[row] for _ in variances]
-
-    noise = [(o, np.sqrt(s2)) for o, s2 in zip(samples, variances) if s2 > 0]
-    if noise:
-        rng = np.random.Generator(np.random.PCG64(0))   # one per call
-        for i, state in enumerate(states):
-            rng.bit_generator.state = state
-            z = rng.standard_normal(table.shape[1:])
-            for out, sigma in noise:
-                out[i] += sigma * z
-
+    # the draw refuses the least variance if it is negative
+    draw = BatchDraw(coeffs, p, N, K, alpha, min(variances, default=0.0),
+                     grid, quad, seed, stacklevel=3)
+    samples = [np.empty((N, *draw.table.shape[1:])) for _ in variances]
+    for _ in draw.sample_blocks(variances, samples):
+        pass
     batches = [TiltSeriesBatch(samples=out, K=K, alpha=float(alpha),
                                sigma2=float(s2), grid=grid, seed=int(seed),
-                               n_theta=p.n_theta, hidden_angles=labels)
+                               n_theta=p.n_theta,
+                               hidden_angles=draw.hidden_angles)
                for out, s2 in zip(samples, variances)]
     return batches if np.ndim(sigma2) else batches[0]
 
 
-def save_batch(batch: TiltSeriesBatch, path: str):
+def save_batch(batch: TiltSeriesBatch | BatchDraw, path: str):
     """One JSON header line, then the little-endian float64 payload.
 
     Payload order: samples (C order, N x (2K+1) x L), then the hidden angle
-    indices as float64 when present.
+    indices as float64 when present.  The samples are written a record
+    block at a time, as a BatchDraw draws them.
     """
     header = {
         "N": batch.N,
@@ -377,7 +413,8 @@ def save_batch(batch: TiltSeriesBatch, path: str):
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(batch.samples, dtype="<f8").data)
+        for block in batch.blocks():
+            fh.write(np.ascontiguousarray(block, dtype="<f8").data)
         if batch.hidden_angles is not None:
             fh.write(batch.hidden_angles.astype("<f8").tobytes())
 
@@ -435,17 +472,10 @@ def check_payload_size(path, size: int, expected: int):
             f"{path}: payload holds {size} bytes, header implies {expected}")
 
 
-def record_blocks(samples: np.ndarray):
-    """Views of samples, _REDUCE_BLOCK records each, in record order: the
-    blocks a BatchFile reads, for a batch in memory."""
-    return (samples[i:i + _REDUCE_BLOCK]
-            for i in range(0, len(samples), _REDUCE_BLOCK))
-
-
 def reduce_records(blocks, consumers):
     """Feed each record block, in order, to every consumer: the one loop by
     which each record reduction (moment sums, EM statistics) sees a batch,
-    from a file's blocks or from record_blocks of samples in memory, so
+    from a BatchFile's blocks or from those of a batch in memory, so
     both routes give the same bits.  blocks, a generator, is closed on
     every exit, so a consumer that raises ends a file's pass at once."""
     with contextlib.closing(blocks):
@@ -460,7 +490,8 @@ class BatchFile:
     Opening reads the header line, checks it as read_header_file does and
     sets the fields TiltSeriesBatch names N, K, alpha, sigma2, grid, seed
     and n_theta, and checks the payload size against the header (a pipe or
-    other non-regular file reports no size; it is checked as it is read).
+    other non-regular file reports no size: it is checked as it is read,
+    and an L or K whose arrays memory cannot hold is refused by name).
     blocks() then reads the samples _REDUCE_BLOCK records at a time, by
     readinto, into one reused buffer (or into out), hashes each block on
     one helper thread (hashlib releases the GIL) while the caller reduces
@@ -490,7 +521,11 @@ class BatchFile:
             st = os.fstat(self._fh.fileno())
             if stat.S_ISREG(st.st_mode):   # before anything is sized by N, L
                 check_payload_size(path, st.st_size - len(line), self._size)
-            self.grid = build_line_grid(header["L"], header["dx"])
+            L = header["L"]   # the sizes of the grid and of blocks()' block
+            _allocate(path, "L", L, (L,))
+            _allocate(path, "K", self.K, (min(self.N, _REDUCE_BLOCK),
+                                          2 * self.K + 1, L))
+            self.grid = build_line_grid(L, header["dx"])
         except BaseException:
             self._fh.close()
             raise
@@ -549,18 +584,23 @@ class BatchFile:
         self.source_sha256 = self._digest.hexdigest()
 
 
-def empty_records(batch, shape=(), dtype=float) -> np.ndarray:
-    """np.empty((batch.N, *shape), dtype), one row per record.  A pipe's
-    payload is checked against its header only at its end, so a BatchFile's
-    N may lie: an array it cannot allocate raises ConfigError naming N."""
+def _allocate(path, key, value, shape, dtype="<f8") -> np.ndarray:
+    """np.empty(shape, dtype), or a ConfigError naming the header field
+    key = value if memory cannot hold it, as a lying pipe's header asks."""
     try:
+        return np.empty(shape, dtype)
+    except (MemoryError, ValueError) as err:
+        raise ConfigError(f"{path}: header field {key!r} = {value} gives an "
+                          f"array of shape {shape} that memory cannot hold: "
+                          f"{err}") from None
+
+
+def empty_records(batch, shape=(), dtype=float) -> np.ndarray:
+    """np.empty((batch.N, *shape), dtype), one row per record; for a
+    BatchFile, whose N may lie, by _allocate naming N."""
+    if not isinstance(batch, BatchFile):
         return np.empty((batch.N, *shape), dtype)
-    except (MemoryError, ValueError) as err:   # ValueError: array too big
-        if not isinstance(batch, BatchFile):
-            raise
-        raise ConfigError(f"{batch.path}: header field 'N' = {batch.N} gives "
-                          f"an array of shape {(batch.N, *shape)} that memory "
-                          f"cannot hold: {err}") from None
+    return _allocate(batch.path, "N", batch.N, (batch.N, *shape), dtype)
 
 
 def load_batch(path: str) -> TiltSeriesBatch:

@@ -27,12 +27,14 @@ rotation-and-shift search one shift at a time, the polar-quadrature image
 synthesis the closed form is checked against, and the batch simulator
 that builds one numpy Generator per record and forms each clean line's
 phase matrix inline, against which the package's substream starts and its
-memoized line phases are checked.  The basis layout's reference is the
-(k, q) -> column dict with the symmetrization walked over it one pair at a
-time, and the node spectra of a spectral batch are its batch's lines
-mapped through the node DFT by its definition.  random_phantom's draw
-before its symmetrization is the coefficient vector without the
-real-image symmetry.
+memoized line phases are checked.  The clean variance of a noiseless
+batch is read by one pass over all its samples or from one record per
+drawn angle, as the draw's table route is checked against.  The basis
+layout's reference is the (k, q) -> column dict with the symmetrization
+walked over it one pair at a time, and the node spectra of a spectral
+batch are its batch's lines mapped through the node DFT by its
+definition.  random_phantom's draw before its symmetrization is the
+coefficient vector without the real-image symmetry.
 """
 
 import math
@@ -43,6 +45,7 @@ from scipy.special import logsumexp
 
 from tiltrec.basis import (FBCoeffs, _radial_matrix, build_quadrature,
                            eval_basis_matrix, synthesize_image)
+from tiltrec.cli import _variance
 from tiltrec.em import EmWorkspace
 from tiltrec.errors import ConfigError
 from tiltrec.moments import angle_coupling
@@ -392,6 +395,26 @@ def project_clean_reference(coeffs, theta, grid, quad):
     if coeffs.real_symmetric and np.max(np.abs(line.imag)) > 1e-10 * scale:
         raise ValueError("imaginary residue on a symmetric projection")
     return line.real
+
+
+def sample_variance(samples):
+    """The CLI's _variance of all samples, its sums from one pass each over
+    the whole array: how the clean variance was read off a noiseless batch
+    before sim.BatchDraw.clean_sums took it from the angle table."""
+    flat = samples.reshape(-1)
+    return _variance(float(flat.sum()), float(np.dot(flat, flat)), flat.size)
+
+
+def table_variance(batch):
+    """The clean variance of a noiseless batch from the first record of
+    each drawn angle, weighted by its record count: the sums of
+    BatchDraw.clean_sums, in its order, taken from the batch's records."""
+    _, first, counts = np.unique(batch.hidden_angles, return_index=True,
+                                 return_counts=True)
+    lines = batch.samples[first].reshape(len(first), -1)
+    return _variance(float(counts @ lines.sum(axis=1)),
+                     float(counts @ np.einsum("ij,ij->i", lines, lines)),
+                     batch.samples.size)
 
 
 def generate_batch_reference(coeffs, p, N, K, alpha, sigma2, grid, quad,

@@ -31,7 +31,7 @@ from tiltrec.admm import AdmmConfig, random_start, run_admm
 from tiltrec.basis import FBCoeffs, build_basis_spec, build_quadrature
 from tiltrec.cli import (DEFAULT_CONFIG, _batch_statistics, _build_problem,
                          _deep_merge, _draw_batch, _experiment_trial,
-                         _file_statistics, _sample_variance, load_config,
+                         _file_statistics, _variance, load_config,
                          load_coeff_file, main, save_coeff_file, write_pgm)
 from tiltrec.em import EmConfig, EmWorkspace, run_em
 from tiltrec.errors import ConfigError
@@ -39,10 +39,12 @@ from tiltrec.metrics import (CSV_HEADER, TrialReport, relative_error,
                              reports_to_csv, snr_db, total_variation_dist,
                              variance_for_snr)
 from tiltrec.moments import empirical_moments
-from tiltrec.sim import (BatchFile, TiltSeriesBatch, ViewDistribution,
-                         build_line_grid, generate_batch, load_batch,
-                         save_batch)
+from tiltrec.sim import (BatchDraw, BatchFile, TiltSeriesBatch,
+                         ViewDistribution, build_line_grid, generate_batch,
+                         load_batch, save_batch)
 from tiltrec.spectral import transform_batch
+
+from oracles import sample_variance, table_variance
 
 TINY = {
     "seed": 3,
@@ -455,17 +457,19 @@ def test_simulate_outputs_and_target_snr(tmp_path):
 
 
 def test_batch_draws_per_command(tmp_path, monkeypatch):
-    """A noisy batch takes two generate_batch calls (the clean one for the
-    SNR, then the noisy one), a noiseless batch one, and so does every
-    experiment trial, whatever its number of SNRs: the traced
-    project_clean counts rely on this."""
+    """A noisy batch takes two draws (the noiseless probe for the SNR, then
+    the noisy one), a noiseless batch one, and so does every experiment
+    trial, whatever its number of SNRs: the traced project_clean counts
+    rely on this.  Each draw, a sim.BatchDraw streamed or collected by
+    generate_batch, makes its substream starts once."""
     seeds = []
+    starts = tiltrec.sim._substream_starts
 
-    def counting(*args, **kwargs):
-        seeds.append(kwargs["seed"])
-        return generate_batch(*args, **kwargs)
+    def counting(seed, N):
+        seeds.append(seed)
+        return starts(seed, N)
 
-    monkeypatch.setattr("tiltrec.cli.generate_batch", counting)
+    monkeypatch.setattr(tiltrec.sim, "_substream_starts", counting)
     for sigma2, calls in ((0.5, 2), (0.0, 1)):
         seeds.clear()
         cfg = _write_cfg(tmp_path, acquisition={"sigma2": sigma2})
@@ -737,6 +741,82 @@ def test_file_and_memory_routes_are_bitwise_equal(blocked_run):
     assert src.source_sha256 == load_batch(path).source_sha256 == digest
 
 
+def test_simulate_holds_one_record_block(tmp_path):
+    """simulate streams its draw: at its peak it has allocated (as
+    tracemalloc sees numpy's buffers and the draw's Python objects) less
+    than half the payload's bytes, where drawing the batch whole would take
+    all of it.  Besides one record block and the angle table the draw holds
+    each record's label and substream state, about 0.5 kB a record, so the
+    records here are 5 kB (K = 2, L = 128); N = 7200 is 8 record blocks,
+    the last short, and a 37 MB payload."""
+    cfg = _write_cfg(tmp_path, phantom={"R": 4.0, "seed": 11},
+                     acquisition={"N": 7200, "K": 2, "alpha_deg": 3.8,
+                                  "L": 128, "sigma2": 0.5},
+                     solver={"n_xi": 12})
+    out = tmp_path / "sim"
+    tracemalloc.start()
+    try:
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "simulate"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = 8 * 7200 * 5 * 128
+    assert (out / "batch.dat").stat().st_size > payload
+    assert peak < 0.5 * payload, (peak, payload)
+
+
+@pytest.mark.parametrize("acquisition", [
+    {"target_snr_db": 3.0}, {"sigma2": 0.5}, {"sigma2": 0.0}],
+    ids=["snr_target", "sigma2", "noiseless"])
+def test_streamed_batch_file_equals_collected_batch(tmp_path, monkeypatch,
+                                                    acquisition):
+    """simulate's batch file, drawn and written 64 records a block
+    (N = 150: three blocks, the last short), is byte for byte the file
+    save_batch writes for generate_batch's batch at the header's sigma2."""
+    monkeypatch.setattr("tiltrec.sim._REDUCE_BLOCK", 64)
+    path = _write_cfg(tmp_path, acquisition={"N": 150, **acquisition})
+    out = tmp_path / "run"
+    assert main(["--config", str(path), "--out", str(out), "simulate"]) == 0
+    cfg = load_config(str(path))
+    spec, truth, p = _build_problem(cfg)
+    acq = cfg["acquisition"]
+    sigma2 = load_batch(out / "batch.dat").sigma2
+    assert (sigma2 > 0) == (acquisition != {"sigma2": 0.0})
+    save_batch(generate_batch(truth, p, acq["N"], acq["K"],
+                              math.radians(acq["alpha_deg"]), sigma2,
+                              build_line_grid(acq["L"]),
+                              build_quadrature(spec.c, cfg["solver"]["n_xi"]),
+                              seed=cfg["seed"]), tmp_path / "collected.dat")
+    assert (out / "batch.dat").read_bytes() == (
+        tmp_path / "collected.dat").read_bytes()
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"phantom": {"R": 8.0}, "distribution": {"n_theta": 24},
+         "acquisition": {"N": 4000, "K": 6, "alpha_deg": 1.5, "L": 32}},
+    {"phantom": {"R": 8.0}, "distribution": {"n_theta": 24},
+     "acquisition": {"N": 3000, "K": 6, "alpha_deg": 7.5, "L": 128}}],
+    ids=["tiny", "pipeline_default", "em_records_large"])
+def test_clean_variance_from_the_angle_table(tmp_path, overrides):
+    """The noiseless probe's clean variance, from its angle table and label
+    counts, is within 1e-12 relative of the one-pass variance of the whole
+    clean batch it replaced (at the geometries of the tiny config and two
+    benchmark workloads), and bitwise the same sums read off that batch's
+    records."""
+    cfg = load_config(str(_write_cfg(tmp_path, **overrides)))
+    spec, truth, p = _build_problem(cfg)
+    acq = cfg["acquisition"]
+    args = (truth, p, acq["N"], acq["K"], math.radians(acq["alpha_deg"]),
+            0.0, build_line_grid(acq["L"]),
+            build_quadrature(spec.c, cfg["solver"]["n_xi"]))
+    clean_var = _variance(*BatchDraw(*args, seed=cfg["seed"]).clean_sums)
+    clean = generate_batch(*args, seed=cfg["seed"])
+    whole = sample_variance(clean.samples)
+    assert abs(clean_var - whole) <= 1e-12 * whole, (clean_var, whole)
+    assert clean_var == table_variance(clean)
+
+
 def _bad_blocked_file(blob, header_end, n_main, defect, pipe):
     """blob, a saved batch whose header line ends at header_end and whose
     samples are n_main float64s, with one defect in its last block or
@@ -913,7 +993,7 @@ def test_snr_below_stated_noise_reads_minus_inf(sim_run, tmp_path):
     negative."""
     cfg, sim_out = sim_run
     batch = load_batch(sim_out / "batch.dat")
-    assert _sample_variance(batch.samples) < 1e3
+    assert sample_variance(batch.samples) < 1e3
     loud = tmp_path / "loud.dat"
     save_batch(dataclasses.replace(batch, sigma2=1e3), loud)
     rec = tmp_path / "rec"
@@ -1008,7 +1088,7 @@ def _separate_runs_cell(cfg, spec, truth, p, snr, trial):
                               math.radians(acq["alpha_deg"]), sigma2,
                               build_line_grid(acq["L"]), quad, seed=seed)
 
-    clean_var = _sample_variance(draw(0.0).samples)
+    clean_var = table_variance(draw(0.0))
     batch = draw(variance_for_snr(clean_var, snr))
     feats = empirical_moments(batch, quad, spec)
 
@@ -1088,6 +1168,19 @@ def test_experiment_determinism_and_shared_inits(tmp_path):
             (tmp_path / "oracle.csv").read_text().splitlines()] == rows
     assert hashes == [dict.fromkeys(conf["experiment"]["methods"], h)
                       for _, h in cells]
+
+
+def test_noiseless_draw_in_memory_is_its_own_clean_batch(tmp_path):
+    """With no SNR target and sigma2 0, the draw helper's in-memory batch
+    is noiseless and its clean variance is that batch's own."""
+    cfg = load_config(str(_write_cfg(tmp_path, acquisition={"sigma2": 0.0})))
+    spec, truth, p = _build_problem(cfg)
+    acq = cfg["acquisition"]
+    [batch], clean_var = _draw_batch(
+        acq, truth, p, build_line_grid(acq["L"]),
+        build_quadrature(spec.c, cfg["solver"]["n_xi"]), cfg["seed"], [None])
+    assert isinstance(batch, TiltSeriesBatch) and batch.sigma2 == 0.0
+    assert clean_var == table_variance(batch) > 0
 
 
 @pytest.mark.parametrize("admm_iters, hybrid_admm_iters", [(5, 5), (7, 3)])

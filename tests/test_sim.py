@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from tiltrec.basis import (FBCoeffs, QuadratureGrid, build_basis_spec,
                            build_quadrature, eval_tilt_matrix)
 from tiltrec.errors import ConfigError
-from tiltrec.sim import (BatchFile, ViewDistribution, _line_phases,
-                         _substream_starts, build_line_grid,
+from tiltrec.sim import (BatchDraw, BatchFile, ViewDistribution,
+                         _line_phases, _substream_starts, build_line_grid,
                          bump_distribution, generate_batch, load_batch,
                          project_clean, random_phantom, reduce_records,
                          save_batch, two_bump_distribution,
@@ -228,6 +228,28 @@ def test_generate_batch_bitwise_equals_per_record_reference(
     assert (u.tolist(), states) == _numpy_starts(seed, 300)
 
 
+def test_draw_blocks_bitwise_equal_per_record_reference(
+        small_phantom, bump12, quad32, monkeypatch):
+    """Read 16 records a block (N = 37: three blocks, the last short), a
+    BatchDraw's blocks, and the batches generate_batch collects from them
+    for several variances, are bitwise those of one numpy Generator per
+    record."""
+    monkeypatch.setattr("tiltrec.sim._REDUCE_BLOCK", 16)
+    head, tail = (small_phantom, bump12, 37, 2, 3.8 * DEG), (
+        build_line_grid(16), quad32)
+    draw = BatchDraw(*head, 0.5, *tail, seed=9)
+    blocks = [block.copy() for block in draw.blocks()]
+    assert [len(block) for block in blocks] == [16, 16, 5]
+    want = generate_batch_reference(*head, 0.5, *tail, seed=9)
+    assert np.array_equal(np.concatenate(blocks), want.samples)
+    assert np.array_equal(draw.hidden_angles, want.hidden_angles)
+    variances = [0.0, 0.5, 3.0]
+    for got, ref in zip(generate_batch(*head, variances, *tail, seed=9),
+                        generate_batch_reference(*head, variances, *tail,
+                                                 seed=9)):
+        assert np.array_equal(got.samples, ref.samples)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=2000)
 @given(seed=st.integers(0, 2**256 - 1), N=st.integers(1, 64))
 def test_substream_starts_match_numpy(seed, N):
@@ -389,6 +411,32 @@ def test_lying_header_on_a_pipe_is_refused_by_name(tmp_path, small_batch, N):
     writer = _feed_fifo(fifo, json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(ConfigError, match=re.escape(
             f"header field 'N' = {N} gives an array of shape ({N}, 5, 16) "
+            f"that memory cannot hold")):
+        load_batch(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("key, value, shape", [
+    ("L", 2 ** 40, (2 ** 40,)), ("L", 2 ** 62, (2 ** 62,)),
+    ("K", 2 ** 40, (400, 2 ** 41 + 1, 16)),
+    ("K", 2 ** 62, (400, 2 ** 63 + 1, 16))],
+    ids=["L_memory", "L_too_big", "K_memory", "K_too_big"])
+def test_lying_L_or_K_on_a_pipe_is_refused_by_name(tmp_path, small_batch,
+                                                  key, value, shape):
+    """A FIFO's header L and K are believed until its payload ends too: an
+    L whose line grid, or a K whose record block, memory cannot hold
+    raises a ConfigError naming that field as the file is opened, before
+    any L- or K-sized array of a record reduction is allocated."""
+    path = tmp_path / "b.dat"
+    save_batch(small_batch[0], path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = value
+    fifo = tmp_path / "b.fifo"
+    writer = _feed_fifo(fifo, json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"header field {key!r} = {value} gives an array of shape {shape} "
             f"that memory cannot hold")):
         load_batch(fifo)
     writer.join(timeout=10)
